@@ -3,18 +3,19 @@ Schwarzschild coordinates by a locally inertial Godunov scheme, with exact
 flat-space Riemann solutions, closed-form cosmological/static models, and
 a convergence and diagnostics harness."""
 
-from .fluid import Conserved, EosParams, FluidState, RiemannInvariants
-from .riemann import WaveFan, sample, solve_middle_state
+from .fluid import EosParams, conserved_arrays, fluid_arrays, invariant_arrays, t11_arrays
+from .riemann import RiemannGridSolution, sample_solution, solve_interfaces
 from .scheme import SimGrid, advance, init, run
 
 __all__ = [
     "EosParams",
-    "FluidState",
-    "Conserved",
-    "RiemannInvariants",
-    "WaveFan",
-    "solve_middle_state",
-    "sample",
+    "conserved_arrays",
+    "fluid_arrays",
+    "invariant_arrays",
+    "t11_arrays",
+    "RiemannGridSolution",
+    "solve_interfaces",
+    "sample_solution",
     "SimGrid",
     "init",
     "advance",

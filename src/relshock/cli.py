@@ -16,10 +16,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import diagnostics, experiments, models, output, riemann, scheme
-from .config import RunConfig, config_from_dict, parse_config
-from .errors import HorizonEncountered, ParseError, RelshockError, ValidationError
-from .fluid import EosParams, FluidState
+from . import diagnostics, experiments, fluid, models, output, riemann, scheme
+from .config import RunConfig, config_from_dict, read_config
+from .errors import BorderNotFound, ConfigError, HorizonEncountered, RelshockError
+from .fluid import EosParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,17 +35,14 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(RunConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    if overrides:
-        base = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-        base.update(overrides)
-        cfg = config_from_dict(base)
-    return cfg.validate()
+    """The config file (if any) with command-line flags on top, validated once."""
+    values, lines = read_config(args.config) if args.config else ({}, {})
+    for f in fields(RunConfig):
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            values[f.name] = raw
+            lines.pop(f.name, None)
+    return config_from_dict(values, lines)
 
 
 def _make_model(cfg: RunConfig):
@@ -58,20 +55,21 @@ def _make_model(cfg: RunConfig):
 
 def cmd_riemann(args) -> int:
     eos = EosParams(args.sigma)
-    left = FluidState(args.rho_l, args.v_l)
-    right = FluidState(args.rho_r, args.v_r)
-    fan = riemann.solve_middle_state(left, right, eos, args.eps)
+    for rho, v in ((args.rho_l, args.v_l), (args.rho_r, args.v_r)):
+        fluid.check_fluid(rho, v)
+    sol = riemann.solve_interfaces(args.rho_l, args.v_l, args.rho_r, args.v_r,
+                                   eos, args.eps)
     os.makedirs(args.outdir, exist_ok=True)
-    output.emit_fan_json(fan, os.path.join(args.outdir, "fan.json"))
+    output.emit_fan_json(sol, os.path.join(args.outdir, "fan.json"))
     xi = np.linspace(args.xi_min, args.xi_max, args.xi_count)
-    sol = riemann.solve_interfaces(left.rho, left.v, right.rho, right.v, eos, args.eps)
     rho, v = riemann.sample_solution(sol, xi)
     path = os.path.join(args.outdir, "samples.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("xi,rho,v\n")
         for k in range(xi.size):
             fh.write(f"{xi[k]:.10e},{rho[k]:.10e},{v[k]:.10e}\n")
-    print(f"region {fan.region}; middle rho={fan.middle.rho:.6e} v={fan.middle.v:.6f}")
+    print(f"region {riemann.REGION_NAMES[int(sol.region[0])]}; "
+          f"middle rho={sol.rho_mid[0]:.6e} v={sol.v_mid[0]:.6f}")
     print(f"wrote {path} and fan.json")
     return EXIT_OK
 
@@ -109,16 +107,12 @@ def _manifest_payload(cfg: RunConfig, arts) -> dict:
     if arts.tv is not None:
         payload["tv_history"] = [list(row) for row in arts.tv.history]
         payload["tv_alarmed"] = arts.tv.alarmed
-    try:
-        border, _ = diagnostics.detect_frw_border(arts.state)
-        payload["frw_border"] = border
-    except RelshockError:
-        pass
-    try:
-        border, _ = diagnostics.detect_tov_border(arts.state)
-        payload["tov_border"] = border
-    except RelshockError:
-        pass
+    for key, detect in (("frw_border", diagnostics.detect_frw_border),
+                        ("tov_border", diagnostics.detect_tov_border)):
+        try:
+            payload[key], _ = detect(arts.state)
+        except BorderNotFound:
+            pass
     return payload
 
 
@@ -240,7 +234,7 @@ def main(argv=None) -> int:
         args.reversed = "true"
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HorizonEncountered as exc:

@@ -6,11 +6,12 @@ silently.  `#` starts a comment; blank lines are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "config_from_dict"]
+__all__ = ["RunConfig", "read_config", "parse_config", "config_from_dict"]
 
 _MODELS = ("frw1", "frw2", "tov", "frw1_tov", "frw2_tov")
 
@@ -36,67 +37,61 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         if self.model not in _MODELS:
-            raise ValidationError(f"model must be one of {_MODELS}, got {self.model!r}")
+            raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.n < 8:
-            raise ValidationError(f"n must be at least 8, got {self.n}")
+            raise ConfigError(f"n must be at least 8, got {self.n}")
         if not self.r_min < self.r_max:
-            raise ValidationError("r_min must be below r_max")
+            raise ConfigError("r_min must be below r_max")
         if self.model.endswith("_tov") and not self.r_min < self.r0 < self.r_max:
-            raise ValidationError(
+            raise ConfigError(
                 f"r0 must lie inside ({self.r_min}, {self.r_max}), got {self.r0}"
             )
         if not 0.0 < self.sigma < 1.0:
-            raise ValidationError(f"sigma must lie in (0, 1), got {self.sigma}")
+            raise ConfigError(f"sigma must lie in (0, 1), got {self.sigma}")
         if self.eps <= 0.0:
-            raise ValidationError("eps must be positive")
+            raise ConfigError("eps must be positive")
         if self.duration <= 0.0:
-            raise ValidationError("duration must be positive")
+            raise ConfigError("duration must be positive")
         if self.reversed and self.model != "frw1_tov":
-            raise ValidationError("reversed runs are defined for model = frw1_tov")
+            raise ConfigError("reversed runs are defined for model = frw1_tov")
         return self
 
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _coerce(name: str, kind, raw: str, line: int):
+def _coerce(name: str, kind, raw: str, line: int | None):
+    """Value of one key from its text, typed by the RunConfig annotation;
+    an optional field (annotated `X | None`) also accepts `none`."""
     raw = raw.strip()
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if raw.lower() == "none":
+            return None
+        kind = args[0]
     try:
         if kind is bool:
-            if raw.lower() not in _BOOLS:
-                raise ValueError(raw)
             return _BOOLS[raw.lower()]
-        if kind is int:
-            return int(raw)
-        if kind is float or "float" in str(kind):
-            return None if raw.lower() == "none" else float(raw)
-        return raw
-    except ValueError:
-        raise ParseError(f"cannot parse {name} = {raw!r} as {kind}", line=line)
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse {name} = {raw!r} as {kind.__name__}", line=line)
 
 
 def config_from_dict(values: dict, lines: dict | None = None) -> RunConfig:
-    known = {f.name: f.type for f in fields(RunConfig)}
-    types = {
-        "model": str, "outdir": str, "n": int, "snapshots": int,
-        "min_cells": int, "reversed": bool, "track_cones": bool, "psi0": float,
-    }
+    """Validated RunConfig from key -> text pairs over the defaults;
+    `lines` maps keys to their line numbers for error messages."""
+    known = typing.get_type_hints(RunConfig)
+    lines = lines or {}
     cfg = RunConfig()
     for name, raw in values.items():
         if name not in known:
-            raise ParseError(
-                f"unknown key {name!r}",
-                line=None if lines is None else lines.get(name),
-            )
-        kind = types.get(name, float)
-        value = raw if not isinstance(raw, str) else _coerce(
-            name, kind, raw, None if lines is None else lines.get(name)
-        )
-        setattr(cfg, name, value)
+            raise ConfigError(f"unknown key {name!r}", line=lines.get(name))
+        setattr(cfg, name, _coerce(name, known[name], raw, lines.get(name)))
     return cfg.validate()
 
 
-def parse_config(path: str) -> RunConfig:
+def read_config(path: str) -> tuple[dict, dict]:
+    """(key -> text, key -> line number) from a key = value file."""
     values: dict = {}
     lines: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,11 +100,15 @@ def parse_config(path: str) -> RunConfig:
             if not text:
                 continue
             if "=" not in text:
-                raise ParseError(f"expected key = value, got {text!r}", line=lineno)
+                raise ConfigError(f"expected key = value, got {text!r}", line=lineno)
             key, _, val = text.partition("=")
             key = key.strip()
             if key in values:
-                raise ParseError(f"duplicate key {key!r}", line=lineno)
+                raise ConfigError(f"duplicate key {key!r}", line=lineno)
             values[key] = val.strip()
             lines[key] = lineno
-    return config_from_dict(values, lines)
+    return values, lines
+
+
+def parse_config(path: str) -> RunConfig:
+    return config_from_dict(*read_config(path))

@@ -1,37 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class is one distinction some caller acts on: the command line maps
+ConfigError to exit 2, HorizonEncountered to exit 3 and every other
+RelshockError to exit 4; the stepper catches HorizonEncountered,
+BorderNotFound and GridExhausted.
+"""
 
 
 class RelshockError(Exception):
     """Base class for all package errors."""
 
 
-class NegativeDiscriminant(RelshockError):
-    """Conserved pair lies outside the physical range u0 > |u1|."""
+class ConfigError(RelshockError):
+    """Malformed or invalid run configuration, with its line when known."""
 
-
-class NonpositiveDensity(RelshockError):
-    pass
-
-
-class NonPhysicalInput(RelshockError):
-    pass
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class NonPhysicalState(RelshockError):
-    """An evolved conserved state left the physical region (time step too
-    large or corrupted data)."""
-
-
-class NoConvergence(RelshockError):
-    """Bisection hit the iteration cap before reaching tolerance."""
-
-
-class SuperluminalCoordinate(RelshockError):
-    """|r/t| >= 1 requested from the self-similar cosmology solution."""
-
-
-class OutsideDomain(RelshockError):
-    """Requested point is outside a model's domain of validity."""
+    """A state, parameter or requested point lies outside the physical
+    region or a model's domain (time step too large, corrupted data, NaN,
+    or out-of-range input)."""
 
 
 class HorizonEncountered(RelshockError):
@@ -45,27 +38,3 @@ class BorderNotFound(RelshockError):
 
 class GridExhausted(RelshockError):
     """Boundary chopping consumed the grid down to the configured minimum."""
-
-
-class DegenerateField(RelshockError):
-    pass
-
-
-class ShapeMismatch(RelshockError):
-    pass
-
-
-class SupportViolation(RelshockError):
-    """Test function support exceeds the simulated domain."""
-
-
-class ParseError(RelshockError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class ValidationError(RelshockError):
-    pass

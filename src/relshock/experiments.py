@@ -165,15 +165,10 @@ def masked_side_errors(prof: ProfileSlice, refs: dict, dx: float) -> dict:
     }
 
 
-def field_errors(prof: ProfileSlice, ref: dict, dx: float,
-                 masks: dict | None = None) -> dict:
-    """1-norm errors per field, optionally over index masks keyed like the
-    fields (fluid masks index centers, metric masks index edges)."""
-    out = {}
-    for name in FIELDS:
-        mask = None if masks is None else masks.get(name)
-        out[name] = diagnostics.one_norm_error(prof.get(name), ref[name], dx, mask)
-    return out
+def field_errors(prof: ProfileSlice, ref: dict, dx: float) -> dict:
+    """1-norm errors per field over the whole slice."""
+    return {name: diagnostics.one_norm_error(prof.get(name), ref[name], dx)
+            for name in FIELDS}
 
 
 def ladder(make_model, ns, eos: EosParams, r_min: float, r_max: float,

@@ -1,37 +1,35 @@
-"""Pointwise physics of the relativistic perfect fluid with p = sigma*rho.
+"""Array kernels for the relativistic perfect fluid with p = sigma*rho.
 
 Three coordinate systems on the state space are used throughout: the fluid
-variables (rho, v), the conserved pair (u0, u1) of flat-space energy and
-momentum densities, and the Riemann invariants (r, s) in which rarefaction
-curves are straight lines.  All conversions here are exact closed forms and
-accept scalars or numpy arrays.  The speed of light is fixed at c = 1.
+variables (rho, v), the conserved pair (u0, u1) = (T00_M, T01_M) of
+flat-space energy and momentum densities, and the Riemann invariants
+(r, s) in which rarefaction curves are straight lines.  Every conversion
+is one exact closed-form kernel that accepts scalars or numpy arrays; T11_M
+for the fluxes is :func:`t11_arrays`.  The speed of light is fixed at c = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDiscriminant, NonpositiveDensity, NonPhysicalInput
+from .errors import NonPhysicalState
 
 __all__ = [
     "EosParams",
-    "FluidState",
-    "Conserved",
-    "RiemannInvariants",
-    "to_conserved",
-    "from_conserved",
-    "to_invariants",
-    "from_invariants",
-    "partial_density",
-    "eigenvalues",
-    "v_from_lambda",
-    "lorentz_compose",
-    "minkowski_stress",
+    "rapidity",
     "conserved_arrays",
     "fluid_arrays",
     "invariant_arrays",
+    "fluid_from_invariant_arrays",
+    "t11_arrays",
+    "check_fluid",
+    "partial_density",
+    "lambda1_arrays",
+    "lambda2_arrays",
+    "v_from_lambda",
+    "lorentz_compose",
 ]
 
 
@@ -47,7 +45,7 @@ class EosParams:
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
-            raise NonPhysicalInput(f"sigma must lie in (0, 1), got {self.sigma}")
+            raise NonPhysicalState(f"sigma must lie in (0, 1), got {self.sigma}")
 
     @property
     def sound_speed(self) -> float:
@@ -66,41 +64,13 @@ class EosParams:
         return np.sqrt(2.0 * self.K)
 
 
-@dataclass(frozen=True)
-class FluidState:
-    """Primitive fluid variables: energy density rho > 0 and velocity |v| < 1."""
-
-    rho: float
-    v: float
-
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise NonpositiveDensity(f"rho must be positive, got {self.rho}")
-        if not abs(self.v) < 1.0:
-            raise NonPhysicalInput(f"|v| must be < 1, got {self.v}")
-
-
-@dataclass(frozen=True)
-class Conserved:
-    """Flat-space conserved densities (u0, u1) = (T00_M, T01_M)."""
-
-    u0: float
-    u1: float
-
-
-@dataclass(frozen=True)
-class RiemannInvariants:
-    r: float
-    s: float
-
-
 def rapidity(v):
     """0.5*ln((1+v)/(1-v)); velocities compose additively in this variable."""
     return 0.5 * np.log((1.0 + v) / (1.0 - v))
 
 
 def conserved_arrays(rho, v, eos: EosParams):
-    """(u0, u1) as arrays; the array kernel behind :func:`to_conserved`."""
+    """(u0, u1) from (rho, v)."""
     sig = eos.sigma
     gam = 1.0 / (1.0 - v * v)
     u0 = rho * ((sig + 1.0) * v * v * gam + 1.0)
@@ -108,56 +78,56 @@ def conserved_arrays(rho, v, eos: EosParams):
     return u0, u1
 
 
-def fluid_arrays(u0, u1, eos: EosParams, check: bool = True):
+def _require(ok, what: str, **values):
+    """Raise NonPhysicalState naming the first entry where `ok` is false;
+    NaN compares false, so it never passes."""
+    if np.all(ok):
+        return
+    k = int(np.flatnonzero(~np.asarray(ok))[0])
+    shown = ", ".join(f"{name}={np.broadcast_to(a, np.shape(ok)).flat[k]:.6e}"
+                      for name, a in values.items())
+    raise NonPhysicalState(f"{what} at index {k} ({shown})")
+
+
+def fluid_arrays(u0, u1, eos: EosParams):
     """(rho, v) as arrays, inverting :func:`conserved_arrays`.
 
     The quadratic for v is evaluated in the rationalized form
     v = 2*u1 / ((sigma+1)*u0 + sqrt(disc)), which selects the |v| < 1 root
-    and passes smoothly through u1 = 0.
+    and passes smoothly through u1 = 0.  A pair with disc < 0 or u0 <= 0,
+    or a NaN, raises NonPhysicalState naming the first bad index.
     """
     sig = eos.sigma
     disc = (sig + 1.0) ** 2 * u0 * u0 - 4.0 * sig * u1 * u1
-    if check:
-        if np.any(np.asarray(disc) < 0.0):
-            raise NegativeDiscriminant(
-                "conserved pair outside the physical region (disc < 0)"
-            )
-        if np.any(np.asarray(u0) <= 0.0):
-            raise NonpositiveDensity("u0 must be positive")
+    _require(disc >= 0.0, "conserved pair outside the physical region (disc < 0)",
+             u0=u0, u1=u1)
+    _require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
     denom = (sig + 1.0) * u0 + np.sqrt(np.maximum(disc, 0.0))
     v = 2.0 * u1 / denom
     rho = (1.0 - v * v) * denom / (2.0 * (sig + 1.0))
     return rho, v
 
 
+def check_fluid(rho, v):
+    """Reject any entry without rho > 0 and |v| < 1 (NaN fails both)."""
+    _require(rho > 0.0, "rho must be positive", rho=rho)
+    _require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
+
+
+def t11_arrays(rho, v, eos: EosParams):
+    """T11_M, the momentum flux of the flat-space system."""
+    return rho * ((eos.sigma + 1.0) * v * v / (1.0 - v * v) + eos.sigma)
+
+
 def invariant_arrays(rho, v, eos: EosParams):
-    """(r, s) as arrays; the array kernel behind :func:`to_invariants`."""
+    """(r, s) from (rho, v)."""
     phi = rapidity(v)
     lr = eos.sqrt_K_half * np.log(rho)
     return phi - lr, phi + lr
 
 
-def to_conserved(f: FluidState, eos: EosParams) -> Conserved:
-    u0, u1 = conserved_arrays(f.rho, f.v, eos)
-    return Conserved(float(u0), float(u1))
-
-
-def from_conserved(u: Conserved, eos: EosParams) -> FluidState:
-    rho, v = fluid_arrays(u.u0, u.u1, eos)
-    return FluidState(float(rho), float(v))
-
-
-def to_invariants(f: FluidState, eos: EosParams) -> RiemannInvariants:
-    r, s = invariant_arrays(f.rho, f.v, eos)
-    return RiemannInvariants(float(r), float(s))
-
-
-def from_invariants(ri: RiemannInvariants, eos: EosParams) -> FluidState:
-    rho, v = fluid_from_invariant_arrays(ri.r, ri.s, eos)
-    return FluidState(float(rho), float(v))
-
-
 def fluid_from_invariant_arrays(r, s, eos: EosParams):
+    """(rho, v) from (r, s), inverting :func:`invariant_arrays`."""
     rho = np.exp((s - r) / eos.sqrt_2K)
     e = np.exp(s + r)
     v = -(1.0 - e) / (1.0 + e)
@@ -178,17 +148,16 @@ def partial_density(invariant_value, which: str, v, eos: EosParams):
     raise ValueError(f"which must be 'r' or 's', got {which!r}")
 
 
-def eigenvalues(f: FluidState, eos: EosParams):
-    """Characteristic speeds (lambda1, lambda2) of the flat-space system."""
-    return lambda1_arrays(f.v, eos), lambda2_arrays(f.v, eos)
-
-
 def lambda1_arrays(v, eos: EosParams):
+    """Characteristic speed of the 1-family: sound moving left relative to
+    the fluid."""
     a = eos.sound_speed
     return (v - a) / (1.0 - a * v)
 
 
 def lambda2_arrays(v, eos: EosParams):
+    """Characteristic speed of the 2-family: sound moving right relative to
+    the fluid."""
     a = eos.sound_speed
     return (v + a) / (1.0 + a * v)
 
@@ -206,27 +175,3 @@ def v_from_lambda(lam, family: int, eos: EosParams):
 def lorentz_compose(v, w):
     """Relativistic velocity addition (v + w)/(1 + v*w), c = 1."""
     return (v + w) / (1.0 + v * w)
-
-
-def minkowski_stress(f: FluidState, eos: EosParams, x: float):
-    """Flat-space stress components (T00_M, T01_M, T11_M, T22) at radius x.
-
-    T00_M and T01_M coincide with the conserved pair; T22 carries the 1/x^2
-    angular factor.
-    """
-    if not x > 0.0:
-        raise NonPhysicalInput(f"radius must be positive, got {x}")
-    sig = eos.sigma
-    rho, v = f.rho, f.v
-    gam = 1.0 / (1.0 - v * v)
-    t00 = (1.0 + sig * v * v) * gam * rho
-    t01 = (1.0 + sig) * v * gam * rho
-    t11 = (v * v + sig) * gam * rho
-    t22 = sig * rho / (x * x)
-    return t00, t01, t11, t22
-
-
-def t11_from_conserved(u0, u1, eos: EosParams, check: bool = True):
-    """T11_M evaluated from the conserved pair (array kernel for fluxes)."""
-    rho, v = fluid_arrays(u0, u1, eos, check=check)
-    return rho * ((eos.sigma + 1.0) * v * v / (1.0 - v * v) + eos.sigma)

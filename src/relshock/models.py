@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalInput, OutsideDomain, SuperluminalCoordinate
+from .errors import NonPhysicalState
 from .fluid import EosParams
 
 KAPPA = 8.0 * np.pi
@@ -28,7 +28,6 @@ C_KM_PER_S = 3.0e5
 
 __all__ = [
     "KAPPA",
-    "ModelPoint",
     "MatchData",
     "gamma",
     "tov_exponent",
@@ -43,25 +42,8 @@ __all__ = [
     "TovModel",
     "MatchedModel",
     "make_model",
-    "initial_profile",
-    "ghost_values",
     "units_convert",
 ]
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """Exact-solution sample: fluid, metric and mass at one (t, r)."""
-
-    rho: float
-    v: float
-    A: float
-    B: float
-    M: float
-
-    @property
-    def light_speed(self) -> float:
-        return float(np.sqrt(self.A * self.B))
 
 
 def gamma(eos: EosParams) -> float:
@@ -83,7 +65,7 @@ def frw1_state(t_bar, r_bar):
     """
     xi = np.asarray(r_bar, dtype=float) / t_bar
     if np.any(np.abs(xi) >= 1.0):
-        raise SuperluminalCoordinate(f"|r/t| >= 1 on the requested slice (t={t_bar})")
+        raise NonPhysicalState(f"|r/t| >= 1 on the requested slice (t={t_bar})")
     small = np.abs(xi) < 1e-14
     xi_safe = np.where(small, 1.0, xi)
     v = np.where(small, 0.5 * xi, (1.0 - np.sqrt(1.0 - xi * xi)) / xi_safe)
@@ -99,7 +81,7 @@ def frw2_frw_time(t_bar, r_bar, psi0: float):
     t4 = np.asarray(t_bar, dtype=float) ** 4
     disc = t4 - np.asarray(r_bar, dtype=float) ** 2 * psi0**4
     if np.any(disc < 0.0):
-        raise OutsideDomain("t_bar^4 < r_bar^2 psi0^4: outside the FRW-2 chart")
+        raise NonPhysicalState("t_bar^4 < r_bar^2 psi0^4: outside the FRW-2 chart")
     return (t_bar**2 + np.sqrt(disc)) / (2.0 * psi0**2)
 
 
@@ -109,7 +91,7 @@ def frw2_state(t_bar, r_bar, psi0: float):
     r = np.asarray(r_bar, dtype=float)
     v = r / (2.0 * t)
     if np.any(np.abs(v) >= 1.0):
-        raise SuperluminalCoordinate("fluid speed >= 1 on the requested slice")
+        raise NonPhysicalState("fluid speed >= 1 on the requested slice")
     rho = 3.0 / (4.0 * KAPPA * t * t)
     psi = psi0 * np.sqrt(t / (4.0 * t * t + r * r))
     A = 1.0 - v * v
@@ -122,7 +104,7 @@ def tov_state(r_bar, b0: float, eos: EosParams):
     """Static isothermal sphere: rho = gamma/r^2, constant A, B = b0*r^q."""
     r = np.asarray(r_bar, dtype=float)
     if np.any(r <= 0.0) or b0 <= 0.0:
-        raise NonPhysicalInput("tov_state needs r > 0 and b0 > 0")
+        raise NonPhysicalState("tov_state needs r > 0 and b0 > 0")
     g = gamma(eos)
     rho = g / (r * r)
     v = np.zeros_like(r)
@@ -173,7 +155,7 @@ def _v0(eos: EosParams, reversed_time: bool) -> float:
 
 def _require_radiation(eos: EosParams):
     if abs(eos.sigma - 1.0 / 3.0) > 1e-12:
-        raise NonPhysicalInput(
+        raise NonPhysicalState(
             "the expanding-universe charts require sigma = 1/3 (sound speed of radiation)"
         )
 
@@ -187,7 +169,7 @@ def match(variant: str, r0: float, eos: EosParams, reversed_time: bool = False) 
     """
     _require_radiation(eos)
     if r0 <= 0.0:
-        raise NonPhysicalInput("r0 must be positive")
+        raise NonPhysicalState("r0 must be positive")
     v0 = _v0(eos, reversed_time)
     b0 = r0 ** (-tov_exponent(eos)) / (1.0 - v0 * v0)
     if variant == "frw1":
@@ -195,7 +177,7 @@ def match(variant: str, r0: float, eos: EosParams, reversed_time: bool = False) 
         return MatchData(r0=r0, t0=float(t0), v0=float(v0), b0=float(b0))
     if variant == "frw2":
         if reversed_time:
-            raise NonPhysicalInput("the FRW-2 matching is forward-time only")
+            raise NonPhysicalState("the FRW-2 matching is forward-time only")
         t0_frw = r0 / (2.0 * v0)
         psi0 = np.sqrt((4.0 * t0_frw**2 + r0**2) / t0_frw)
         t0 = psi0**2 / 2.0
@@ -309,22 +291,6 @@ def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
     if variant == "frw2_tov":
         return MatchedModel("frw2", r0, eos)
     raise ValueError(f"unknown model variant {variant!r}")
-
-
-def initial_profile(model, r):
-    """Exact-solution slice (rho, v, A, B, M) at the model's start time."""
-    return model.evaluate(model.t_start, np.asarray(r, dtype=float))
-
-
-def ghost_values(model, side: str, t, x_ghost: float, x_half: float):
-    """Boundary data for one ghost cell: fluid at the ghost center, metric
-    at the staggered half gridpoint between the ghost and the first
-    interior cell."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rho, v, _, _, _ = model.evaluate(t, np.asarray(x_ghost))
-    _, _, A, B, M = model.evaluate(t, np.asarray(x_half))
-    return (float(rho), float(v)), (float(A), float(B), float(M))
 
 
 def units_convert(value: float, to: str) -> float:

@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 
+from .riemann import REGION_NAMES
+
 __all__ = ["emit_plotdata", "emit_fan_json", "emit_table", "emit_manifest"]
 
 SNAPSHOT_COLUMNS = ("r", "rho", "v", "A", "B", "M", "sqrtAB", "mu")
@@ -40,21 +42,25 @@ def emit_plotdata(prof, path: str) -> str:
     return path
 
 
-def emit_fan_json(fan, path: str) -> str:
-    """Serialize a classified Riemann fan."""
-    def wave(w):
-        if hasattr(w, "beta"):
-            return {"kind": "shock", "beta": w.beta, "speed": w.speed}
-        return {"kind": "rarefaction", "head_speed": w.head_speed,
-                "tail_speed": w.tail_speed}
+def emit_fan_json(sol, path: str) -> str:
+    """Serialize the classified fan of interface 0 of a Riemann grid
+    solution: region, the three states, and each wave as a shock (strength,
+    speed) or a rarefaction (head and tail speeds)."""
+    def wave(is_shock, beta, head, tail):
+        if is_shock:
+            return {"kind": "shock", "beta": float(beta[0]), "speed": float(head[0])}
+        return {"kind": "rarefaction", "head_speed": float(head[0]),
+                "tail_speed": float(tail[0])}
 
     payload = {
-        "region": fan.region,
-        "left": {"rho": fan.left.rho, "v": fan.left.v},
-        "middle": {"rho": fan.middle.rho, "v": fan.middle.v},
-        "right": {"rho": fan.right.rho, "v": fan.right.v},
-        "wave1": wave(fan.wave1),
-        "wave2": wave(fan.wave2),
+        "region": REGION_NAMES[int(sol.region[0])],
+        "left": {"rho": float(sol.rho_l[0]), "v": float(sol.v_l[0])},
+        "middle": {"rho": float(sol.rho_mid[0]), "v": float(sol.v_mid[0])},
+        "right": {"rho": float(sol.rho_r[0]), "v": float(sol.v_r[0])},
+        "wave1": wave(sol.wave1_is_shock()[0], sol.beta1, sol.speed1_head,
+                      sol.speed1_tail),
+        "wave2": wave(sol.wave2_is_shock()[0], sol.beta2, sol.speed2_head,
+                      sol.speed2_tail),
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

@@ -8,40 +8,35 @@ shock of strength beta equals the growing branch of
 f(beta) = 1 + beta*(1 + sqrt(1 + 2/beta)), and the jump in the velocity
 rapidity is -0.5*ln f(2K beta).
 
-Everything is vectorized: the grid solver hands in one array per side and
-gets back middle states, wave speeds and zero-speed samples for all
-interfaces at once.  The scalar API (`solve_middle_state`, `sample`) wraps
-the same kernels.
+Everything is vectorized: :func:`solve_interfaces` takes one array per
+side and returns a :class:`RiemannGridSolution` holding middle states,
+wave speeds and shock strengths for all interfaces at once, and
+:func:`sample_solution` evaluates it at any self-similar speed.  A single
+problem is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fluid
-from .errors import NoConvergence
-from .fluid import EosParams, FluidState, RiemannInvariants
+from .errors import RelshockError
+from .fluid import EosParams
 
 __all__ = [
-    "Shock",
-    "Rarefaction",
-    "WaveCurvePoint",
-    "WaveFan",
-    "f_pm",
+    "REGION_I",
+    "REGION_II",
+    "REGION_III",
+    "REGION_IV",
+    "REGION_NAMES",
     "beta_of",
-    "wave_curve",
-    "classify_region",
-    "solve_middle_state",
-    "wave_speeds",
-    "sample",
     "RiemannGridSolution",
     "solve_interfaces",
+    "sample_solution",
 ]
 
 REGION_I, REGION_II, REGION_III, REGION_IV = 1, 2, 3, 4
-_REGION_NAMES = {REGION_I: "I", REGION_II: "II", REGION_III: "III", REGION_IV: "IV"}
+REGION_NAMES = {REGION_I: "I", REGION_II: "II", REGION_III: "III", REGION_IV: "IV"}
 
 # beta below this is treated as a zero-strength wave; in the two-shock
 # search it signals that the state lies outside the two-shock region.
@@ -53,21 +48,6 @@ def _f_big(beta):
     """Growing branch 1 + beta*(1 + sqrt(1 + 2/beta)) >= 1, continuous at 0."""
     beta = np.asarray(beta, dtype=float)
     return 1.0 + beta + np.sqrt(beta * (beta + 2.0))
-
-
-def _f_small(beta):
-    """Decaying branch in (0, 1]; equals 1/_f_big exactly."""
-    return 1.0 / _f_big(beta)
-
-
-def f_pm(beta, sign: str):
-    """Shock parametrization factors; '+' is the branch in (0, 1], '-' the
-    branch in [1, inf)."""
-    if sign == "+":
-        return _f_small(beta)
-    if sign == "-":
-        return _f_big(beta)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def beta_of(v, v_base, eos: EosParams):
@@ -93,39 +73,10 @@ def _s1_curve(beta, eos: EosParams):
     return t_v - t_r, t_v + t_r
 
 
-@dataclass(frozen=True)
-class WaveCurvePoint:
-    beta: float
-    dr: float
-    ds: float
-
-
-def wave_curve(family: int, kind: str, beta: float, eos: EosParams) -> WaveCurvePoint:
-    """Displacement in the rs-plane along one elementary wave curve."""
-    if family not in (1, 2):
-        raise ValueError(f"family must be 1 or 2, got {family}")
-    if kind == "rarefaction":
-        if family == 1:
-            return WaveCurvePoint(beta, beta, 0.0)
-        return WaveCurvePoint(beta, 0.0, beta)
-    if kind == "shock":
-        dr, ds = _s1_curve(beta, eos)
-        if family == 1:
-            return WaveCurvePoint(beta, float(dr), float(ds))
-        return WaveCurvePoint(beta, float(ds), float(dr))
-    raise ValueError(f"kind must be 'shock' or 'rarefaction', got {kind!r}")
-
-
-def classify_region(UL: RiemannInvariants, UR: RiemannInvariants) -> str:
-    """Quadrant of (dr, ds) = UR - UL; '(-,-)' is tentative (the two-shock
+def _classify_arrays(dr, ds):
+    """Quadrant of (dr, ds) = UR - UL; REGION_II is tentative (the two-shock
     solve may fall back to I or III for points between the shock curves and
     the axes)."""
-    dr = UR.r - UL.r
-    ds = UR.s - UL.s
-    return _REGION_NAMES[int(_classify_arrays(np.asarray(dr), np.asarray(ds)))]
-
-
-def _classify_arrays(dr, ds):
     region = np.full(np.shape(dr), REGION_IV, dtype=np.int8)
     region[(dr < 0) & (ds >= 0)] = REGION_III
     region[(dr >= 0) & (ds < 0)] = REGION_I
@@ -204,7 +155,7 @@ def _bisect_s1r(target, eos: EosParams, eps: float):
         hi = np.where(shrink & (resid > 0), mid, hi)
         lo = np.where(shrink & (resid <= 0), mid, lo)
     if not done.all():
-        raise NoConvergence(
+        raise RelshockError(
             f"single-curve bisection failed for {int((~done).sum())} interface(s)"
         )
     return beta, floored & need
@@ -256,7 +207,7 @@ def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
         b1 = np.where(step1, 0.5 * (lo1 + hi1), b1)
         b2 = np.where(step2, 0.5 * (lo2 + hi2), b2)
     if not done.all():
-        raise NoConvergence(
+        raise RelshockError(
             f"two-shock bisection failed for {int((~done).sum())} interface(s)"
         )
     return beta1, beta2
@@ -395,7 +346,7 @@ def _attach_speeds(sol: RiemannGridSolution):
     tail1 = np.where(shock1, s1, fluid.lambda1_arrays(sol.v_mid, eos))
 
     shock2 = sol.wave2_is_shock()
-    s2_rest = _rest_frame_shock_speed(_f_small(sol.beta2), eos)
+    s2_rest = _rest_frame_shock_speed(1.0 / _f_big(sol.beta2), eos)
     s2 = fluid.lorentz_compose(sol.v_mid, s2_rest)
     head2 = np.where(shock2, s2, fluid.lambda2_arrays(sol.v_mid, eos))
     tail2 = np.where(shock2, s2, fluid.lambda2_arrays(sol.v_r, eos))
@@ -438,70 +389,3 @@ def sample_solution(sol: RiemannGridSolution, xi):
         v[in_fan2] = np.broadcast_to(vf, rho.shape)[in_fan2]
         rho[in_fan2] = np.broadcast_to(rf, rho.shape)[in_fan2]
     return rho, v
-
-
-@dataclass(frozen=True)
-class Shock:
-    beta: float
-    speed: float
-
-
-@dataclass(frozen=True)
-class Rarefaction:
-    head_speed: float
-    tail_speed: float
-
-
-@dataclass(frozen=True)
-class WaveFan:
-    """Classified solution of a single Riemann problem."""
-
-    left: FluidState
-    middle: FluidState
-    right: FluidState
-    wave1: Shock | Rarefaction
-    wave2: Shock | Rarefaction
-    region: str
-
-
-def _fan_from_solution(sol: RiemannGridSolution, i: int = 0) -> WaveFan:
-    region = int(sol.region[i])
-    if region in (REGION_II, REGION_III):
-        wave1 = Shock(float(sol.beta1[i]), float(sol.speed1_head[i]))
-    else:
-        wave1 = Rarefaction(float(sol.speed1_head[i]), float(sol.speed1_tail[i]))
-    if region in (REGION_I, REGION_II):
-        wave2 = Shock(float(sol.beta2[i]), float(sol.speed2_head[i]))
-    else:
-        wave2 = Rarefaction(float(sol.speed2_head[i]), float(sol.speed2_tail[i]))
-    return WaveFan(
-        left=FluidState(float(sol.rho_l[i]), float(sol.v_l[i])),
-        middle=FluidState(float(sol.rho_mid[i]), float(sol.v_mid[i])),
-        right=FluidState(float(sol.rho_r[i]), float(sol.v_r[i])),
-        wave1=wave1,
-        wave2=wave2,
-        region=_REGION_NAMES[region],
-    )
-
-
-def solve_middle_state(
-    uL: FluidState, uR: FluidState, eos: EosParams, eps: float = 1e-10
-) -> WaveFan:
-    """Solve one Riemann problem, returning the classified fan with speeds."""
-    sol = solve_interfaces(uL.rho, uL.v, uR.rho, uR.v, eos, eps)
-    return _fan_from_solution(sol)
-
-
-def wave_speeds(fan: WaveFan, eos: EosParams) -> WaveFan:
-    """Recompute a fan's wave speeds from its states and shock strengths."""
-    sol = solve_interfaces(fan.left.rho, fan.left.v, fan.right.rho, fan.right.v, eos)
-    return _fan_from_solution(sol)
-
-
-def sample(
-    uL: FluidState, uR: FluidState, xi: float, eos: EosParams, eps: float = 1e-10
-) -> FluidState:
-    """State of the self-similar solution at speed xi = x/t."""
-    sol = solve_interfaces(uL.rho, uL.v, uR.rho, uR.v, eos, eps)
-    rho, v = sample_solution(sol, np.asarray([xi]))
-    return FluidState(float(rho[0]), float(v[0]))

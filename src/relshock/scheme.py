@@ -12,20 +12,16 @@ integration up from the left boundary (update).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import diagnostics, fluid, models, riemann
-from .errors import (
-    BorderNotFound,
-    GridExhausted,
-    HorizonEncountered,
-    NonPhysicalState,
-)
+from .errors import BorderNotFound, GridExhausted, HorizonEncountered
 from .fluid import EosParams
 from .models import KAPPA
 
-__all__ = ["SimGrid", "SimState", "StepReport", "RunLog", "init", "cfl_dt",
+__all__ = ["SimGrid", "SimState", "StepReport", "RunLog", "Hook", "init", "cfl_dt",
            "godunov_cell_update", "source_G", "ode_step", "advance",
            "chop_right", "run"]
 
@@ -94,9 +90,6 @@ class SimState:
     def light_speed(self) -> np.ndarray:
         return np.sqrt(self.A * self.B)
 
-    def interior(self, arr: np.ndarray) -> np.ndarray:
-        return arr[1:-1]
-
     def copy(self) -> "SimState":
         return SimState(
             model=self.model, eos=self.eos, dx=self.dx, t=self.t,
@@ -129,6 +122,15 @@ class RunLog:
     chops: int = 0
 
 
+class Hook(Protocol):
+    """Per-run observer: :func:`run` calls on_start once with the initial
+    state, then the hook itself once after every step."""
+
+    def on_start(self, state: SimState) -> None: ...
+
+    def __call__(self, state: SimState, report: StepReport) -> None: ...
+
+
 def _is_matched(model) -> bool:
     return isinstance(model, models.MatchedModel)
 
@@ -159,25 +161,21 @@ def cfl_dt(state: SimState) -> float:
     return float(state.dx / (2.0 * state.light_speed().max()))
 
 
-def _t11(rho, v, eos: EosParams):
-    return rho * ((eos.sigma + 1.0) * v * v / (1.0 - v * v) + eos.sigma)
-
-
 def godunov_cell_update(u_c, ustar_left, ustar_right, alpha_left, alpha_right,
                         dt, dx, eos: EosParams):
     """Flux average of one cell from the zero-speed states of its two
     bounding Riemann problems; each half cell carries its own frozen
     metric factor.  All arguments broadcast."""
     u0c, u1c = u_c
-    t11_c = fluid.t11_from_conserved(u0c, u1c, eos)
+    t11_c = fluid.t11_arrays(*fluid.fluid_arrays(u0c, u1c, eos), eos)
     f0_l, f1_l = alpha_left * u1c, alpha_left * t11_c
     f0_r, f1_r = alpha_right * u1c, alpha_right * t11_c
     s0_l, s1_l = ustar_left
     s0_r, s1_r = ustar_right
     fs0_l = alpha_left * s1_l
-    fs1_l = alpha_left * fluid.t11_from_conserved(s0_l, s1_l, eos)
+    fs1_l = alpha_left * fluid.t11_arrays(*fluid.fluid_arrays(s0_l, s1_l, eos), eos)
     fs0_r = alpha_right * s1_r
-    fs1_r = alpha_right * fluid.t11_from_conserved(s0_r, s1_r, eos)
+    fs1_r = alpha_right * fluid.t11_arrays(*fluid.fluid_arrays(s0_r, s1_r, eos), eos)
     r = dt / dx
     ubar0 = u0c - r * ((f0_l - fs0_l) + (fs0_r - f0_r))
     ubar1 = u1c - r * ((f1_l - fs1_l) + (fs1_r - f1_r))
@@ -198,13 +196,11 @@ def source_G(A, B, rho, v, x, eos: EosParams):
 
 def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
     """One forward-Euler increment of the source with the neighbor-averaged
-    metric, as the update formula writes it."""
-    try:
-        rho, v = fluid.fluid_arrays(ubar0, ubar1, eos)
-    except Exception as exc:  # noqa: BLE001 - rewrap with scheme context
-        raise NonPhysicalState(f"Godunov average left the physical region: {exc}")
-    if np.any(rho <= 0.0) or np.any(np.abs(v) >= 1.0):
-        raise NonPhysicalState("Godunov average left the physical region")
+    metric, as the update formula writes it.  A Godunov average outside the
+    physical region (NaN included) raises NonPhysicalState naming the first
+    bad entry."""
+    rho, v = fluid.fluid_arrays(ubar0, ubar1, eos)
+    fluid.check_fluid(rho, v)
     g0, g1 = source_G(A_avg, B_avg, rho, v, x, eos)
     return ubar0 + g0 * dt, ubar1 + g1 * dt
 
@@ -245,7 +241,7 @@ def update_mass_metric(state: SimState, t_new: float):
             f"radial metric component reached {A.min():.3e} at t={t_new:.6f}"
         )
     rho_mid, v_mid = fluid.fluid_arrays(u0mid[:-1], u1mid[:-1], eos)
-    t11_mid = _t11(rho_mid, v_mid, eos)
+    t11_mid = fluid.t11_arrays(rho_mid, v_mid, eos)
     terms_b = ((1.0 / A[:-1] - 1.0) / xe[:-1]
                + KAPPA * xe[:-1] / A[:-1] * t11_mid) * state.dx
     B = b0[0] * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
@@ -364,7 +360,8 @@ def chop_right(state: SimState, min_cells: int = 16) -> SimState:
     return state
 
 
-def run(model, grid: SimGrid, eos: EosParams, t_end: float, hooks=(),
+def run(model, grid: SimGrid, eos: EosParams, t_end: float,
+        hooks: Sequence[Hook] = (),
         eps: float = 1e-10, stop_on_boundary_hit: bool = False,
         chop_after_hit: bool = False, min_cells: int = 16,
         max_steps: int = 2_000_000):
@@ -379,9 +376,7 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float, hooks=(),
     state = init(model, grid, eos, eps)
     log = RunLog()
     for hook in hooks:
-        start = getattr(hook, "on_start", None)
-        if start is not None:
-            start(state)
+        hook.on_start(state)
     hit = False
     tiny = 1e-12 * max(1.0, abs(t_end))
     while state.t < t_end - tiny:
@@ -412,9 +407,8 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float, hooks=(),
             log.boundary_hit_at = state.t
             if stop_on_boundary_hit and not chop_after_hit:
                 log.stop_reason = "boundary_hit"
-                for hook in hooks:
-                    hook(state, report)
-                break
         for hook in hooks:
             hook(state, report)
+        if log.stop_reason == "boundary_hit":
+            break
     return state, log

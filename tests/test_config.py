@@ -1,0 +1,54 @@
+"""Key = value run configuration: typing from the dataclass, and errors
+that name their line."""
+
+import pytest
+
+from relshock.config import RunConfig, parse_config
+from relshock.errors import ConfigError
+
+
+def write(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_parse_config_types_values_from_the_dataclass(tmp_path):
+    cfg = parse_config(write(tmp_path, (
+        "# comment line\n"
+        "model = frw2\n"
+        "n = 128          # int\n"
+        "track_cones = yes\n"
+        "reversed = false\n"
+        "psi0 = none\n"
+        "duration = 0.25\n"
+    )))
+    assert cfg.model == "frw2"
+    assert cfg.n == 128 and type(cfg.n) is int
+    assert cfg.track_cones is True and cfg.reversed is False
+    assert cfg.psi0 is None
+    assert cfg.duration == 0.25
+    assert cfg.r_min == RunConfig().r_min
+
+
+def test_parse_config_optional_float_takes_a_number(tmp_path):
+    assert parse_config(write(tmp_path, "model = frw2\npsi0 = 5.5\n")).psi0 == 5.5
+
+
+@pytest.mark.parametrize("text, message", [
+    ("model = frw1\n\nnn = 3\n", "line 3: unknown key 'nn'"),
+    ("n = 64\nn = 128\n", "line 2: duplicate key 'n'"),
+    ("n = 1.5\n", "line 1: cannot parse n = '1.5' as int"),
+    ("reversed = maybe\n", "line 1: cannot parse reversed = 'maybe' as bool"),
+    ("sigma = none\n", "line 1: cannot parse sigma = 'none' as float"),
+    ("model = frw1\njust text\n", "line 2: expected key = value"),
+])
+def test_parse_config_rejects_with_line(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        parse_config(write(tmp_path, text))
+    assert info.value.line == int(message.split(":")[0].split()[1])
+
+
+def test_parse_config_validates(tmp_path):
+    with pytest.raises(ConfigError, match="n must be at least 8"):
+        parse_config(write(tmp_path, "n = 4\n"))

@@ -1,5 +1,5 @@
 """Pointwise conversions among fluid variables, conserved quantities,
-invariants and stress components."""
+invariants and stress components, and the physicality checks."""
 
 import numpy as np
 import pytest
@@ -7,20 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relshock import fluid
-from relshock.errors import NegativeDiscriminant, NonPhysicalInput, NonpositiveDensity
+from relshock.errors import NonPhysicalState
 from relshock.fluid import (
-    Conserved,
     EosParams,
-    FluidState,
-    RiemannInvariants,
-    eigenvalues,
-    from_conserved,
-    from_invariants,
+    check_fluid,
+    conserved_arrays,
+    fluid_arrays,
+    fluid_from_invariant_arrays,
+    invariant_arrays,
     lorentz_compose,
-    minkowski_stress,
     partial_density,
-    to_conserved,
-    to_invariants,
+    t11_arrays,
     v_from_lambda,
 )
 
@@ -37,57 +34,72 @@ def test_eos_constants(eos):
 
 
 def test_eos_rejects_bad_sigma():
-    with pytest.raises(NonPhysicalInput):
+    with pytest.raises(NonPhysicalState, match="sigma must lie in"):
         EosParams(1.5)
-    with pytest.raises(NonPhysicalInput):
+    with pytest.raises(NonPhysicalState, match="sigma must lie in"):
         EosParams(0.0)
 
 
 def test_state_invariants_enforced():
-    with pytest.raises(NonpositiveDensity):
-        FluidState(0.0, 0.1)
-    with pytest.raises(NonPhysicalInput):
-        FluidState(1.0, 1.0)
+    with pytest.raises(NonPhysicalState, match="rho must be positive"):
+        check_fluid(0.0, 0.1)
+    with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1"):
+        check_fluid(1.0, 1.0)
+
+
+def test_check_fluid_rejects_nan_and_names_the_index():
+    check_fluid(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+    with pytest.raises(NonPhysicalState, match="rho must be positive at index 1"):
+        check_fluid(np.array([1.0, np.nan]), np.array([0.0, 0.0]))
+    with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at index 0"):
+        check_fluid(np.array([1.0, 1.0]), np.array([np.nan, 0.0]))
 
 
 def test_comoving_conserved(eos):
-    u = to_conserved(FluidState(1.0, 0.0), eos)
-    assert u.u0 == pytest.approx(1.0)
-    assert u.u1 == 0.0
+    u0, u1 = conserved_arrays(1.0, 0.0, eos)
+    assert u0 == pytest.approx(1.0)
+    assert u1 == 0.0
 
 
 def test_conserved_u1_zero_limit_branch(eos):
-    f = from_conserved(Conserved(1.0, 0.0), eos)
-    assert f.rho == pytest.approx(1.0)
-    assert f.v == 0.0
+    rho, v = fluid_arrays(1.0, 0.0, eos)
+    assert rho == pytest.approx(1.0)
+    assert v == 0.0
 
 
 def test_from_conserved_rejects_unphysical(eos):
-    with pytest.raises(NegativeDiscriminant):
-        from_conserved(Conserved(1.0, 10.0), eos)
-    with pytest.raises(NonpositiveDensity):
-        from_conserved(Conserved(-1.0, 0.0), eos)
+    with pytest.raises(NonPhysicalState, match="disc < 0"):
+        fluid_arrays(1.0, 10.0, eos)
+    with pytest.raises(NonPhysicalState, match="u0 must be positive"):
+        fluid_arrays(-1.0, 0.0, eos)
+
+
+def test_fluid_arrays_rejects_nan(eos):
+    """NaN compares false, so it must fail the checks rather than slip
+    through them."""
+    with pytest.raises(NonPhysicalState, match="at index 0"):
+        fluid_arrays(np.array([np.nan, 1.0]), np.array([0.0, 0.0]), eos)
+    with pytest.raises(NonPhysicalState, match="at index 1"):
+        fluid_arrays(np.array([1.0, 1.0]), np.array([0.0, np.nan]), eos)
 
 
 @given(rho=densities, v=velocities)
 @settings(max_examples=300, deadline=None)
 def test_conserved_round_trip(rho, v):
     eos = EosParams()
-    f = FluidState(rho, v)
-    g = from_conserved(to_conserved(f, eos), eos)
-    assert g.rho == pytest.approx(rho, rel=1e-12)
-    assert g.v == pytest.approx(v, rel=1e-12, abs=1e-12)
-    assert abs(g.v) < 1.0
+    g_rho, g_v = fluid_arrays(*conserved_arrays(rho, v, eos), eos)
+    assert g_rho == pytest.approx(rho, rel=1e-12)
+    assert g_v == pytest.approx(v, rel=1e-12, abs=1e-12)
+    assert abs(g_v) < 1.0
 
 
 @given(rho=densities, v=velocities)
 @settings(max_examples=300, deadline=None)
 def test_invariant_round_trip(rho, v):
     eos = EosParams()
-    f = FluidState(rho, v)
-    g = from_invariants(to_invariants(f, eos), eos)
-    assert g.rho == pytest.approx(rho, rel=1e-12)
-    assert g.v == pytest.approx(v, rel=1e-12, abs=1e-12)
+    g_rho, g_v = fluid_from_invariant_arrays(*invariant_arrays(rho, v, eos), eos)
+    assert g_rho == pytest.approx(rho, rel=1e-12)
+    assert g_v == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
 def test_conserved_dominance_sweep(eos, rng):
@@ -97,16 +109,16 @@ def test_conserved_dominance_sweep(eos, rng):
 
 
 def test_invariants_at_unit_rest_state(eos):
-    ri = to_invariants(FluidState(1.0, 0.0), eos)
-    assert ri.r == 0.0
-    assert ri.s == 0.0
+    r, s = invariant_arrays(1.0, 0.0, eos)
+    assert r == 0.0
+    assert s == 0.0
 
 
 def test_antisymmetric_invariants_force_zero_velocity(eos):
     a = 0.7
-    f = from_invariants(RiemannInvariants(-a, a), eos)
-    assert f.v == pytest.approx(0.0, abs=1e-15)
-    assert f.rho == pytest.approx(np.exp(2 * a / eos.sqrt_2K), rel=1e-13)
+    rho, v = fluid_from_invariant_arrays(-a, a, eos)
+    assert v == pytest.approx(0.0, abs=1e-15)
+    assert rho == pytest.approx(np.exp(2 * a / eos.sqrt_2K), rel=1e-13)
 
 
 def test_invariant_difference_tracks_log_density(eos, rng):
@@ -127,13 +139,13 @@ def test_partial_density_unit_point(eos):
 
 
 def test_eigenvalues_rest_frame(eos):
-    l1, l2 = eigenvalues(FluidState(1.0, 0.0), eos)
+    l1, l2 = fluid.lambda1_arrays(0.0, eos), fluid.lambda2_arrays(0.0, eos)
     assert l1 == pytest.approx(-1.0 / np.sqrt(3.0))
     assert l2 == pytest.approx(+1.0 / np.sqrt(3.0))
 
 
 def test_eigenvalue_cancellation_at_sound_speed(eos):
-    l1, _ = eigenvalues(FluidState(1.0, eos.sound_speed), eos)
+    l1 = fluid.lambda1_arrays(eos.sound_speed, eos)
     assert l1 == pytest.approx(0.0, abs=1e-15)
 
 
@@ -167,19 +179,17 @@ def test_lorentz_associative_and_bounded(rng):
 
 
 def test_stress_rest_frame_diagonal(eos):
-    t00, t01, t11, t22 = minkowski_stress(FluidState(1.0, 0.0), eos, 1.0)
+    t00, t01 = conserved_arrays(1.0, 0.0, eos)
+    t11 = t11_arrays(1.0, 0.0, eos)
     assert t00 == pytest.approx(1.0)
     assert t01 == 0.0
     assert t11 == pytest.approx(eos.sigma)
-    assert t22 == pytest.approx(eos.sigma)
 
 
 def test_stress_determinant_positive(eos, rng):
     rho, v = random_states(rng, 1000)
-    gam = 1.0 / (1.0 - v * v)
-    t00 = (1.0 + eos.sigma * v * v) * gam * rho
-    t01 = (1.0 + eos.sigma) * v * gam * rho
-    t11 = (v * v + eos.sigma) * gam * rho
+    t00, t01 = conserved_arrays(rho, v, eos)
+    t11 = t11_arrays(rho, v, eos)
     det = t00 * t11 - t01 * t01
     assert np.all(det > 0.0)
     # the determinant collapses to a closed form used by the momentum source;
@@ -188,10 +198,15 @@ def test_stress_determinant_positive(eos, rng):
 
 
 def test_stress_matches_conserved_pair(eos, rng):
-    """The sigma convention makes T00_M, T01_M literally the conserved pair."""
+    """The sigma convention makes T00_M, T01_M literally the conserved pair,
+    and T11_M the textbook (v^2 + sigma) gamma^2 rho."""
     rho, v = random_states(rng, 300)
     u0, u1 = fluid.conserved_arrays(rho, v, eos)
+    t11 = t11_arrays(rho, v, eos)
+    sig = eos.sigma
     for k in range(0, 300, 37):
-        t00, t01, _, _ = minkowski_stress(FluidState(rho[k], v[k]), eos, 2.0)
-        assert t00 == pytest.approx(u0[k], rel=1e-14)
-        assert t01 == pytest.approx(u1[k], rel=1e-14)
+        r, w = rho[k], v[k]
+        gam = 1.0 / (1.0 - w * w)
+        assert (1.0 + sig * w * w) * gam * r == pytest.approx(u0[k], rel=1e-14)
+        assert (1.0 + sig) * w * gam * r == pytest.approx(u1[k], rel=1e-14)
+        assert (w * w + sig) * gam * r == pytest.approx(t11[k], rel=1e-12)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from relshock import models
-from relshock.errors import NonPhysicalInput, OutsideDomain, SuperluminalCoordinate
+from relshock import models, scheme
+from relshock.errors import NonPhysicalState
 from relshock.fluid import EosParams
 from relshock.models import (
     KAPPA,
@@ -16,8 +16,6 @@ from relshock.models import (
     frw2_frw_time,
     frw2_state,
     gamma,
-    ghost_values,
-    initial_profile,
     integrating_factor_check,
     make_model,
     match,
@@ -67,7 +65,7 @@ def test_frw1_density_velocity_identity():
 
 
 def test_frw1_superluminal_raises():
-    with pytest.raises(SuperluminalCoordinate):
+    with pytest.raises(NonPhysicalState, match=r"\|r/t\| >= 1"):
         frw1_state(5.0, np.array([6.0]))
 
 
@@ -110,7 +108,7 @@ def test_frw2_light_speed_uniform_and_rising():
 
 
 def test_frw2_outside_domain_raises():
-    with pytest.raises(OutsideDomain):
+    with pytest.raises(NonPhysicalState, match="outside the FRW-2 chart"):
         frw2_state(5.0, np.array([6.0]), np.sqrt(30.0))
 
 
@@ -239,7 +237,7 @@ def test_density_jump_ratio_is_three(eos):
 def test_initial_profile_piecewise(eos):
     model = MatchedModel("frw1", 5.0, eos)
     r = np.linspace(3.0, 7.0, 41)
-    rho, v, A, B, M = initial_profile(model, r)
+    rho, v, A, B, M = model.evaluate(model.t_start, r)
     outside = r >= 5.0   # the jump point itself carries the static side
     np.testing.assert_allclose(v[outside], 0.0)
     assert np.all(np.abs(v[~outside]) > 0.0)
@@ -258,23 +256,32 @@ def test_frw2_matched_profile_equals_frw1_profile(eos):
 
 
 def test_ghost_values_match_profile(eos):
+    """The stepper's left ghost carries the model's fluid at the ghost
+    center and its metric at the half gridpoint next to it, at the start
+    and after a step."""
     model = MatchedModel("frw1", 5.0, eos)
-    (rho, v), (A, B, M) = ghost_values(model, "left", model.t_start, 2.9, 2.95)
-    rho_p, v_p, _, _, _ = model.evaluate(model.t_start, np.array([2.9]))
-    _, _, A_p, B_p, _ = model.evaluate(model.t_start, np.array([2.95]))
-    assert rho == pytest.approx(rho_p[0]) and v == pytest.approx(v_p[0])
-    assert A == pytest.approx(A_p[0]) and B == pytest.approx(B_p[0])
+    state = scheme.init(model, scheme.SimGrid(3.0, 7.0, 41), eos)
+    for _ in range(2):
+        rho_p, v_p, _, _, _ = model.evaluate(state.t, state.x[:1])
+        _, _, A_p, B_p, _ = model.evaluate(state.t, state.xe[:1])
+        assert state.rho[0] == pytest.approx(rho_p[0])
+        assert state.v[0] == pytest.approx(v_p[0])
+        assert state.A[0] == pytest.approx(A_p[0])
+        assert state.B[0] == pytest.approx(B_p[0])
+        scheme.advance(state)
 
 
 def test_ghost_values_tov_static(eos):
     model = MatchedModel("frw1", 5.0, eos)
-    a = ghost_values(model, "right", model.t_start, 7.1, 7.05)
-    b = ghost_values(model, "right", model.t_start + 0.5, 7.1, 7.05)
-    assert a == b
+    r = np.array([7.1, 7.05])
+    a = model.evaluate(model.t_start, r)
+    b = model.evaluate(model.t_start + 0.5, r)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_make_model_rejects_non_radiation_frw():
-    with pytest.raises(NonPhysicalInput):
+    with pytest.raises(NonPhysicalState, match="require sigma = 1/3"):
         make_model("frw1", EosParams(0.2), t_start=15.0)
 
 

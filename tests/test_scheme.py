@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from relshock import diagnostics, fluid, models, riemann, scheme
 from relshock.errors import GridExhausted, HorizonEncountered, NonPhysicalState
-from relshock.fluid import EosParams, FluidState
+from relshock.fluid import EosParams
 from relshock.scheme import SimGrid, advance, cfl_dt, chop_right, godunov_cell_update
 
 
@@ -101,7 +101,7 @@ def test_godunov_constant_grid_exact(eos):
 def _half_cell_average_by_quadrature(left, right, alpha, dt, dx, eos):
     """Exact average of the evolved Riemann solution over the right half
     cell of the interface (the cell-center state is `right`)."""
-    sol = riemann.solve_interfaces(left.rho, left.v, right.rho, right.v, eos)
+    sol = riemann.solve_interfaces(*left, *right, eos)
 
     def component(which):
         def f(x):
@@ -128,7 +128,7 @@ def test_time_dilation_affine_relation(seed, eos):
     rng = np.random.default_rng(seed)
     rho = 10.0 ** rng.uniform(-1, 1, 2)
     v = rng.uniform(-0.8, 0.8, 2)
-    left, right = FluidState(rho[0], v[0]), FluidState(rho[1], v[1])
+    left, right = (rho[0], v[0]), (rho[1], v[1])
     A, B = rng.uniform(0.4, 1.0), rng.uniform(0.5, 2.0)
     alpha = np.sqrt(A * B)
     dx = 0.1
@@ -136,14 +136,14 @@ def test_time_dilation_affine_relation(seed, eos):
     lam = rng.uniform(0.2, 0.9)
     dt = lam * dt_full
 
-    u_c = fluid.conserved_arrays(right.rho, right.v, eos)
-    sol = riemann.solve_interfaces(left.rho, left.v, right.rho, right.v, eos)
+    u_c = fluid.conserved_arrays(*right, eos)
+    sol = riemann.solve_interfaces(*left, *right, eos)
     rho_s, v_s = riemann.sample_solution(sol, 0.0)
     u_star = fluid.conserved_arrays(rho_s[0], v_s[0], eos)
 
     def half_update(dt_):
-        t11_c = fluid.t11_from_conserved(*u_c, eos)
-        t11_s = fluid.t11_from_conserved(*u_star, eos)
+        t11_c = fluid.t11_arrays(*fluid.fluid_arrays(*u_c, eos), eos)
+        t11_s = fluid.t11_arrays(*fluid.fluid_arrays(*u_star, eos), eos)
         f_c = np.array([alpha * u_c[1], alpha * t11_c])
         f_s = np.array([alpha * u_star[1], alpha * t11_s])
         return np.array(u_c) - 2.0 * dt_ / dx * (f_c - f_s)
@@ -177,8 +177,21 @@ def test_ode_step_zero_dt_is_identity(eos):
 
 
 def test_ode_step_rejects_unphysical(eos):
-    with pytest.raises(NonPhysicalState):
+    with pytest.raises(NonPhysicalState, match="disc < 0"):
         scheme.ode_step(1.0, 10.0, 0.9, 1.2, 5.0, 0.01, eos)
+    # real inversion but superluminal root: caught by the state check
+    with pytest.raises(NonPhysicalState, match="rho must be positive"):
+        scheme.ode_step(1.0, 1.1, 0.9, 1.2, 5.0, 0.01, eos)
+
+
+def test_ode_step_rejects_nan(eos):
+    u0 = np.array([1.0, np.nan, 1.0])
+    u1 = np.zeros(3)
+    with pytest.raises(NonPhysicalState, match="at index 1"):
+        scheme.ode_step(u0, u1, 0.9, 1.2, 5.0, 0.01, eos)
+    with pytest.raises(NonPhysicalState, match="at index 2"):
+        scheme.ode_step(np.ones(3), np.array([0.0, 0.0, np.nan]), 0.9, 1.2, 5.0,
+                        0.01, eos)
 
 
 def _one_step_error(variant, n, **kw):
@@ -333,3 +346,28 @@ def test_report_regions_and_copy():
     assert snap.t != state.t
     np.testing.assert_array_equal(snap.rho[1:-1] == state.rho[1:-1],
                                   np.zeros(state.n, dtype=bool))
+
+
+class CountingHook:
+    def __init__(self):
+        self.starts = 0
+        self.calls = 0
+
+    def on_start(self, state):
+        self.starts += 1
+
+    def __call__(self, state, report):
+        self.calls += 1
+
+
+def test_hooks_called_once_per_step_on_boundary_stop():
+    eos = EosParams()
+    model = models.make_model("frw1_tov", eos, r0=5.0)
+    hooks = [CountingHook(), CountingHook()]
+    state, log = scheme.run(model, SimGrid(3.0, 5.6, 64), eos, model.t_start + 1.0,
+                            hooks=hooks, stop_on_boundary_hit=True)
+    assert log.stop_reason == "boundary_hit"
+    assert log.steps > 1
+    for hook in hooks:
+        assert hook.starts == 1
+        assert hook.calls == log.steps
