@@ -39,6 +39,9 @@ __all__ = [
 # velocity-derivative magnitude marking the onset of the diffused wave on
 # the static side
 TOV_BORDER_THRESHOLD = 0.01
+# TVMonitor alarms when the total variation grows past this multiple of
+# its initial value
+TV_ALARM_FACTOR = 50.0
 
 
 @dataclass(frozen=True)
@@ -139,12 +142,13 @@ def detect_frw_border(state):
     return float(state.x[1 + k]), 1 + k
 
 
-def detect_tov_border(state, threshold: float = TOV_BORDER_THRESHOLD):
-    """First radius (scanning down from r_max) where |dv/dr| exceeds the
-    threshold: the outer edge of the diffused wave on the static side."""
+def detect_tov_border(state):
+    """First radius (scanning down from r_max) where |dv/dr| exceeds
+    TOV_BORDER_THRESHOLD: the outer edge of the diffused wave on the
+    static side."""
     v = state.v[1:-1]
     d = three_point_derivative(v, state.dx)
-    big = np.nonzero(np.abs(d) > threshold)[0]
+    big = np.nonzero(np.abs(d) > TOV_BORDER_THRESHOLD)[0]
     if big.size == 0:
         raise BorderNotFound("velocity derivative never exceeds the threshold")
     k = int(big[-1])
@@ -164,11 +168,10 @@ class TVMonitor:
     Boundedness of this quantity is the hypothesis under which the limit
     of the scheme is known to solve the field equations weakly, so it is
     watched and flagged (never assumed): `alarmed` trips when the
-    variation exceeds `alarm_factor` times its initial value.
+    variation exceeds TV_ALARM_FACTOR times its initial value.
     """
 
-    def __init__(self, alarm_factor: float = 50.0):
-        self.alarm_factor = alarm_factor
+    def __init__(self):
         self.history = []
         self._initial = None
         self.alarmed = False
@@ -179,7 +182,7 @@ class TVMonitor:
         self.history.append((state.t, tv0, tv1))
         if self._initial is None:
             self._initial = max(tv0 + tv1, 1e-300)
-        elif tv0 + tv1 > self.alarm_factor * self._initial:
+        elif tv0 + tv1 > TV_ALARM_FACTOR * self._initial:
             self.alarmed = True
 
     def on_start(self, state):

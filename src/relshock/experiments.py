@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics, models, scheme
-from .errors import BorderNotFound
+from .errors import BorderNotFound, ConfigError
 from .fluid import EosParams
 
 __all__ = [
@@ -316,6 +316,11 @@ def reversed_collapse_run(n: int, eos: EosParams, r_min: float = 0.1,
     grid = scheme.SimGrid(r_min, r_max, n)
     # march toward t = 0; the left ghost needs |t| > r_min
     duration = abs(model.t_start) - 2.0 * r_min
+    if duration <= 0.0:
+        raise ConfigError(
+            f"reversed run needs |t_start| > 2*r_min, got t_start = "
+            f"{model.t_start:.6g} and r_min = {r_min:g}"
+        )
     return simulate_model(
         model, grid, eos, duration, track_mu=True, track_cones=True, eps=eps,
         stop_on_boundary_hit=not continue_chop, chop_after_hit=continue_chop,

@@ -12,7 +12,12 @@ Everything is vectorized: :func:`solve_interfaces` takes one array per
 side and returns a :class:`RiemannGridSolution` holding middle states,
 wave speeds and shock strengths for all interfaces at once, and
 :func:`sample_solution` evaluates it at any self-similar speed.  A single
-problem is a batch of one.
+problem is a batch of one.  Each root find runs only on the interfaces
+that have its wave: one pure-curve bisection over every negative
+displacement (regions I and III, and the side-of-curve test in the (-,-)
+quadrant), then the coupled two-shock solve on the genuine region II
+interfaces; region IV needs none.  The root finders are elementwise, so
+an interface solves to the same bits alone or in any batch.
 """
 
 from __future__ import annotations
@@ -38,9 +43,6 @@ __all__ = [
 REGION_I, REGION_II, REGION_III, REGION_IV = 1, 2, 3, 4
 REGION_NAMES = {REGION_I: "I", REGION_II: "II", REGION_III: "III", REGION_IV: "IV"}
 
-# beta below this is treated as a zero-strength wave; in the two-shock
-# search it signals that the state lies outside the two-shock region.
-_BETA_FLOOR = 1e-20
 _MAX_BISECT = 200
 
 
@@ -90,7 +92,8 @@ def _walk_brackets(target, eos: EosParams):
 
     Returns (lo, hi, floored): floored marks entries whose walk dropped
     below the beta floor, i.e. no positive-strength root exists down to
-    1e-20.
+    1e-20; their bracket is [0, 1e-20].  In the (-,-) quadrant a floored
+    strength means the state lies outside the two-shock region.
     """
     target = np.asarray(target, dtype=float)
     k = np.full(target.shape, 5, dtype=np.int64)
@@ -129,36 +132,37 @@ def _walk_brackets(target, eos: EosParams):
 def _bisect_s1r(target, eos: EosParams, eps: float):
     """Solve S1r(beta) = target (elementwise) to |residual| < eps.
 
-    Entries with |target| < eps are returned as zero-strength (beta = 0).
+    Entries with |target| < eps are returned as zero-strength (beta = 0);
+    only the others are bracketed and bisected.  Returns (beta, floored),
+    floored marking roots below 1e-20.
     """
     target = np.asarray(target, dtype=float)
     beta = np.zeros(target.shape)
+    floored = np.zeros(target.shape, dtype=bool)
     need = np.abs(target) >= eps
     if not need.any():
-        return beta, np.zeros(target.shape, dtype=bool)
-    lo, hi, floored = _walk_brackets(np.where(need, target, -1.0), eos)
-    # A floored walk means the root is below 1e-20: bracket down from there.
-    hi = np.where(floored, _BETA_FLOOR, hi)
-    lo = np.where(floored, 0.0, lo)
-    done = ~need
+        return beta, floored
+    t = target[need]
+    lo, hi, fl = _walk_brackets(t, eos)
+    b = np.zeros(t.shape)
+    done = np.zeros(t.shape, dtype=bool)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        resid = target - _s1_curve(mid, eos)[0]
+        resid = t - _s1_curve(mid, eos)[0]
         conv = np.abs(resid) < eps
-        newly = need & ~done & conv
-        beta = np.where(newly, mid, beta)
+        b = np.where(conv & ~done, mid, b)
         done |= conv
         if done.all():
             break
         # resid > 0: curve value below target, guess too big.
-        shrink = need & ~done
-        hi = np.where(shrink & (resid > 0), mid, hi)
-        lo = np.where(shrink & (resid <= 0), mid, lo)
+        hi = np.where(~done & (resid > 0), mid, hi)
+        lo = np.where(~done & (resid <= 0), mid, lo)
     if not done.all():
         raise RelshockError(
             f"single-curve bisection failed for {int((~done).sum())} interface(s)"
         )
-    return beta, floored & need
+    beta[need], floored[need] = b, fl
+    return beta, floored
 
 
 def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
@@ -265,56 +269,45 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     ds = sR - sL
     region = _classify_arrays(dr, ds)
 
-    beta1 = np.zeros(dr.shape)
-    beta2 = np.zeros(dr.shape)
+    # One pure-curve solve over every negative displacement: dr gives the
+    # region III 1-shock, ds the region I 2-shock, and in the (-,-)
+    # quadrant both strengths the side-of-curve test below needs.
+    neg_r, neg_s = dr < 0, ds < 0
+    n_r = np.count_nonzero(neg_r)
+    b, fl = _bisect_s1r(np.concatenate((dr[neg_r], ds[neg_s])), eos, eps)
+    beta1, beta2 = np.zeros(dr.shape), np.zeros(dr.shape)
+    fl1, fl2 = np.zeros(dr.shape, dtype=bool), np.zeros(dr.shape, dtype=bool)
+    beta1[neg_r], fl1[neg_r] = b[:n_r], fl[:n_r]
+    beta2[neg_s], fl2[neg_s] = b[n_r:], fl[n_r:]
 
-    two = region == REGION_II
-    if two.any():
-        # The (-,-) quadrant is a superset of the two-shock region: thin
-        # slivers between each shock curve and the axes belong to regions
-        # I and III.  Decide membership exactly by which side of the pure
-        # curves the point falls on (the power-walk beta floor is the
-        # degenerate limit of the same test).
-        b1_pure, fl1 = _bisect_s1r(np.where(two, dr, -1.0), eos, eps)
-        b2_pure, fl2 = _bisect_s1r(np.where(two, ds, -1.0), eos, eps)
-        to_I = two & (fl1 | (dr - _s1_curve(b2_pure, eos)[1] > 0.0))
-        to_III = two & ~to_I & (fl2 | (ds - _s1_curve(b1_pure, eos)[1] > 0.0))
-        degen = two & fl1 & fl2
+    # The (-,-) quadrant is a superset of the two-shock region: thin
+    # slivers between each shock curve and the axes belong to regions I
+    # and III.  Decide membership exactly by which side of the pure curves
+    # the point falls on (the power-walk beta floor is the degenerate
+    # limit of the same test).
+    ii = np.flatnonzero(region == REGION_II)
+    if ii.size:
+        to_I = fl1[ii] | (dr[ii] - _s1_curve(beta2[ii], eos)[1] > 0.0)
+        to_III = ~to_I & (fl2[ii] | (ds[ii] - _s1_curve(beta1[ii], eos)[1] > 0.0))
+        degen = fl1[ii] & fl2[ii]
         to_I &= ~degen
-        region = np.where(to_I, REGION_I, region)
-        region = np.where(to_III, REGION_III, region)
-        region = np.where(degen, REGION_IV, region)
-        genuine = two & (region == REGION_II)
-        if genuine.any():
-            b1, b2 = _solve_two_shock(
-                np.where(genuine, dr, -1.0), np.where(genuine, ds, -1.0), eos, eps
-            )
-            beta1 = np.where(genuine, b1, beta1)
-            beta2 = np.where(genuine, b2, beta2)
+        region[ii[to_I]] = REGION_I
+        region[ii[to_III]] = REGION_III
+        region[ii[degen]] = REGION_IV
+        beta1[ii[to_I | degen]] = 0.0
+        beta2[ii[to_III | degen]] = 0.0
+        g = ii[~(to_I | to_III | degen)]
+        if g.size:
+            beta1[g], beta2[g] = _solve_two_shock(dr[g], ds[g], eos, eps)
 
-    m3 = region == REGION_III
-    if m3.any():
-        b, _ = _bisect_s1r(np.where(m3, dr, -1.0), eos, eps)
-        beta1 = np.where(m3, b, beta1)
-    m1 = region == REGION_I
-    if m1.any():
-        b, _ = _bisect_s1r(np.where(m1, ds, -1.0), eos, eps)
-        beta2 = np.where(m1, b, beta2)
-
+    # Middle state: rarefaction legs contribute straight-line displacements,
+    # shock legs the curve displacements solved above.  Only region II
+    # reaches r_mid from the left state.  A zero-strength shock's second
+    # component, _s1_curve(0)[1], is exactly +0.0, so it leaves the
+    # invariants of rarefaction-only legs unchanged to the bit.
     c1 = _s1_curve(beta1, eos)
-    c2 = _s1_curve(beta2, eos)
-    # Middle state by quadrant: rarefaction legs contribute straight-line
-    # displacements, shock legs the curve displacements solved above.
-    r_mid = np.select(
-        [region == REGION_IV, region == REGION_III, region == REGION_I],
-        [rR, rR, rR - c2[1]],
-        default=rL + c1[0],
-    )
-    s_mid = np.select(
-        [region == REGION_IV, region == REGION_III, region == REGION_I],
-        [sL, sL + c1[1], sL],
-        default=sL + c1[1],
-    )
+    r_mid = np.where(region == REGION_II, rL + c1[0], rR - _s1_curve(beta2, eos)[1])
+    s_mid = sL + c1[1]
 
     sol.region = region
     sol.beta1, sol.beta2 = beta1, beta2
@@ -360,32 +353,34 @@ def sample_solution(sol: RiemannGridSolution, xi):
 
     xi broadcasts against the interface arrays.  Fan interiors invert the
     matching eigenvalue and carry the invariant that is constant across
-    that family (s across a 1-fan, r across a 2-fan).
+    that family (s across a 1-fan, r across a 2-fan); those formulas run
+    on the fan entries only, so xi = +-1 never reaches the rapidity.
     """
     eos = sol.eos
     xi = np.asarray(xi, dtype=float)
-    rho = np.broadcast_to(sol.rho_mid, np.broadcast_shapes(xi.shape, sol.rho_mid.shape)).copy()
-    v = np.broadcast_to(sol.v_mid, rho.shape).copy()
+    shape = np.broadcast_shapes(xi.shape, sol.rho_mid.shape)
+
+    def at(a, mask):
+        return np.broadcast_to(a, shape)[mask]
+
+    rho = np.broadcast_to(sol.rho_mid, shape).copy()
+    v = np.broadcast_to(sol.v_mid, shape).copy()
 
     left_of_1 = xi <= sol.speed1_head
-    rho[left_of_1] = np.broadcast_to(sol.rho_l, rho.shape)[left_of_1]
-    v[left_of_1] = np.broadcast_to(sol.v_l, rho.shape)[left_of_1]
+    rho[left_of_1] = at(sol.rho_l, left_of_1)
+    v[left_of_1] = at(sol.v_l, left_of_1)
 
     in_fan1 = (~sol.wave1_is_shock()) & (xi > sol.speed1_head) & (xi < sol.speed1_tail)
     if in_fan1.any():
-        vf = fluid.v_from_lambda(xi, 1, eos)
-        rf = fluid.partial_density(sol.s_left, "s", vf, eos)
-        v[in_fan1] = np.broadcast_to(vf, rho.shape)[in_fan1]
-        rho[in_fan1] = np.broadcast_to(rf, rho.shape)[in_fan1]
+        v[in_fan1] = fluid.v_from_lambda(at(xi, in_fan1), 1, eos)
+        rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
 
     right_of_2 = xi >= sol.speed2_tail
-    rho[right_of_2] = np.broadcast_to(sol.rho_r, rho.shape)[right_of_2]
-    v[right_of_2] = np.broadcast_to(sol.v_r, rho.shape)[right_of_2]
+    rho[right_of_2] = at(sol.rho_r, right_of_2)
+    v[right_of_2] = at(sol.v_r, right_of_2)
 
     in_fan2 = (~sol.wave2_is_shock()) & (xi > sol.speed2_head) & (xi < sol.speed2_tail)
     if in_fan2.any():
-        vf = fluid.v_from_lambda(xi, 2, eos)
-        rf = fluid.partial_density(sol.r_right, "r", vf, eos)
-        v[in_fan2] = np.broadcast_to(vf, rho.shape)[in_fan2]
-        rho[in_fan2] = np.broadcast_to(rf, rho.shape)[in_fan2]
+        v[in_fan2] = fluid.v_from_lambda(at(xi, in_fan2), 2, eos)
+        rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)
     return rho, v

@@ -104,7 +104,6 @@ class SimState:
 @dataclass(frozen=True)
 class StepReport:
     dt: float
-    t: float
     max_light_speed: float
     regions: np.ndarray
     boundary_hit: bool
@@ -118,7 +117,6 @@ class RunLog:
     steps: int = 0
     stop_reason: str = "t_end"
     horizon: bool = False
-    boundary_hit_at: float | None = None
     chops: int = 0
 
 
@@ -332,9 +330,7 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     if _is_matched(state.model) and not state.right_frozen:
         boundary_hit = _interaction_at_right_boundary(state)
     return StepReport(
-        dt=dt, t=t_new,
-        max_light_speed=float(alpha.max()),
-        regions=sol.region,
+        dt=dt, max_light_speed=float(alpha.max()), regions=sol.region,
         boundary_hit=boundary_hit,
     )
 
@@ -404,7 +400,6 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float,
         log.steps += 1
         if report.boundary_hit and not hit:
             hit = True
-            log.boundary_hit_at = state.t
             if stop_on_boundary_hit and not chop_after_hit:
                 log.stop_reason = "boundary_hit"
         for hook in hooks:

@@ -70,3 +70,14 @@ def test_single_level_ladder_exits_four(tmp_path, capsys):
             "--duration", "0.05", "--outdir", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_NUMERICAL
     assert "need at least two errors" in capsys.readouterr().err
+
+
+def test_reverse_without_room_before_t_zero_exits_two(tmp_path, capsys):
+    """On the default r in [3, 7] the reversed start time is -5.455, so
+    |t_start| - 2*r_min is negative and there is nothing to march."""
+    out = tmp_path / "out"
+    argv = ["reverse", "--continue-chop", "--n", "64", "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "r_min = 3" in err and "t_start = -5.45" in err
+    assert not out.exists()

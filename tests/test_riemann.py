@@ -339,6 +339,73 @@ def test_fan_recomposition(eos, rng):
     assert dist.max() < 10 * eps
 
 
+SOLUTION_FIELDS = ("region", "beta1", "beta2", "r_mid", "s_mid", "rho_mid", "v_mid",
+                   "speed1_head", "speed1_tail", "speed2_head", "speed2_tail")
+
+
+def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
+    """Each root find runs only on the interfaces that have its wave, so a
+    batch mixing every case solves each interface exactly as it is solved
+    alone."""
+    # (dr, ds) displacements in the invariant plane from one left state;
+    # a pure shock of size 0.5 moves the other invariant by -2*sliver
+    beta_half, _ = riemann._bisect_s1r(np.array([-0.5]), eos, 1e-10)
+    sliver = -0.5 * riemann._s1_curve(beta_half, eos)[1][0]
+    steps = [(0.5, 0.3), (-0.5, 0.3), (0.3, -0.5), (-0.5, -0.5), (-0.2, -0.05),
+             (-sliver, -0.5), (-0.5, -sliver), (-1e-11, 0.3), (-1e-11, -0.5),
+             (-1.05e-10, -1.05e-10), (0.0, 0.0), (1e-12, -1e-12)]
+    r0, s0 = fluid.invariant_arrays(1.0, 0.1, eos)
+    rho_r, v_r = fluid.fluid_from_invariant_arrays(
+        r0 + np.array([d[0] for d in steps]), s0 + np.array([d[1] for d in steps]), eos)
+    rho_l = np.r_[np.full(len(steps), 1.0), TWO_SHOCK_LEFT[0]]
+    v_l = np.r_[np.full(len(steps), 0.1), TWO_SHOCK_LEFT[1]]
+    rho_r, v_r = np.r_[rho_r, TWO_SHOCK_RIGHT[0]], np.r_[v_r, TWO_SHOCK_RIGHT[1]]
+    r_l, s_l = fluid.invariant_arrays(rho_l, v_l, eos)
+    r_r, s_r = fluid.invariant_arrays(rho_r, v_r, eos)
+    dr, ds = r_r - r_l, s_r - s_l
+
+    calls = {"bisect": [], "walk": [], "two_shock": []}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name].append(args[:-2] if name == "two_shock" else args[0])
+            return fn(*args)
+        monkeypatch.setattr(riemann, fn.__name__, wrapped)
+
+    spy("bisect", riemann._bisect_s1r)
+    spy("walk", riemann._walk_brackets)
+    spy("two_shock", riemann._solve_two_shock)
+    batch = solve_interfaces(rho_l, v_l, rho_r, v_r, eos)
+
+    quadrant = riemann._classify_arrays(dr, ds)
+    genuine = batch.region == REGION_II
+    assert set(batch.region) == {REGION_I, REGION_II, REGION_III, REGION_IV}
+    assert genuine.sum() == 3
+    # (-,-) slivers fall to I or III, and both pure strengths below the
+    # beta floor leave no wave at all (IV)
+    reclassified = set(batch.region[(quadrant == REGION_II) & ~genuine])
+    assert reclassified == {REGION_I, REGION_III, REGION_IV}
+    assert np.any((np.abs(dr) < 1e-10) & (dr < 0))
+    # rarefactions and absent waves carry zero strength
+    assert np.all(batch.beta1[~batch.wave1_is_shock()] == 0.0)
+    assert np.all(batch.beta2[~batch.wave2_is_shock()] == 0.0)
+    # one pure-curve solve on the negative displacements, the coupled solve
+    # on the genuine two-shock interfaces, and no bracket walk on anything else
+    assert len(calls["bisect"]) == 1
+    assert np.array_equal(calls["bisect"][0], np.r_[dr[dr < 0], ds[ds < 0]])
+    (two_dr, two_ds), = calls["two_shock"]
+    assert np.array_equal(two_dr, dr[genuine]) and np.array_equal(two_ds, ds[genuine])
+    walked = np.concatenate(calls["walk"])
+    assert np.all(walked <= -1e-10)
+    assert walked.size == np.sum(dr <= -1e-10) + np.sum(ds <= -1e-10) + 2 * genuine.sum()
+
+    for k in range(dr.size):
+        one = solve_interfaces(rho_l[k], v_l[k], rho_r[k], v_r[k], eos)
+        for name in SOLUTION_FIELDS:
+            got = getattr(batch, name)[k:k + 1]
+            assert getattr(one, name).tobytes() == got.tobytes(), (k, name)
+
+
 def test_sample_piecewise_structure(eos):
     left_state = sample_one(TUBE_LEFT, TUBE_RIGHT, -0.9, eos)
     assert left_state[0] == pytest.approx(TUBE_LEFT[0])
