@@ -2,22 +2,28 @@
 
 The solver works in the (r, s) invariant plane, where both rarefaction
 curves are straight lines and the shock curves are rigid translates of a
-single shape, so the middle state reduces to one or two scalar root finds.
-Shock curves are parametrized by beta >= 0; the density ratio across a
-shock of strength beta equals the growing branch of
-f(beta) = 1 + beta*(1 + sqrt(1 + 2/beta)), and the jump in the velocity
-rapidity is -0.5*ln f(2K beta).
+single shape, so the middle state reduces to one scalar root find per
+interface.  A shock of strength beta >= 0 multiplies the density by
+f(beta) = 1 + beta*(1 + sqrt(1 + 2/beta)) and is parametrized here by
+u = ln f(beta) = arccosh(1 + beta).  The 1-shock curve is then explicit,
+
+    S1(u) = (p(u) - c*u, p(u) + c*u),   p(u) = -asinh(a*sinh(u/2)),
+
+with a = sqrt(2K) and c = sqrt(K/2) (so a = 2c < 1), and the 2-shock curve
+is its mirror image with the components exchanged.  Both components
+decrease and are concave in u, so Newton started to the right of the root
+converges monotonically: on the pure curve (regions I and III) from
+u = -t/(a/2 + c), and for two shocks, where u1 - u2 = (ds - dr)/(2c) is
+fixed and the problem is one equation in u1, from u1 = delta/2 - m/a.
 
 Everything is vectorized: :func:`solve_interfaces` takes one array per
 side and returns a :class:`RiemannGridSolution` holding middle states,
 wave speeds and shock strengths for all interfaces at once, and
 :func:`sample_solution` evaluates it at any self-similar speed.  A single
-problem is a batch of one.  Each root find runs only on the interfaces
-that have its wave: one pure-curve bisection over every negative
-displacement (regions I and III, and the side-of-curve test in the (-,-)
-quadrant), then the coupled two-shock solve on the genuine region II
-interfaces; region IV needs none.  The root finders are elementwise, so
-an interface solves to the same bits alone or in any batch.
+problem is a batch of one.  Each Newton solve runs only on the interfaces
+that have its wave, and each entry is frozen at its first iterate with
+|residual| < eps, so an interface solves to the same bits alone or in any
+batch.
 """
 
 from __future__ import annotations
@@ -43,13 +49,16 @@ __all__ = [
 REGION_I, REGION_II, REGION_III, REGION_IV = 1, 2, 3, 4
 REGION_NAMES = {REGION_I: "I", REGION_II: "II", REGION_III: "III", REGION_IV: "IV"}
 
-_MAX_BISECT = 200
+_MAX_NEWTON = 50
+# u at beta = 1e-20, the weakest shock the (-,-) quadrant test counts
+_U_FLOOR = 2.0 * np.arcsinh(np.sqrt(0.5e-20))
 
 
 def _f_big(beta):
-    """Growing branch 1 + beta*(1 + sqrt(1 + 2/beta)) >= 1, continuous at 0."""
+    """Growing branch 1 + beta*(1 + sqrt(1 + 2/beta)) >= 1, continuous at 0
+    and finite for every finite beta."""
     beta = np.asarray(beta, dtype=float)
-    return 1.0 + beta + np.sqrt(beta * (beta + 2.0))
+    return 1.0 + beta + np.sqrt(beta) * np.sqrt(beta + 2.0)
 
 
 def beta_of(v, v_base, eos: EosParams):
@@ -67,18 +76,30 @@ def beta_of(v, v_base, eos: EosParams):
     )
 
 
-def _s1_curve(beta, eos: EosParams):
+def _p(u, eos: EosParams):
+    """Rapidity jump p(u) = -asinh(a*sinh(u/2)) = -0.5*ln f(2K beta) across
+    a shock of strength u = ln f(beta)."""
+    return -np.arcsinh(eos.sqrt_2K * np.sinh(0.5 * u))
+
+
+def _p_slope(u, eos: EosParams):
+    """dp/du, increasing in magnitude from a/2 at u = 0 toward 1/2."""
+    a = eos.sqrt_2K
+    return -0.5 * a * np.cosh(0.5 * u) / np.hypot(1.0, a * np.sinh(0.5 * u))
+
+
+def _s1_curve(u, eos: EosParams):
     """(dr, ds) along the 1-shock curve; the 2-shock curve is the mirror
     image with dr and ds exchanged."""
-    t_v = -0.5 * np.log(_f_big(2.0 * eos.K * beta))
-    t_r = eos.sqrt_K_half * np.log(_f_big(beta))
-    return t_v - t_r, t_v + t_r
+    p = _p(u, eos)
+    cu = eos.sqrt_K_half * u
+    return p - cu, p + cu
 
 
 def _classify_arrays(dr, ds):
-    """Quadrant of (dr, ds) = UR - UL; REGION_II is tentative (the two-shock
-    solve may fall back to I or III for points between the shock curves and
-    the axes)."""
+    """Quadrant of (dr, ds) = UR - UL; REGION_II is tentative (points of the
+    (-,-) quadrant between the shock curves and the axes belong to I or
+    III)."""
     region = np.full(np.shape(dr), REGION_IV, dtype=np.int8)
     region[(dr < 0) & (ds >= 0)] = REGION_III
     region[(dr >= 0) & (ds < 0)] = REGION_I
@@ -86,135 +107,58 @@ def _classify_arrays(dr, ds):
     return region
 
 
-def _walk_brackets(target, eos: EosParams):
-    """Power-of-ten walk from beta = 1e5 to a sign-changing bracket for
-    S1r(beta) = target (target < 0).
+def _newton(step, u, arrays, eos: EosParams, eps: float):
+    """Elementwise Newton, u <- u + du, from a start right of the root.
 
-    Returns (lo, hi, floored): floored marks entries whose walk dropped
-    below the beta floor, i.e. no positive-strength root exists down to
-    1e-20; their bracket is [0, 1e-20].  In the (-,-) quadrant a floored
-    strength means the state lies outside the two-shock region.
+    `step(u, eos, *arrays)` returns (|residual|, du).  Each entry is frozen
+    at its first iterate with |residual| < eps and dropped from the work
+    arrays, so its result does not depend on the batch.  Entries still
+    unconverged after _MAX_NEWTON residual checks are NaN.
     """
-    target = np.asarray(target, dtype=float)
-    k = np.full(target.shape, 5, dtype=np.int64)
-    g = _s1_curve(10.0 ** k.astype(float), eos)[0]
-
-    # g decreasing in beta: g(beta) < target means the guess is too big.
-    too_big = g < target
-    down = too_big.copy()
-    floored = np.zeros(target.shape, dtype=bool)
-    for _ in range(5 + 21):
-        active = down & too_big & ~floored
-        if not active.any():
+    out = np.full(u.shape, np.nan)
+    idx = np.arange(u.size)
+    for _ in range(_MAX_NEWTON):
+        if not idx.size:
             break
-        k[active] -= 1
-        floored |= active & (k < -20)
-        g2 = _s1_curve(10.0 ** k.astype(float), eos)[0]
-        too_big = np.where(active & ~floored, g2 < target, too_big)
-    lo = np.zeros(target.shape)
-    hi = 10.0 ** (k + 1).astype(float)
-
-    up = ~down
-    if up.any():
-        too_small = up & (g >= target)
-        for _ in range(40):
-            active = too_small.copy()
-            if not active.any():
-                break
-            k[active] += 1
-            g2 = _s1_curve(10.0 ** k.astype(float), eos)[0]
-            too_small = active & (g2 >= target)
-        lo = np.where(up, 10.0 ** (k - 1).astype(float), lo)
-        hi = np.where(up, 10.0 ** k.astype(float), hi)
-    return lo, hi, floored
+        resid, du = step(u, eos, *arrays)
+        go = ~(resid < eps)
+        out[idx[~go]] = u[~go]
+        idx, u, arrays = idx[go], u[go] + du[go], [x[go] for x in arrays]
+    return out
 
 
-def _bisect_s1r(target, eos: EosParams, eps: float):
-    """Solve S1r(beta) = target (elementwise) to |residual| < eps.
+def _pure_step(u, eos, t):
+    resid = t - _s1_curve(u, eos)[0]
+    return np.abs(resid), resid / (_p_slope(u, eos) - eos.sqrt_K_half)
 
-    Entries with |target| < eps are returned as zero-strength (beta = 0);
-    only the others are bracketed and bisected.  Returns (beta, floored),
-    floored marking roots below 1e-20.
-    """
-    target = np.asarray(target, dtype=float)
-    beta = np.zeros(target.shape)
-    floored = np.zeros(target.shape, dtype=bool)
-    need = np.abs(target) >= eps
-    if not need.any():
-        return beta, floored
-    t = target[need]
-    lo, hi, fl = _walk_brackets(t, eos)
-    b = np.zeros(t.shape)
-    done = np.zeros(t.shape, dtype=bool)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        resid = t - _s1_curve(mid, eos)[0]
-        conv = np.abs(resid) < eps
-        b = np.where(conv & ~done, mid, b)
-        done |= conv
-        if done.all():
-            break
-        # resid > 0: curve value below target, guess too big.
-        hi = np.where(~done & (resid > 0), mid, hi)
-        lo = np.where(~done & (resid <= 0), mid, lo)
-    if not done.all():
-        raise RelshockError(
-            f"single-curve bisection failed for {int((~done).sum())} interface(s)"
-        )
-    beta[need], floored[need] = b, fl
-    return beta, floored
+
+def _solve_pure(t, eos: EosParams, eps: float):
+    """u with S1r(u) = t < 0, elementwise.  S1r is concave, decreasing, with
+    slope at most -(a/2 + c), so u = -t/(a/2 + c) starts right of the root."""
+    u0 = -t / (0.5 * eos.sqrt_2K + eos.sqrt_K_half)
+    return _newton(_pure_step, u0, [t], eos, eps)
+
+
+def _two_shock_step(u1, eos, dr, ds, delta):
+    c1 = _s1_curve(u1, eos)
+    c2 = _s1_curve(u1 - delta, eos)
+    resid_r = dr - (c1[0] + c2[1])
+    resid_s = ds - (c1[1] + c2[0])
+    slope = _p_slope(u1, eos) + _p_slope(u1 - delta, eos)
+    return np.maximum(np.abs(resid_r), np.abs(resid_s)), 0.5 * (resid_r + resid_s) / slope
 
 
 def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
-    """Alternating bisection for (beta1, beta2) on genuine two-shock data.
+    """(u1, u2) for genuine two-shock data.
 
-    Callers must have classified the inputs (both displacement targets
-    strictly on the two-shock side of the pure curves).  Each residual is
-    monotone increasing in its own parameter, and the coupling only pulls
-    the roots toward zero, so [0, single-curve upper bracket] always
-    brackets the coupled root.
+    The two curve equations fix u1 - u2 = delta = (ds - dr)/(2c) and leave
+    p(u1) + p(u1 - delta) = m = (dr + ds)/2, concave and decreasing in u1.
+    Since p(u) <= -a*u/2, u1 = delta/2 - m/a starts right of the root.
     """
-    dr = np.asarray(dr, dtype=float)
-    ds = np.asarray(ds, dtype=float)
-    _, hi1, floor1 = _walk_brackets(dr, eos)
-    _, hi2, floor2 = _walk_brackets(ds, eos)
-    lo1 = np.zeros(dr.shape)
-    lo2 = np.zeros(ds.shape)
-    active = ~(floor1 | floor2)
-
-    beta1 = np.zeros(dr.shape)
-    beta2 = np.zeros(dr.shape)
-    done = ~active
-    b1 = 0.5 * (lo1 + hi1)
-    b2 = 0.5 * (lo2 + hi2)
-    for _ in range(2 * _MAX_BISECT):
-        c1 = _s1_curve(b1, eos)
-        c2 = _s1_curve(b2, eos)
-        resid_r = dr - (c1[0] + c2[1])
-        resid_s = ds - (c1[1] + c2[0])
-        conv = (np.abs(resid_r) < eps) & (np.abs(resid_s) < eps)
-        newly = active & ~done & conv
-        beta1 = np.where(newly, b1, beta1)
-        beta2 = np.where(newly, b2, beta2)
-        done |= conv
-        if done.all():
-            break
-        # Step the parameter owning the larger residual; each residual is
-        # increasing in its parameter, so resid > 0 caps the bracket.
-        work = active & ~done
-        step1 = work & (np.abs(resid_r) >= np.abs(resid_s))
-        hi1 = np.where(step1 & (resid_r > 0), b1, hi1)
-        lo1 = np.where(step1 & (resid_r <= 0), b1, lo1)
-        step2 = work & ~step1
-        hi2 = np.where(step2 & (resid_s > 0), b2, hi2)
-        lo2 = np.where(step2 & (resid_s <= 0), b2, lo2)
-        b1 = np.where(step1, 0.5 * (lo1 + hi1), b1)
-        b2 = np.where(step2, 0.5 * (lo2 + hi2), b2)
-    if not done.all():
-        raise RelshockError(
-            f"two-shock bisection failed for {int((~done).sum())} interface(s)"
-        )
-    return beta1, beta2
+    delta = (ds - dr) / (2.0 * eos.sqrt_K_half)
+    u0 = 0.5 * delta - 0.5 * (dr + ds) / eos.sqrt_2K
+    u1 = _newton(_two_shock_step, u0, [dr, ds, delta], eos, eps)
+    return u1, u1 - delta
 
 
 class RiemannGridSolution:
@@ -248,10 +192,8 @@ class RiemannGridSolution:
 
     def __init__(self, eos, rho_l, v_l, rho_r, v_r):
         self.eos = eos
-        self.rho_l = np.atleast_1d(np.asarray(rho_l, dtype=float))
-        self.v_l = np.atleast_1d(np.asarray(v_l, dtype=float))
-        self.rho_r = np.atleast_1d(np.asarray(rho_r, dtype=float))
-        self.v_r = np.atleast_1d(np.asarray(v_r, dtype=float))
+        self.rho_l, self.v_l, self.rho_r, self.v_r = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (rho_l, v_l, rho_r, v_r)))
 
     def wave1_is_shock(self):
         return (self.region == REGION_II) | (self.region == REGION_III)
@@ -261,53 +203,73 @@ class RiemannGridSolution:
 
 
 def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10):
-    """Solve a batch of Riemann problems; see :class:`RiemannGridSolution`."""
+    """Solve a batch of Riemann problems; see :class:`RiemannGridSolution`.
+
+    Raises NonPhysicalState naming the first interface without rho > 0 and
+    |v| < 1 on both sides (NaN included), and RelshockError naming the
+    first interface whose Newton solve does not converge.
+    """
     sol = RiemannGridSolution(eos, rho_l, v_l, rho_r, v_r)
+    fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",
+                   rho_l=sol.rho_l, rho_r=sol.rho_r)
+    fluid._require((np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0),
+                   "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)
     rL, sL = fluid.invariant_arrays(sol.rho_l, sol.v_l, eos)
     rR, sR = fluid.invariant_arrays(sol.rho_r, sol.v_r, eos)
     dr = rR - rL
     ds = sR - sL
     region = _classify_arrays(dr, ds)
 
-    # One pure-curve solve over every negative displacement: dr gives the
-    # region III 1-shock, ds the region I 2-shock, and in the (-,-)
-    # quadrant both strengths the side-of-curve test below needs.
-    neg_r, neg_s = dr < 0, ds < 0
-    n_r = np.count_nonzero(neg_r)
-    b, fl = _bisect_s1r(np.concatenate((dr[neg_r], ds[neg_s])), eos, eps)
-    beta1, beta2 = np.zeros(dr.shape), np.zeros(dr.shape)
-    fl1, fl2 = np.zeros(dr.shape, dtype=bool), np.zeros(dr.shape, dtype=bool)
-    beta1[neg_r], fl1[neg_r] = b[:n_r], fl[:n_r]
-    beta2[neg_s], fl2[neg_s] = b[n_r:], fl[n_r:]
-
-    # The (-,-) quadrant is a superset of the two-shock region: thin
-    # slivers between each shock curve and the axes belong to regions I
-    # and III.  Decide membership exactly by which side of the pure curves
-    # the point falls on (the power-walk beta floor is the degenerate
-    # limit of the same test).
+    # The (-,-) quadrant is a superset of the two-shock region: the slivers
+    # between each shock curve and the axes belong to regions I and III.  A
+    # point is a genuine two-shock state iff the two-shock function is
+    # positive where one strength vanishes, u1 = max(0, delta), i.e.
+    # p(|delta|) > m.  A displacement of at least eps but smaller than that
+    # of a beta = 1e-20 pure shock counts as no shock: both such -> IV, one
+    # -> the region of the other shock.
     ii = np.flatnonzero(region == REGION_II)
     if ii.size:
-        to_I = fl1[ii] | (dr[ii] - _s1_curve(beta2[ii], eos)[1] > 0.0)
-        to_III = ~to_I & (fl2[ii] | (ds[ii] - _s1_curve(beta1[ii], eos)[1] > 0.0))
-        degen = fl1[ii] & fl2[ii]
-        to_I &= ~degen
+        d1, d2 = -dr[ii], -ds[ii]
+        thr = -_s1_curve(_U_FLOOR, eos)[0]
+        fl1 = (d1 >= eps) & (d1 < thr)
+        fl2 = (d2 >= eps) & (d2 < thr)
+        delta = (d1 - d2) / (2.0 * eos.sqrt_K_half)
+        outside = _p(np.abs(delta), eos) <= -0.5 * (d1 + d2)
+        floored = fl1 | fl2
+        to_I = np.where(floored, fl1, outside & (delta < 0))
+        to_III = np.where(floored, fl2, outside & (delta > 0))
         region[ii[to_I]] = REGION_I
         region[ii[to_III]] = REGION_III
-        region[ii[degen]] = REGION_IV
-        beta1[ii[to_I | degen]] = 0.0
-        beta2[ii[to_III | degen]] = 0.0
-        g = ii[~(to_I | to_III | degen)]
-        if g.size:
-            beta1[g], beta2[g] = _solve_two_shock(dr[g], ds[g], eos, eps)
+        region[ii[to_I & to_III]] = REGION_IV
 
-    # Middle state: rarefaction legs contribute straight-line displacements,
-    # shock legs the curve displacements solved above.  Only region II
-    # reaches r_mid from the left state.  A zero-strength shock's second
-    # component, _s1_curve(0)[1], is exactly +0.0, so it leaves the
-    # invariants of rarefaction-only legs unchanged to the bit.
-    c1 = _s1_curve(beta1, eos)
-    r_mid = np.where(region == REGION_II, rL + c1[0], rR - _s1_curve(beta2, eos)[1])
-    s_mid = sL + c1[1]
+    # Newton on the shock legs only: the pure curve for the single shock of
+    # regions III (target dr) and I (target ds), the coupled solve for II.
+    i1, i2, i3 = (np.flatnonzero(region == k) for k in (REGION_I, REGION_II, REGION_III))
+    u = _solve_pure(np.concatenate((dr[i3], ds[i1])), eos, eps)
+    u1_ii, u2_ii = _solve_two_shock(dr[i2], ds[i2], eos, eps)
+    failed = np.concatenate((i3, i1, i2))[np.isnan(np.concatenate((u, u1_ii)))]
+    if failed.size:
+        k = failed.min()
+        raise RelshockError(
+            f"Riemann Newton solve did not converge at interface {k}: "
+            f"(dr, ds) = ({dr[k]:.6e}, {ds[k]:.6e}), left (rho, v) = "
+            f"({sol.rho_l[k]:.6e}, {sol.v_l[k]:.6e}), right (rho, v) = "
+            f"({sol.rho_r[k]:.6e}, {sol.v_r[k]:.6e})"
+        )
+
+    # Middle state: rarefaction legs keep the invariant they carry (r from
+    # the right, s from the left); shock legs add their curve displacement.
+    # Only region II reaches r_mid from the left state.
+    w1, u1 = np.concatenate((i3, i2)), np.concatenate((u[:i3.size], u1_ii))
+    w2, u2 = np.concatenate((i1, i2)), np.concatenate((u[i3.size:], u2_ii))
+    c1 = _s1_curve(u1, eos)
+    r_mid, s_mid = rR.copy(), sL.copy()
+    s_mid[w1] += c1[1]
+    r_mid[i1] -= _s1_curve(u2[:i1.size], eos)[1]
+    r_mid[i2] = rL[i2] + c1[0][i3.size:]
+    beta1, beta2 = np.zeros(dr.shape), np.zeros(dr.shape)
+    beta1[w1] = 2.0 * np.sinh(0.5 * u1) ** 2
+    beta2[w2] = 2.0 * np.sinh(0.5 * u2) ** 2
 
     sol.region = region
     sol.beta1, sol.beta2 = beta1, beta2

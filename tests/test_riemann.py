@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 from relshock import fluid, riemann
+from relshock.errors import NonPhysicalState, RelshockError
 from relshock.fluid import EosParams
 from relshock.riemann import (
     REGION_I,
@@ -47,6 +48,11 @@ def f_minus(beta):
 def f_plus(beta):
     """Decaying shock factor in (0, 1], the reciprocal branch."""
     return 1.0 / riemann._f_big(beta)
+
+
+def u_of(beta):
+    """Shock strength in the solver's parameter u = ln f(beta) = arccosh(1 + beta)."""
+    return 2.0 * np.arcsinh(np.sqrt(0.5 * beta))
 
 
 def solve_one(left, right, eos, eps=1e-10):
@@ -174,9 +180,30 @@ def test_wave_curve_rarefactions_are_axes(eos):
 
 def test_shock_curves_negative_and_decreasing(eos):
     # the 2-shock curve is the same pair with dr and ds exchanged
-    dr, ds = riemann._s1_curve(BETA_GRID, eos)
+    dr, ds = riemann._s1_curve(u_of(BETA_GRID), eos)
     assert np.all(dr < 0.0) and np.all(ds < 0.0)
     assert np.all(np.diff(dr) < 0.0) and np.all(np.diff(ds) < 0.0)
+
+
+def test_u_form_curve_matches_log_form(eos):
+    """The closed form in u = ln f(beta) is the curve (-0.5 ln f(2K beta)
+    -/+ sqrt(K/2) ln f(beta)), here evaluated at 50 digits because the
+    float log form itself loses ~1e-13 to cancellation at beta = 1e-6."""
+    mpmath.mp.dps = 50
+    dr, ds = riemann._s1_curve(u_of(BETA_GRID), eos)
+    k = mpmath.mpf(eos.K)
+    for j, b in enumerate(BETA_GRID):
+        bm = mpmath.mpf(b)
+        t_v = -mpmath.log(1 + 2 * k * bm + mpmath.sqrt(2 * k * bm * (2 * k * bm + 2))) / 2
+        t_r = mpmath.sqrt(k / 2) * mpmath.log(1 + bm + mpmath.sqrt(bm * (bm + 2)))
+        scale = float(abs(t_v) + abs(t_r))
+        assert abs(dr[j] - float(t_v - t_r)) <= 1e-14 * scale
+        assert abs(ds[j] - float(t_v + t_r)) <= 1e-14 * scale
+    # and the float log form agrees wherever it does not cancel
+    big = BETA_GRID >= 1e-2
+    t_v = -0.5 * np.log(f_minus(2.0 * eos.K * BETA_GRID[big]))
+    t_r = eos.sqrt_K_half * np.log(f_minus(BETA_GRID[big]))
+    np.testing.assert_allclose(dr[big], t_v - t_r, rtol=1e-14)
 
 
 def test_shock_curves_mirror_images(eos, rng):
@@ -328,8 +355,8 @@ def test_fan_recomposition(eos, rng):
     sol = solve_interfaces(rl, vl, rr, vr, eos, eps)
     r_l, s_l = fluid.invariant_arrays(rl, vl, eos)
     r_r, s_r = fluid.invariant_arrays(rr, vr, eos)
-    dr1, ds1 = riemann._s1_curve(sol.beta1, eos)
-    dr2s, ds2s = riemann._s1_curve(sol.beta2, eos)  # mirror for family 2
+    dr1, ds1 = riemann._s1_curve(u_of(sol.beta1), eos)
+    dr2s, ds2s = riemann._s1_curve(u_of(sol.beta2), eos)  # mirror for family 2
     shock1, shock2 = sol.wave1_is_shock(), sol.wave2_is_shock()
     r_end = r_l + np.where(shock1, dr1, sol.r_mid - r_l)
     s_end = s_l + np.where(shock1, ds1, 0.0)
@@ -349,8 +376,8 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     alone."""
     # (dr, ds) displacements in the invariant plane from one left state;
     # a pure shock of size 0.5 moves the other invariant by -2*sliver
-    beta_half, _ = riemann._bisect_s1r(np.array([-0.5]), eos, 1e-10)
-    sliver = -0.5 * riemann._s1_curve(beta_half, eos)[1][0]
+    u_half = riemann._solve_pure(np.array([-0.5]), eos, 1e-10)
+    sliver = -0.5 * riemann._s1_curve(u_half, eos)[1][0]
     steps = [(0.5, 0.3), (-0.5, 0.3), (0.3, -0.5), (-0.5, -0.5), (-0.2, -0.05),
              (-sliver, -0.5), (-0.5, -sliver), (-1e-11, 0.3), (-1e-11, -0.5),
              (-1.05e-10, -1.05e-10), (0.0, 0.0), (1e-12, -1e-12)]
@@ -364,16 +391,15 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     r_r, s_r = fluid.invariant_arrays(rho_r, v_r, eos)
     dr, ds = r_r - r_l, s_r - s_l
 
-    calls = {"bisect": [], "walk": [], "two_shock": []}
+    calls = {"pure": [], "two_shock": []}
 
     def spy(name, fn):
         def wrapped(*args):
-            calls[name].append(args[:-2] if name == "two_shock" else args[0])
+            calls[name].append(args[:-2])
             return fn(*args)
         monkeypatch.setattr(riemann, fn.__name__, wrapped)
 
-    spy("bisect", riemann._bisect_s1r)
-    spy("walk", riemann._walk_brackets)
+    spy("pure", riemann._solve_pure)
     spy("two_shock", riemann._solve_two_shock)
     batch = solve_interfaces(rho_l, v_l, rho_r, v_r, eos)
 
@@ -381,29 +407,49 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     genuine = batch.region == REGION_II
     assert set(batch.region) == {REGION_I, REGION_II, REGION_III, REGION_IV}
     assert genuine.sum() == 3
-    # (-,-) slivers fall to I or III, and both pure strengths below the
-    # beta floor leave no wave at all (IV)
+    # (-,-) slivers fall to I or III, and both displacements below the
+    # beta-floor threshold leave no wave at all (IV)
     reclassified = set(batch.region[(quadrant == REGION_II) & ~genuine])
     assert reclassified == {REGION_I, REGION_III, REGION_IV}
     assert np.any((np.abs(dr) < 1e-10) & (dr < 0))
     # rarefactions and absent waves carry zero strength
     assert np.all(batch.beta1[~batch.wave1_is_shock()] == 0.0)
     assert np.all(batch.beta2[~batch.wave2_is_shock()] == 0.0)
-    # one pure-curve solve on the negative displacements, the coupled solve
-    # on the genuine two-shock interfaces, and no bracket walk on anything else
-    assert len(calls["bisect"]) == 1
-    assert np.array_equal(calls["bisect"][0], np.r_[dr[dr < 0], ds[ds < 0]])
+    # one pure-curve solve on exactly the single shocks of regions III (dr)
+    # and I (ds), one coupled solve on exactly the genuine two-shock ones
+    (pure,), = calls["pure"]
+    assert np.array_equal(pure, np.r_[dr[batch.region == REGION_III],
+                                      ds[batch.region == REGION_I]])
     (two_dr, two_ds), = calls["two_shock"]
     assert np.array_equal(two_dr, dr[genuine]) and np.array_equal(two_ds, ds[genuine])
-    walked = np.concatenate(calls["walk"])
-    assert np.all(walked <= -1e-10)
-    assert walked.size == np.sum(dr <= -1e-10) + np.sum(ds <= -1e-10) + 2 * genuine.sum()
 
     for k in range(dr.size):
         one = solve_interfaces(rho_l[k], v_l[k], rho_r[k], v_r[k], eos)
         for name in SOLUTION_FIELDS:
             got = getattr(batch, name)[k:k + 1]
             assert getattr(one, name).tobytes() == got.tobytes(), (k, name)
+
+
+def test_nonphysical_input_names_first_bad_interface(eos):
+    with pytest.raises(NonPhysicalState, match=r"rho must be positive at index 0 .*rho_r=nan"):
+        solve_interfaces([1, np.nan], [0.1, 0.1], [np.nan, 1], [0.1, 0.2], eos)
+    with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at index 1 "):
+        solve_interfaces([1, 1], [0.1, np.nan], [2, 1], [0.1, 0.2], eos)
+
+
+def test_newton_failure_names_interface_and_states(eos, monkeypatch):
+    """With one residual check allowed, the two-shock start is not converged;
+    the error names the interface, its displacements and both states."""
+    monkeypatch.setattr(riemann, "_MAX_NEWTON", 1)
+    (rho_l, v_l), (rho_r, v_r) = TWO_SHOCK_LEFT, TWO_SHOCK_RIGHT
+    r_l, s_l = fluid.invariant_arrays(rho_l, v_l, eos)
+    r_r, s_r = fluid.invariant_arrays(rho_r, v_r, eos)
+    expected = (f"interface 1: (dr, ds) = ({r_r - r_l:.6e}, {s_r - s_l:.6e}), "
+                f"left (rho, v) = ({rho_l:.6e}, {v_l:.6e}), "
+                f"right (rho, v) = ({rho_r:.6e}, {v_r:.6e})")
+    with pytest.raises(RelshockError, match="did not converge") as info:
+        solve_interfaces([1.0, rho_l], [0.0, v_l], [1.0, rho_r], [0.0, v_r], eos)
+    assert expected in str(info.value)
 
 
 def test_sample_piecewise_structure(eos):
