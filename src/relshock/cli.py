@@ -27,16 +27,19 @@ EXIT_HORIZON = 3
 EXIT_NUMERICAL = 4
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_config_flags(parser: argparse.ArgumentParser, **defaults: str):
+    """--config, one flag per RunConfig field and the command's own defaults."""
     parser.add_argument("--config", help="key = value configuration file")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
         parser.add_argument(flag, dest=f.name, default=None)
+    parser.set_defaults(config_defaults=defaults)
 
 
 def _load_config(args) -> RunConfig:
-    """The config file (if any) with command-line flags on top, validated once."""
+    """Command defaults, config file and flags, each over the last; validated once."""
     values, lines = read_config(args.config) if args.config else ({}, {})
+    values = {**args.config_defaults, **values}
     for f in fields(RunConfig):
         raw = getattr(args, f.name, None)
         if raw is not None:
@@ -218,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("reverse", help="time-reversed collapse run")
-    _add_config_flags(p)
+    _add_config_flags(p, reversed="true", r_min=str(experiments.REVERSED_R_MIN),
+                      r_max=str(experiments.REVERSED_R_MAX))
     p.add_argument("--continue-chop", action="store_true",
                    help="keep zooming in by discarding boundary cells")
     p.set_defaults(func=cmd_reverse)
@@ -228,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "reverse" and getattr(args, "reversed", None) is None:
-        args.reversed = "true"
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -204,9 +204,6 @@ class MuMonitor:
     def __call__(self, state, report):
         self.history.append((state.t,) + black_hole_number(state))
 
-    def values(self):
-        return np.array([m for _, m, _ in self.history])
-
 
 def total_variation(values) -> float:
     values = np.asarray(values, dtype=float)

@@ -24,7 +24,11 @@ class ConfigError(RelshockError):
 class NonPhysicalState(RelshockError):
     """A state, parameter or requested point lies outside the physical
     region or a model's domain (time step too large, corrupted data, NaN,
-    or out-of-range input)."""
+    or out-of-range input).  Array checks set `index` to the first bad entry."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class HorizonEncountered(RelshockError):

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 FIELDS = ("rho", "v", "A", "B")
+REVERSED_R_MIN, REVERSED_R_MAX = 0.1, 20.0  # room before t = 0: r_min < |t_start|/2
 
 
 @dataclass
@@ -306,8 +307,8 @@ def cross_model_comparison(n: int, n_ref: int, eos: EosParams,
     }
 
 
-def reversed_collapse_run(n: int, eos: EosParams, r_min: float = 0.1,
-                          r_max: float = 20.0, r0: float = 5.0,
+def reversed_collapse_run(n: int, eos: EosParams, r_min: float = REVERSED_R_MIN,
+                          r_max: float = REVERSED_R_MAX, r0: float = 5.0,
                           continue_chop: bool = False, min_cells: int = 64,
                           eps: float = 1e-10, max_steps: int = 2_000_000) -> RunArtifacts:
     """Reversed matched run on the extended domain, until the interaction

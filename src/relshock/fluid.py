@@ -86,7 +86,7 @@ def _require(ok, what: str, **values):
     k = int(np.flatnonzero(~np.asarray(ok))[0])
     shown = ", ".join(f"{name}={np.broadcast_to(a, np.shape(ok)).flat[k]:.6e}"
                       for name, a in values.items())
-    raise NonPhysicalState(f"{what} at index {k} ({shown})")
+    raise NonPhysicalState(f"{what} at index {k} ({shown})", index=k)
 
 
 def fluid_arrays(u0, u1, eos: EosParams):

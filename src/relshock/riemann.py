@@ -276,7 +276,7 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     sol.r_mid, sol.s_mid = r_mid, s_mid
     sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(r_mid, s_mid, eos)
     sol.r_right, sol.s_left = rR, sL
-    _attach_speeds(sol)
+    _attach_speeds(sol, w1, w2)
     return sol
 
 
@@ -285,26 +285,25 @@ def _rest_frame_shock_speed(f_value, eos: EosParams):
     return np.sqrt((f_value + sig) / (f_value + 1.0 / sig))
 
 
-def _attach_speeds(sol: RiemannGridSolution):
+def _attach_speeds(sol: RiemannGridSolution, w1, w2):
     """Coordinate-frame wave speeds (Minkowski cell, light speed 1).
 
-    Rest-frame shock speeds are composed with the pre-wave state's velocity
-    by the relativistic addition law; the 1-family speed is negative in the
-    rest frame.  Rarefaction edges are the characteristic speeds of their
-    bounding states.
+    Rarefaction edges are the characteristic speeds of their bounding
+    states.  On the shock entries only (indices w1 of 1-shocks, w2 of
+    2-shocks), both edges become the rest-frame shock speed composed with
+    the pre-wave state's velocity by the relativistic addition law; the
+    1-family speed is negative in the rest frame.
     """
     eos = sol.eos
-    shock1 = sol.wave1_is_shock()
-    s1_rest = -_rest_frame_shock_speed(_f_big(sol.beta1), eos)
-    s1 = fluid.lorentz_compose(sol.v_l, s1_rest)
-    head1 = np.where(shock1, s1, fluid.lambda1_arrays(sol.v_l, eos))
-    tail1 = np.where(shock1, s1, fluid.lambda1_arrays(sol.v_mid, eos))
+    head1 = fluid.lambda1_arrays(sol.v_l, eos)
+    tail1 = fluid.lambda1_arrays(sol.v_mid, eos)
+    s1_rest = -_rest_frame_shock_speed(_f_big(sol.beta1[w1]), eos)
+    head1[w1] = tail1[w1] = fluid.lorentz_compose(sol.v_l[w1], s1_rest)
 
-    shock2 = sol.wave2_is_shock()
-    s2_rest = _rest_frame_shock_speed(1.0 / _f_big(sol.beta2), eos)
-    s2 = fluid.lorentz_compose(sol.v_mid, s2_rest)
-    head2 = np.where(shock2, s2, fluid.lambda2_arrays(sol.v_mid, eos))
-    tail2 = np.where(shock2, s2, fluid.lambda2_arrays(sol.v_r, eos))
+    head2 = fluid.lambda2_arrays(sol.v_mid, eos)
+    tail2 = fluid.lambda2_arrays(sol.v_r, eos)
+    s2_rest = _rest_frame_shock_speed(1.0 / _f_big(sol.beta2[w2]), eos)
+    head2[w2] = tail2[w2] = fluid.lorentz_compose(sol.v_mid[w2], s2_rest)
 
     sol.speed1_head, sol.speed1_tail = head1, tail1
     sol.speed2_head, sol.speed2_tail = head2, tail2

@@ -6,18 +6,21 @@ half gridpoints x_{k-1/2} and are frozen per Riemann cell during a step.
 One step is four fractional stages: exact Riemann solutions at every
 interface under the cell's frozen metric, a flux average (Godunov) over
 each cell, one explicit source increment (ODE), and the mass/metric
-integration up from the left boundary (update).
+integration up from the left boundary (update).  The Godunov stage is in
+flux form: it takes the flux (T01, T11) of each interface's zero-speed
+Riemann state and of each cell's own (rho, v).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import diagnostics, fluid, models, riemann
-from .errors import BorderNotFound, GridExhausted, HorizonEncountered
+from .errors import BorderNotFound, GridExhausted, HorizonEncountered, NonPhysicalState
 from .fluid import EosParams
 from .models import KAPPA
 
@@ -90,16 +93,6 @@ class SimState:
     def light_speed(self) -> np.ndarray:
         return np.sqrt(self.A * self.B)
 
-    def copy(self) -> "SimState":
-        return SimState(
-            model=self.model, eos=self.eos, dx=self.dx, t=self.t,
-            x=self.x.copy(), xe=self.xe.copy(),
-            rho=self.rho.copy(), v=self.v.copy(),
-            u0=self.u0.copy(), u1=self.u1.copy(),
-            A=self.A.copy(), B=self.B.copy(), M=self.M.copy(),
-            bt=self.bt, right_frozen=self.right_frozen, eps=self.eps,
-        )
-
 
 @dataclass(frozen=True)
 class StepReport:
@@ -159,25 +152,13 @@ def cfl_dt(state: SimState) -> float:
     return float(state.dx / (2.0 * state.light_speed().max()))
 
 
-def godunov_cell_update(u_c, ustar_left, ustar_right, alpha_left, alpha_right,
-                        dt, dx, eos: EosParams):
-    """Flux average of one cell from the zero-speed states of its two
-    bounding Riemann problems; each half cell carries its own frozen
-    metric factor.  All arguments broadcast."""
-    u0c, u1c = u_c
-    t11_c = fluid.t11_arrays(*fluid.fluid_arrays(u0c, u1c, eos), eos)
-    f0_l, f1_l = alpha_left * u1c, alpha_left * t11_c
-    f0_r, f1_r = alpha_right * u1c, alpha_right * t11_c
-    s0_l, s1_l = ustar_left
-    s0_r, s1_r = ustar_right
-    fs0_l = alpha_left * s1_l
-    fs1_l = alpha_left * fluid.t11_arrays(*fluid.fluid_arrays(s0_l, s1_l, eos), eos)
-    fs0_r = alpha_right * s1_r
-    fs1_r = alpha_right * fluid.t11_arrays(*fluid.fluid_arrays(s0_r, s1_r, eos), eos)
-    r = dt / dx
-    ubar0 = u0c - r * ((f0_l - fs0_l) + (fs0_r - f0_r))
-    ubar1 = u1c - r * ((f1_l - fs1_l) + (fs1_r - f1_r))
-    return ubar0, ubar1
+def godunov_cell_update(u_c, f_c, f_star, alpha, dt, dx):
+    """Flux average of each cell (u_c = (u0, u1), flux f_c = (T01, T11)) from
+    the zero-speed fluxes f_star of its two bounding interfaces; each half
+    cell carries its interface's frozen metric factor alpha = sqrt(AB)."""
+    al, ar, r = alpha[:-1], alpha[1:], dt / dx
+    return tuple(u - r * ((al * f - al * fs[:-1]) + (ar * fs[1:] - ar * f))
+                 for u, f, fs in zip(u_c, f_c, f_star))
 
 
 def source_G(A, B, rho, v, x, eos: EosParams):
@@ -201,6 +182,20 @@ def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
     fluid.check_fluid(rho, v)
     g0, g1 = source_G(A_avg, B_avg, rho, v, x, eos)
     return ubar0 + g0 * dt, ubar1 + g1 * dt
+
+
+@contextmanager
+def _naming_cells(t: float, first: int | None):
+    """Restate a kernel's NonPhysicalState at entry k as one at cell first + k,
+    ghosts counted (interfaces, first=None: cells k and k + 1), and time t."""
+    try:
+        yield
+    except NonPhysicalState as err:
+        if err.index is None:
+            raise
+        k = err.index
+        where = f"cells {k} and {k + 1}" if first is None else f"cell {first + k}"
+        raise NonPhysicalState(str(err).replace(f"at index {k}", f"at {where}, t={t:.9g}")) from err
 
 
 def _refresh_left_ghost(state: SimState, t_new: float):
@@ -288,41 +283,44 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     dt = cfl_dt(state)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
+    t_new = state.t + dt
 
-    # Riemann step: one exact solution per interface, frozen cell metric.
-    sol = riemann.solve_interfaces(
-        state.rho[:-1], state.v[:-1], state.rho[1:], state.v[1:], eos, state.eps
-    )
+    # Riemann step: one exact solution per interface, frozen cell metric;
+    # the Godunov step needs only the flux of its zero-speed state.
+    with _naming_cells(state.t, None):
+        sol = riemann.solve_interfaces(
+            state.rho[:-1], state.v[:-1], state.rho[1:], state.v[1:], eos, state.eps
+        )
     rho_star, v_star = riemann.sample_solution(sol, 0.0)
-    us0, us1 = fluid.conserved_arrays(rho_star, v_star, eos)
+    f_star = (fluid.conserved_arrays(rho_star, v_star, eos)[1],
+              fluid.t11_arrays(rho_star, v_star, eos))
 
     # Godunov step over interior cells.
     alpha = state.light_speed()
     ubar0, ubar1 = godunov_cell_update(
         (state.u0[1:-1], state.u1[1:-1]),
-        (us0[:-1], us1[:-1]),
-        (us0[1:], us1[1:]),
-        alpha[:-1], alpha[1:],
-        dt, state.dx, eos,
+        (state.u1[1:-1], fluid.t11_arrays(state.rho[1:-1], state.v[1:-1], eos)),
+        f_star, alpha, dt, state.dx,
     )
 
-    # ODE step with the neighbor-averaged metric at the cell center.
+    # ODE step with the neighbor-averaged metric, checked before it is stored.
     a_avg = 0.5 * (state.A[:-1] + state.A[1:])
     b_avg = 0.5 * (state.B[:-1] + state.B[1:])
-    u0_new, u1_new = ode_step(ubar0, ubar1, a_avg, b_avg, state.x[1:-1], dt, eos)
-
-    t_new = state.t + dt
+    with _naming_cells(t_new, 1):
+        u0_new, u1_new = ode_step(ubar0, ubar1, a_avg, b_avg, state.x[1:-1], dt, eos)
+        rho_new, v_new = fluid.fluid_arrays(u0_new, u1_new, eos)
+        fluid.check_fluid(rho_new, v_new)
     state.u0[1:-1], state.u1[1:-1] = u0_new, u1_new
-    rho_new, v_new = fluid.fluid_arrays(u0_new, u1_new, eos)
     state.rho[1:-1], state.v[1:-1] = rho_new, v_new
 
     _refresh_left_ghost(state, t_new)
     _refresh_right_ghost_fluid(state, t_new)
-    state.u0[0], state.u1[0] = fluid.conserved_arrays(state.rho[0], state.v[0], eos)
-    state.u0[-1], state.u1[-1] = fluid.conserved_arrays(state.rho[-1], state.v[-1], eos)
+    ends = [0, -1]
+    state.u0[ends], state.u1[ends] = fluid.conserved_arrays(state.rho[ends], state.v[ends], eos)
 
     # Update step: mass and metric by integration from the left anchor.
-    update_mass_metric(state, t_new)
+    with _naming_cells(t_new, None):   # midpoint k lies between cells k, k+1
+        update_mass_metric(state, t_new)
     _override_right_ghost_metric(state, t_new)
 
     state.t = t_new
@@ -348,9 +346,7 @@ def chop_right(state: SimState, min_cells: int = 16) -> SimState:
     ghost and the boundary data freezes at that cell's current values."""
     if state.n - 1 < min_cells:
         raise GridExhausted(f"only {state.n} cells left (minimum {min_cells})")
-    for name in ("x", "rho", "v", "u0", "u1"):
-        setattr(state, name, getattr(state, name)[:-1].copy())
-    for name in ("xe", "A", "B", "M"):
+    for name in ("x", "rho", "v", "u0", "u1", "xe", "A", "B", "M"):
         setattr(state, name, getattr(state, name)[:-1].copy())
     state.right_frozen = True
     return state

@@ -1,5 +1,6 @@
 """Command line: golden Riemann outputs, input rejection and exit codes."""
 
+import json
 import pathlib
 import re
 
@@ -73,11 +74,36 @@ def test_single_level_ladder_exits_four(tmp_path, capsys):
 
 
 def test_reverse_without_room_before_t_zero_exits_two(tmp_path, capsys):
-    """On the default r in [3, 7] the reversed start time is -5.455, so
+    """On r in [3, 7] the reversed start time is -5.455, so
     |t_start| - 2*r_min is negative and there is nothing to march."""
     out = tmp_path / "out"
-    argv = ["reverse", "--continue-chop", "--n", "64", "--outdir", str(out)]
+    argv = ["reverse", "--continue-chop", "--n", "64", "--r-min", "3", "--r-max", "7",
+            "--outdir", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "r_min = 3" in err and "t_start = -5.45" in err
     assert not out.exists()
+
+
+def test_reverse_domain_from_config_file_overrides_command_default(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r_min = 3\nr_max = 7\n")
+    argv = ["reverse", "--config", str(cfg), "--n", "64", "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "r_min = 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, code, stop_reason", [
+    ("128", cli.EXIT_OK, "grid_exhausted"),
+    ("64", cli.EXIT_HORIZON, "horizon"),
+])
+def test_reverse_default_domain_runs(n, code, stop_reason, tmp_path):
+    """Without domain flags `reverse` runs on the reversed collapse's own
+    r in [0.1, 20]: chopping down to the minimum grid at n = 128, a horizon
+    stop at n = 64."""
+    argv = ["reverse", "--continue-chop", "--n", n, "--outdir", str(tmp_path)]
+    assert cli.main(argv) == code
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stop_reason"] == stop_reason
+    assert manifest["config"]["reversed"] is True
+    assert (manifest["config"]["r_min"], manifest["config"]["r_max"]) == (0.1, 20.0)

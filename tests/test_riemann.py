@@ -430,6 +430,29 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
             assert getattr(one, name).tobytes() == got.tobytes(), (k, name)
 
 
+def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
+    """Shock speeds are evaluated on shock entries only: an all-region-IV
+    batch hands every shock-speed formula an empty array."""
+    sizes = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args):
+            sizes.append((name, np.size(args[0])))
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(riemann, "_f_big")
+    spy(riemann, "_rest_frame_shock_speed")
+    spy(fluid, "lorentz_compose")
+    rho = np.array([1.0, 2.0, 0.5, 3.0])
+    v = np.array([-0.2, 0.0, 0.3, 0.5])
+    sol = solve_interfaces(rho, v, rho, v + 0.1, eos)
+    assert set(sol.region) == {REGION_IV}
+    assert sizes and all(size == 0 for _, size in sizes), sizes
+
+
 def test_nonphysical_input_names_first_bad_interface(eos):
     with pytest.raises(NonPhysicalState, match=r"rho must be positive at index 0 .*rho_r=nan"):
         solve_interfaces([1, np.nan], [0.1, 0.1], [np.nan, 1], [0.1, 0.2], eos)
