@@ -70,12 +70,21 @@ def rapidity(v):
 
 
 def conserved_arrays(rho, v, eos: EosParams):
-    """(u0, u1) from (rho, v)."""
+    """(u0, u1) from (rho, v).
+
+    Both are built from h = (sigma+1)*rho/(1-v^2), with 1-v^2 factored as
+    (1-v)*(1+v): forming 1-v*v loses about 1/(1-v^2) ulps as |v| -> 1, and
+    rho is recovered from the small difference u0 - v*u1, so that loss
+    would show up in the round trip.
+    """
     sig = eos.sigma
-    gam = 1.0 / (1.0 - v * v)
-    u0 = rho * ((sig + 1.0) * v * v * gam + 1.0)
-    u1 = rho * (sig + 1.0) * v * gam
-    return u0, u1
+    h = _enthalpy_gamma2(rho, v, sig)
+    return h - sig * rho, h * v
+
+
+def _enthalpy_gamma2(rho, v, sig):
+    """(sigma+1)*rho/(1-v^2), the factor shared by T00_M, T01_M and T11_M."""
+    return rho * (sig + 1.0) / ((1.0 - v) * (1.0 + v))
 
 
 def _require(ok, what: str, **values):
@@ -104,7 +113,7 @@ def fluid_arrays(u0, u1, eos: EosParams):
     _require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
     denom = (sig + 1.0) * u0 + np.sqrt(np.maximum(disc, 0.0))
     v = 2.0 * u1 / denom
-    rho = (1.0 - v * v) * denom / (2.0 * (sig + 1.0))
+    rho = (1.0 - v) * (1.0 + v) * denom / (2.0 * (sig + 1.0))
     return rho, v
 
 
@@ -116,7 +125,7 @@ def check_fluid(rho, v):
 
 def t11_arrays(rho, v, eos: EosParams):
     """T11_M, the momentum flux of the flat-space system."""
-    return rho * ((eos.sigma + 1.0) * v * v / (1.0 - v * v) + eos.sigma)
+    return _enthalpy_gamma2(rho, v, eos.sigma) * v * v + eos.sigma * rho
 
 
 def invariant_arrays(rho, v, eos: EosParams):
