@@ -64,11 +64,7 @@ def cmd_riemann(args) -> int:
     output.emit_fan_json(sol, os.path.join(args.outdir, "fan.json"))
     xi = np.linspace(args.xi_min, args.xi_max, args.xi_count)
     rho, v = riemann.sample_solution(sol, xi)
-    path = os.path.join(args.outdir, "samples.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("xi,rho,v\n")
-        for k in range(xi.size):
-            fh.write(f"{xi[k]:.10e},{rho[k]:.10e},{v[k]:.10e}\n")
+    path = output.emit_samples(xi, rho, v, os.path.join(args.outdir, "samples.csv"))
     print(f"region {riemann.REGION_NAMES[int(sol.region[0])]}; "
           f"middle rho={sol.rho_mid[0]:.6e} v={sol.v_mid[0]:.6f}")
     print(f"wrote {path} and fan.json")
@@ -134,7 +130,7 @@ def cmd_simulate(args) -> int:
                          os.path.join(cfg.outdir, "manifest.json"))
     print(f"{cfg.model}: {arts.log.steps} steps to t = {arts.state.t:.6f}; "
           f"wrote {len(arts.snapshots)} snapshots to {cfg.outdir}")
-    return EXIT_HORIZON if arts.log.horizon else EXIT_OK
+    return EXIT_HORIZON if arts.log.stop_reason == "horizon" else EXIT_OK
 
 
 def _parse_levels(spec: str):
@@ -171,6 +167,9 @@ def cmd_converge(args) -> int:
 
 def cmd_reverse(args) -> int:
     cfg = _load_config(args)
+    if not cfg.reversed:
+        raise ConfigError("reverse runs the time-reversed model; reversed = false "
+                          "belongs to simulate")
     eos = EosParams(cfg.sigma)
     arts = experiments.reversed_collapse_run(
         cfg.n, eos, r_min=cfg.r_min, r_max=cfg.r_max, r0=cfg.r0,
@@ -184,7 +183,7 @@ def cmd_reverse(args) -> int:
     mu, radius = diagnostics.black_hole_number(arts.state)
     print(f"stopped ({arts.log.stop_reason}) at t = {arts.state.t:.6f}; "
           f"mu_max = {mu:.4f} at r = {radius:.4f}")
-    return EXIT_HORIZON if arts.log.horizon else EXIT_OK
+    return EXIT_HORIZON if arts.log.stop_reason == "horizon" else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "read_config", "parse_config", "config_from_dict"]
+__all__ = ["RunConfig", "read_config", "config_from_dict"]
 
 _MODELS = ("frw1", "frw2", "tov", "frw1_tov", "frw2_tov")
 
@@ -108,7 +108,3 @@ def read_config(path: str) -> tuple[dict, dict]:
             values[key] = val.strip()
             lines[key] = lineno
     return values, lines
-
-
-def parse_config(path: str) -> RunConfig:
-    return config_from_dict(*read_config(path))

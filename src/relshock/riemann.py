@@ -40,7 +40,6 @@ __all__ = [
     "REGION_III",
     "REGION_IV",
     "REGION_NAMES",
-    "beta_of",
     "RiemannGridSolution",
     "solve_interfaces",
     "sample_solution",
@@ -59,21 +58,6 @@ def _f_big(beta):
     and finite for every finite beta."""
     beta = np.asarray(beta, dtype=float)
     return 1.0 + beta + np.sqrt(beta) * np.sqrt(beta + 2.0)
-
-
-def beta_of(v, v_base, eos: EosParams):
-    """Shock-strength parameter for the jump between two velocities.
-
-    Built from the relative velocity, so it is frame invariant; the density
-    ratio across the shock is the growing f branch evaluated here.
-    """
-    sig = eos.sigma
-    return (
-        (sig + 1.0) ** 2
-        / (2.0 * sig)
-        * (v - v_base) ** 2
-        / ((1.0 - v * v) * (1.0 - v_base * v_base))
-    )
 
 
 def _p(u, eos: EosParams):

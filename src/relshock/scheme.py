@@ -109,7 +109,6 @@ class RunLog:
     dt_history: list = field(default_factory=list)
     steps: int = 0
     stop_reason: str = "t_end"
-    horizon: bool = False
     chops: int = 0
 
 
@@ -389,7 +388,6 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float,
         try:
             report = advance(state, dt_cap=t_end - state.t)
         except HorizonEncountered:
-            log.horizon = True
             log.stop_reason = "horizon"
             break
         log.dt_history.append(report.dt)

@@ -107,3 +107,15 @@ def test_reverse_default_domain_runs(n, code, stop_reason, tmp_path):
     assert manifest["stop_reason"] == stop_reason
     assert manifest["config"]["reversed"] is True
     assert (manifest["config"]["r_min"], manifest["config"]["r_max"]) == (0.1, 20.0)
+
+
+def test_reverse_with_reversed_false_exits_two(tmp_path, capsys):
+    """`reverse` always runs the time-reversed model, so a config file that
+    says otherwise is refused before anything runs or is written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reversed = false\n")
+    out = tmp_path / "out"
+    argv = ["reverse", "--config", str(cfg), "--n", "64", "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "reversed = false" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

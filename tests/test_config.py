@@ -3,18 +3,19 @@ that name their line."""
 
 import pytest
 
-from relshock.config import RunConfig, parse_config
+from relshock.config import RunConfig, config_from_dict, read_config
 from relshock.errors import ConfigError
 
 
-def write(tmp_path, text):
+def load(tmp_path, text):
+    """RunConfig from `text` written to a file, as the CLI reads one."""
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    return str(path)
+    return config_from_dict(*read_config(str(path)))
 
 
 def test_parse_config_types_values_from_the_dataclass(tmp_path):
-    cfg = parse_config(write(tmp_path, (
+    cfg = load(tmp_path, (
         "# comment line\n"
         "model = frw2\n"
         "n = 128          # int\n"
@@ -22,7 +23,7 @@ def test_parse_config_types_values_from_the_dataclass(tmp_path):
         "reversed = false\n"
         "psi0 = none\n"
         "duration = 0.25\n"
-    )))
+    ))
     assert cfg.model == "frw2"
     assert cfg.n == 128 and type(cfg.n) is int
     assert cfg.track_cones is True and cfg.reversed is False
@@ -32,7 +33,7 @@ def test_parse_config_types_values_from_the_dataclass(tmp_path):
 
 
 def test_parse_config_optional_float_takes_a_number(tmp_path):
-    assert parse_config(write(tmp_path, "model = frw2\npsi0 = 5.5\n")).psi0 == 5.5
+    assert load(tmp_path, "model = frw2\npsi0 = 5.5\n").psi0 == 5.5
 
 
 @pytest.mark.parametrize("text, message", [
@@ -45,10 +46,10 @@ def test_parse_config_optional_float_takes_a_number(tmp_path):
 ])
 def test_parse_config_rejects_with_line(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message) as info:
-        parse_config(write(tmp_path, text))
+        load(tmp_path, text)
     assert info.value.line == int(message.split(":")[0].split()[1])
 
 
 def test_parse_config_validates(tmp_path):
     with pytest.raises(ConfigError, match="n must be at least 8"):
-        parse_config(write(tmp_path, "n = 4\n"))
+        load(tmp_path, "n = 4\n")

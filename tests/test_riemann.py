@@ -20,7 +20,6 @@ from relshock.riemann import (
     REGION_II,
     REGION_III,
     REGION_IV,
-    beta_of,
     sample_solution,
     solve_interfaces,
 )
@@ -28,6 +27,23 @@ from relshock.riemann import (
 from conftest import random_states
 
 BETA_GRID = 10.0 ** np.linspace(-6, 6, 49)
+
+
+def beta_of(v, v_base, eos: EosParams):
+    """Rankine-Hugoniot oracle: shock-strength parameter for the jump
+    between two velocities.
+
+    Built from the relative velocity, so it is frame invariant; the density
+    ratio across the shock is the growing f branch evaluated here.
+    """
+    sig = eos.sigma
+    return (
+        (sig + 1.0) ** 2
+        / (2.0 * sig)
+        * (v - v_base) ** 2
+        / ((1.0 - v * v) * (1.0 - v_base * v_base))
+    )
+
 
 # Flat-space shock-tube regression case: left (1e8, 0.3), right (1e9, 0.6).
 # Middle state and speeds frozen from the independent jump-condition oracle
