@@ -1,8 +1,11 @@
 """Instrumentation over simulation states: wave-front tracking, border
 detection, error norms, convergence rates, and the weak-form residual.
 
-Everything here is read-only over the stepper's state; functions take the
-state (or plain arrays) and never mutate it.
+Everything here is read-only over the stepper's state: functions take the
+state (or plain arrays) and never mutate it.  The per-step hooks
+(ConeTracker, TVMonitor, MuMonitor, WeakResidualMonitor) keep small
+summaries or, for the residual, one copy of the previous step's state, so
+their memory does not grow with the grid times the step count.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ __all__ = [
     "affine_scale",
     "coordinate_time_map",
     "BumpTestFunction",
-    "weak_residual",
-    "HistoryRecorder",
+    "WeakResidualMonitor",
     "MuMonitor",
     "TVMonitor",
 ]
@@ -284,58 +286,13 @@ class BumpTestFunction:
         out[inside] = np.exp(-1.0 / w) * (-2.0 * zi / (w * w))
         return out
 
-    def __call__(self, t, x):
+    def values(self, t, x):
+        """(phi, phi_t, phi_x) at (t, x)."""
         zt = np.asarray((t - self.tc) / self.tw, dtype=float)
         zx = np.asarray((x - self.xc) / self.xw, dtype=float)
-        return self._psi(zt) * self._psi(zx)
-
-    def dt(self, t, x):
-        zt = np.asarray((t - self.tc) / self.tw, dtype=float)
-        zx = np.asarray((x - self.xc) / self.xw, dtype=float)
-        return self._dpsi(zt) / self.tw * self._psi(zx)
-
-    def dx(self, t, x):
-        zt = np.asarray((t - self.tc) / self.tw, dtype=float)
-        zx = np.asarray((x - self.xc) / self.xw, dtype=float)
-        return self._psi(zt) * self._dpsi(zx) / self.xw
-
-
-class HistoryRecorder:
-    """Hook storing the full per-step state needed by the residual."""
-
-    def __init__(self):
-        self.t = []
-        self.dt = []
-        self.rho = []
-        self.v = []
-        self.u0 = []
-        self.u1 = []
-        self.A = []
-        self.B = []
-        self.x = None
-        self.xe = None
-        self.dx = None
-        self.eos = None
-
-    def on_start(self, state):
-        self.x = state.x.copy()
-        self.xe = state.xe.copy()
-        self.dx = state.dx
-        self.eos = state.eos
-        self._snap(state, dt=None)
-
-    def __call__(self, state, report):
-        self.dt.append(report.dt)
-        self._snap(state, dt=report.dt)
-
-    def _snap(self, state, dt):
-        self.t.append(state.t)
-        self.rho.append(state.rho.copy())
-        self.v.append(state.v.copy())
-        self.u0.append(state.u0.copy())
-        self.u1.append(state.u1.copy())
-        self.A.append(state.A.copy())
-        self.B.append(state.B.copy())
+        psi_t, psi_x = self._psi(zt), self._psi(zx)
+        return (psi_t * psi_x, self._dpsi(zt) / self.tw * psi_x,
+                psi_t * self._dpsi(zx) / self.xw)
 
 
 def _conservation_sources(A, alpha, rho, u0, u1, t11, x, eos):
@@ -353,53 +310,71 @@ def _conservation_sources(A, alpha, rho, u0, u1, t11, x, eos):
     return g0, g1
 
 
-def weak_residual(history: HistoryRecorder, phi: BumpTestFunction) -> float:
-    """Discrete weak-form defect of a recorded run against one test function.
+class WeakResidualMonitor:
+    """Hook accumulating the discrete weak-form defect of a run against one
+    test function, keeping only the previous step's state.
 
     Midpoint quadrature on every half of every Riemann cell of
     -u phi_t - f(A,u) phi_x - g(A,u,x) phi, minus the initial-slice and
     boundary-flux terms (which vanish for a test function supported inside
-    the open domain).  Returns the larger of the two components' defects.
+    the open domain).  A support outside the grid or starting before the
+    run fails at on_start; one ending after the run fails in value().
+    Runs that chop the grid are not supported.
     """
-    t0, t1, a, b = phi.support
-    x_lo, x_hi = history.xe[0], history.xe[-1]
-    if a < x_lo or b > x_hi:
-        raise RelshockError(
-            f"support [{a}, {b}] exceeds the spatial domain [{x_lo}, {x_hi}]"
-        )
-    if t0 < history.t[0] or t1 > history.t[-1]:
-        raise RelshockError("support exceeds the recorded time span")
-    eos = history.eos
-    dx = history.dx
-    xe = history.xe
-    x = history.x
-    # half-cell midpoints: left halves [x_k, xe_k], right halves [xe_k, x_{k+1}]
-    xm_l = x[:-1] + dx / 4.0
-    xm_r = xe + dx / 4.0
-    eps0 = 0.0
-    eps1 = 0.0
-    for j in range(len(history.dt)):
-        dt = history.dt[j]
-        tm = history.t[j] + 0.5 * dt
-        if tm + dt < t0 or tm - dt > t1:
-            continue
-        A = history.A[j]
-        alpha = np.sqrt(A * history.B[j])
-        area = 0.5 * dx * dt
-        for xm, sl in ((xm_l, slice(None, -1)), (xm_r, slice(1, None))):
-            rho, v = history.rho[j][sl], history.v[j][sl]
-            u0, u1 = history.u0[j][sl], history.u1[j][sl]
-            t11 = fluid.t11_arrays(rho, v, eos)
-            f0, f1 = alpha * u1, alpha * t11
-            g0, g1 = _conservation_sources(A, alpha, rho, u0, u1, t11, xm, eos)
-            pt = phi.dt(tm, xm)
-            px = phi.dx(tm, xm)
-            p = phi(tm, xm)
-            eps0 += area * np.sum(-u0 * pt - f0 * px - g0 * p)
-            eps1 += area * np.sum(-u1 * pt - f1 * px - g1 * p)
-    # initial-slice term (zero when phi vanishes at the start time)
-    p0_l = phi(history.t[0], xm_l)
-    p0_r = phi(history.t[0], xm_r)
-    eps0 -= 0.5 * dx * (np.sum(history.u0[0][:-1] * p0_l) + np.sum(history.u0[0][1:] * p0_r))
-    eps1 -= 0.5 * dx * (np.sum(history.u1[0][:-1] * p0_l) + np.sum(history.u1[0][1:] * p0_r))
-    return float(max(abs(eps0), abs(eps1)))
+
+    def __init__(self, phi: BumpTestFunction):
+        self.phi = phi
+        self._eps0 = 0.0
+        self._eps1 = 0.0
+
+    def on_start(self, state):
+        t0, _, a, b = self.phi.support
+        x_lo, x_hi = state.xe[0], state.xe[-1]
+        if a < x_lo or b > x_hi:
+            raise RelshockError(
+                f"support [{a}, {b}] exceeds the spatial domain [{x_lo}, {x_hi}]"
+            )
+        if t0 < state.t:
+            raise RelshockError("support exceeds the recorded time span")
+        self._dx = dx = state.dx
+        # half-cell midpoints: left halves [x_k, xe_k], right halves [xe_k, x_{k+1}]
+        xm_l = state.x[:-1] + dx / 4.0
+        xm_r = state.xe + dx / 4.0
+        self._halves = ((xm_l, slice(None, -1)), (xm_r, slice(1, None)))
+        # initial-slice term (zero when phi vanishes at the start time)
+        p0_l = self.phi.values(state.t, xm_l)[0]
+        p0_r = self.phi.values(state.t, xm_r)[0]
+        self._slice0 = 0.5 * dx * (np.sum(state.u0[:-1] * p0_l) + np.sum(state.u0[1:] * p0_r))
+        self._slice1 = 0.5 * dx * (np.sum(state.u1[:-1] * p0_l) + np.sum(state.u1[1:] * p0_r))
+        self._keep(state)
+
+    def __call__(self, state, report):
+        t0, t1, _, _ = self.phi.support
+        dt = report.dt
+        t, rho_c, v_c, u0_c, u1_c, A, B = self._prev
+        tm = t + 0.5 * dt
+        if not (tm + dt < t0 or tm - dt > t1):
+            eos = state.eos
+            alpha = np.sqrt(A * B)
+            area = 0.5 * self._dx * dt
+            for xm, sl in self._halves:
+                rho, v, u0, u1 = rho_c[sl], v_c[sl], u0_c[sl], u1_c[sl]
+                t11 = fluid.t11_arrays(rho, v, eos)
+                f0, f1 = alpha * u1, alpha * t11
+                g0, g1 = _conservation_sources(A, alpha, rho, u0, u1, t11, xm, eos)
+                p, pt, px = self.phi.values(tm, xm)
+                self._eps0 += area * np.sum(-u0 * pt - f0 * px - g0 * p)
+                self._eps1 += area * np.sum(-u1 * pt - f1 * px - g1 * p)
+        self._keep(state)
+
+    def _keep(self, state):
+        self._prev = (state.t,) + tuple(
+            getattr(state, name).copy() for name in ("rho", "v", "u0", "u1", "A", "B"))
+
+    def value(self) -> float:
+        """The larger of the two components' defects over the run so far."""
+        if self.phi.support[1] > self._prev[0]:
+            raise RelshockError("support exceeds the recorded time span")
+        eps0 = self._eps0 - self._slice0
+        eps1 = self._eps1 - self._slice1
+        return float(max(abs(eps0), abs(eps1)))

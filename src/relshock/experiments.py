@@ -310,7 +310,7 @@ def cross_model_comparison(n: int, n_ref: int, eos: EosParams,
 def reversed_collapse_run(n: int, eos: EosParams, r_min: float = REVERSED_R_MIN,
                           r_max: float = REVERSED_R_MAX, r0: float = 5.0,
                           continue_chop: bool = False, min_cells: int = 64,
-                          eps: float = 1e-10, max_steps: int = 2_000_000) -> RunArtifacts:
+                          eps: float = 1e-10) -> RunArtifacts:
     """Reversed matched run on the extended domain, until the interaction
     region reaches the outer boundary (optionally continuing by chopping)."""
     model = models.make_model("frw1_tov", eos, r0=r0, reversed_time=True)
@@ -325,5 +325,5 @@ def reversed_collapse_run(n: int, eos: EosParams, r_min: float = REVERSED_R_MIN,
     return simulate_model(
         model, grid, eos, duration, track_mu=True, track_cones=True, eps=eps,
         stop_on_boundary_hit=not continue_chop, chop_after_hit=continue_chop,
-        min_cells=min_cells, max_steps=max_steps,
+        min_cells=min_cells,
     )

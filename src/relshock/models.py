@@ -7,8 +7,7 @@ to diagonalize the time coordinate), the static isothermal-sphere metric
 initial fluid discontinuity, forward or time reversed.
 
 Conventions: G = c = 1, kappa = 8*pi.  Radii, times and masses are all in
-the same (mass) unit; `units_convert` moves results to km / s / Msun-km^-3
-for presentation only.
+the same (mass) unit.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ from .fluid import EosParams
 
 KAPPA = 8.0 * np.pi
 
-# presentation-layer constants: geometric mass unit -> km and seconds
-G_KM_PER_MSUN = 1.47664
-C_KM_PER_S = 3.0e5
-
 __all__ = [
     "KAPPA",
     "MatchData",
@@ -35,14 +30,12 @@ __all__ = [
     "frw2_state",
     "frw2_frw_time",
     "tov_state",
-    "integrating_factor_check",
     "match",
     "Frw1Model",
     "Frw2Model",
     "TovModel",
     "MatchedModel",
     "make_model",
-    "units_convert",
 ]
 
 
@@ -112,27 +105,6 @@ def tov_state(r_bar, b0: float, eos: EosParams):
     B = b0 * r ** tov_exponent(eos)
     M = 4.0 * np.pi * g * r
     return rho, v, A, B, M
-
-
-def integrating_factor_check(t: float, r_bar: float, which: str, h: float = 1e-5):
-    """Finite-difference residual of the integrating-factor equation
-    d/dr [Psi (1 - r^2/4t^2)] - d/dt [Psi r/(2t)] for the constant or the
-    dynamical solution; O(h^2) for a true solution."""
-    if which == "constant":
-        psi = lambda tt, rr: 1.0
-    elif which == "dynamical":
-        psi = lambda tt, rr: np.sqrt(tt / (4.0 * tt * tt + rr * rr))
-    else:
-        raise ValueError(f"which must be 'constant' or 'dynamical', got {which!r}")
-    return _integrating_factor_residual(psi, t, r_bar, h)
-
-
-def _integrating_factor_residual(psi, t, r_bar, h):
-    fr = lambda tt, rr: psi(tt, rr) * (1.0 - rr * rr / (4.0 * tt * tt))
-    ft = lambda tt, rr: psi(tt, rr) * rr / (2.0 * tt)
-    d_r = (fr(t, r_bar + h) - fr(t, r_bar - h)) / (2.0 * h)
-    d_t = (ft(t + h, r_bar) - ft(t - h, r_bar)) / (2.0 * h)
-    return d_r - d_t
 
 
 @dataclass(frozen=True)
@@ -292,13 +264,3 @@ def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
         return MatchedModel("frw2", r0, eos)
     raise ValueError(f"unknown model variant {variant!r}")
 
-
-def units_convert(value: float, to: str) -> float:
-    """Geometric (mass-unit) value to presentation units."""
-    if to == "length-km":
-        return value * G_KM_PER_MSUN
-    if to == "time-sec":
-        return value * G_KM_PER_MSUN / C_KM_PER_S
-    if to == "density-Msun-per-km3":
-        return value / G_KM_PER_MSUN**3
-    raise ValueError(f"unknown conversion target {to!r}")

@@ -260,20 +260,17 @@ def _override_right_ghost_metric(state: SimState, t_new: float) -> None:
     exterior for matched models, frozen values after chopping."""
     if state.right_frozen:
         return
-    model = state.model
-    if _is_matched(model):
-        q = models.tov_exponent(state.eos)
+    if _is_matched(state.model):
         try:
             _, idx = diagnostics.detect_tov_border(state)
             state.bt = rematch_tov_timescale(state, idx)
         except BorderNotFound:
             pass  # exterior still uncontaminated: keep the current scale
-        state.A[-1] = 1.0 - KAPPA * models.gamma(state.eos)
-        state.B[-1] = state.bt * state.xe[-1] ** q
+        _, _, a, b, _ = models.tov_state(state.xe[-1:], state.bt, state.eos)
     else:
-        _, _, a, b, _ = model.evaluate(t_new, state.xe[-1:])
-        state.A[-1] = a[0]
-        state.B[-1] = b[0]
+        _, _, a, b, _ = state.model.evaluate(t_new, state.xe[-1:])
+    state.A[-1] = a[0]
+    state.B[-1] = b[0]
 
 
 def advance(state: SimState, dt_cap: float | None = None) -> StepReport:

@@ -1,9 +1,9 @@
-"""Closed-form spacetime models, matching constants, and unit conversions."""
+"""Closed-form spacetime models and matching constants."""
 
 import numpy as np
 import pytest
 
-from relshock import models, scheme
+from relshock import scheme
 from relshock.errors import NonPhysicalState
 from relshock.fluid import EosParams
 from relshock.models import (
@@ -16,12 +16,10 @@ from relshock.models import (
     frw2_frw_time,
     frw2_state,
     gamma,
-    integrating_factor_check,
     make_model,
     match,
     tov_exponent,
     tov_state,
-    units_convert,
 )
 
 V0 = np.sqrt(3.0 / 7.0)
@@ -129,6 +127,27 @@ def test_frw2_reduces_to_frw1_under_constant_factor():
         assert B1[0] == pytest.approx(B2[k], rel=1e-12)
 
 
+def integrating_factor_check(t: float, r_bar: float, which: str, h: float = 1e-5):
+    """Finite-difference residual of the integrating-factor equation
+    d/dr [Psi (1 - r^2/4t^2)] - d/dt [Psi r/(2t)] for the constant or the
+    dynamical solution; O(h^2) for a true solution."""
+    if which == "constant":
+        psi = lambda tt, rr: 1.0
+    elif which == "dynamical":
+        psi = lambda tt, rr: np.sqrt(tt / (4.0 * tt * tt + rr * rr))
+    else:
+        raise ValueError(f"which must be 'constant' or 'dynamical', got {which!r}")
+    return _integrating_factor_residual(psi, t, r_bar, h)
+
+
+def _integrating_factor_residual(psi, t, r_bar, h):
+    fr = lambda tt, rr: psi(tt, rr) * (1.0 - rr * rr / (4.0 * tt * tt))
+    ft = lambda tt, rr: psi(tt, rr) * rr / (2.0 * tt)
+    d_r = (fr(t, r_bar + h) - fr(t, r_bar - h)) / (2.0 * h)
+    d_t = (ft(t + h, r_bar) - ft(t - h, r_bar)) / (2.0 * h)
+    return d_r - d_t
+
+
 @pytest.mark.parametrize("which", ["constant", "dynamical"])
 def test_integrating_factor_solutions(which):
     """Both factors satisfy the exactness equation: the finite-difference
@@ -142,7 +161,7 @@ def test_integrating_factor_solutions(which):
 def test_integrating_factor_negative_control():
     """A perturbed factor does not satisfy the equation."""
     bad = lambda t, r: np.sqrt(t / (4 * t * t + r * r)) * (1.0 + 0.01 * r)
-    resid = models._integrating_factor_residual(bad, 7.0, 4.0, 1e-4)
+    resid = _integrating_factor_residual(bad, 7.0, 4.0, 1e-4)
     assert abs(resid) > 1e-5
 
 
@@ -306,24 +325,3 @@ def test_reversed_scale_factor_satisfies_constraints(eos):
         assert dR**2 == pytest.approx(8.0 * np.pi / 3.0 * rho(t) * R(t) ** 2,
                                       rel=1e-7)
 
-
-# --- units -------------------------------------------------------------------
-
-
-def test_units_length():
-    assert units_convert(3.0, "length-km") == pytest.approx(4.43, abs=0.01)
-    assert units_convert(7.0, "length-km") == pytest.approx(10.37, rel=5e-3)
-
-
-def test_units_time():
-    assert units_convert(1.0, "time-sec") == pytest.approx(4.9e-6, rel=0.01)
-
-
-def test_units_zero_maps_to_zero():
-    for target in ("length-km", "time-sec", "density-Msun-per-km3"):
-        assert units_convert(0.0, target) == 0.0
-
-
-def test_units_density():
-    got = units_convert(1.0, "density-Msun-per-km3")
-    assert got == pytest.approx(1.0 / models.G_KM_PER_MSUN**3, rel=1e-12)
