@@ -336,7 +336,7 @@ class WeakResidualMonitor:
             )
         if t0 < state.t:
             raise RelshockError("support exceeds the recorded time span")
-        self._dx = dx = state.dx
+        dx = state.dx
         # half-cell midpoints: left halves [x_k, xe_k], right halves [xe_k, x_{k+1}]
         xm_l = state.x[:-1] + dx / 4.0
         xm_r = state.xe + dx / 4.0
@@ -356,7 +356,7 @@ class WeakResidualMonitor:
         if not (tm + dt < t0 or tm - dt > t1):
             eos = state.eos
             alpha = np.sqrt(A * B)
-            area = 0.5 * self._dx * dt
+            area = 0.5 * state.dx * dt
             for xm, sl in self._halves:
                 rho, v, u0, u1 = rho_c[sl], v_c[sl], u0_c[sl], u1_c[sl]
                 t11 = fluid.t11_arrays(rho, v, eos)
