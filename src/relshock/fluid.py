@@ -11,6 +11,7 @@ for the fluxes is :func:`t11_arrays`.  The speed of light is fixed at c = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class EosParams:
     """Equation of state p = sigma*rho with constant sigma.
 
     sqrt(sigma) is the sound speed; K = 2*sigma/(1+sigma)^2 is the constant
-    appearing in the Riemann invariants.
+    appearing in the Riemann invariants.  Each derived constant is computed
+    on first use and kept: the kernels read them many times per step.
     """
 
     sigma: float = 1.0 / 3.0
@@ -47,19 +49,19 @@ class EosParams:
         if not 0.0 < self.sigma < 1.0:
             raise NonPhysicalState(f"sigma must lie in (0, 1), got {self.sigma}")
 
-    @property
+    @cached_property
     def sound_speed(self) -> float:
         return np.sqrt(self.sigma)
 
-    @property
+    @cached_property
     def K(self) -> float:
         return 2.0 * self.sigma / (1.0 + self.sigma) ** 2
 
-    @property
+    @cached_property
     def sqrt_K_half(self) -> float:
         return np.sqrt(self.K / 2.0)
 
-    @property
+    @cached_property
     def sqrt_2K(self) -> float:
         return np.sqrt(2.0 * self.K)
 
@@ -89,7 +91,8 @@ def _enthalpy_gamma2(rho, v, sig):
 
 def _require(ok, what: str, **values):
     """Raise NonPhysicalState naming the first entry where `ok` is false;
-    NaN compares false, so it never passes."""
+    NaN compares false, so it never passes.  Callers test all their
+    conditions in one mask first and come here only when it fails."""
     if np.all(ok):
         return
     k = int(np.flatnonzero(~np.asarray(ok))[0])
@@ -108,9 +111,10 @@ def fluid_arrays(u0, u1, eos: EosParams):
     """
     sig = eos.sigma
     disc = (sig + 1.0) ** 2 * u0 * u0 - 4.0 * sig * u1 * u1
-    _require(disc >= 0.0, "conserved pair outside the physical region (disc < 0)",
-             u0=u0, u1=u1)
-    _require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
+    if not np.all((disc >= 0.0) & (u0 > 0.0)):
+        _require(disc >= 0.0, "conserved pair outside the physical region (disc < 0)",
+                 u0=u0, u1=u1)
+        _require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
     denom = (sig + 1.0) * u0 + np.sqrt(np.maximum(disc, 0.0))
     v = 2.0 * u1 / denom
     rho = (1.0 - v) * (1.0 + v) * denom / (2.0 * (sig + 1.0))
@@ -119,8 +123,9 @@ def fluid_arrays(u0, u1, eos: EosParams):
 
 def check_fluid(rho, v):
     """Reject any entry without rho > 0 and |v| < 1 (NaN fails both)."""
-    _require(rho > 0.0, "rho must be positive", rho=rho)
-    _require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
+    if not np.all((rho > 0.0) & (np.abs(v) < 1.0)):
+        _require(rho > 0.0, "rho must be positive", rho=rho)
+        _require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
 
 
 def t11_arrays(rho, v, eos: EosParams):

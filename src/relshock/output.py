@@ -20,8 +20,9 @@ __all__ = ["emit_plotdata", "emit_samples", "emit_fan_json", "emit_table",
            "emit_manifest"]
 
 SNAPSHOT_COLUMNS = ("r", "rho", "v", "A", "B", "M", "sqrtAB", "mu")
-# rows formatted per string: large enough to amortise the `%`, small enough
-# that the block's Python floats and text stay a few hundred KiB
+# rows (or manifest list entries) formatted per string: large enough to
+# amortise the `%` or encoder call, small enough that the block's Python
+# objects and text stay a few hundred KiB
 _BLOCK_ROWS = 256
 
 
@@ -107,6 +108,14 @@ def emit_table(result: dict, path: str) -> str:
 
 
 def emit_manifest(payload: dict, path: str) -> str:
+    """Write a run manifest as JSON with sorted string keys, one top-level
+    key per line.
+
+    Values go through json's C encoder (an `indent` would force the
+    pure-Python one), a long list `_BLOCK_ROWS` entries at a time so the
+    encoder's buffer stays small; numpy scalars and arrays become plain
+    numbers and lists.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
     def default(obj):
@@ -116,7 +125,18 @@ def emit_manifest(payload: dict, path: str) -> str:
             return obj.item()
         raise TypeError(f"cannot serialize {type(obj)}")
 
+    encode = json.JSONEncoder(sort_keys=True, default=default).encode
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
-        fh.write("\n")
+        fh.write("{")
+        for k, key in enumerate(sorted(payload)):
+            value = payload[key]
+            fh.write(("," if k else "") + "\n  " + encode(key) + ": ")
+            if isinstance(value, list) and value:
+                for start in range(0, len(value), _BLOCK_ROWS):
+                    block = encode(value[start:start + _BLOCK_ROWS])[1:-1]
+                    fh.write(("[" if start == 0 else ", ") + block)
+                fh.write("]")
+            else:
+                fh.write(encode(value))
+        fh.write("\n}\n" if payload else "}\n")
     return path

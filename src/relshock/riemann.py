@@ -18,9 +18,12 @@ fixed and the problem is one equation in u1, from u1 = delta/2 - m/a.
 
 Everything is vectorized: :func:`solve_interfaces` takes one array per
 side and returns a :class:`RiemannGridSolution` holding middle states,
-wave speeds and shock strengths for all interfaces at once, and
-:func:`sample_solution` evaluates it at any self-similar speed.  A single
-problem is a batch of one.  Each Newton solve runs only on the interfaces
+shock strengths and shock speeds for all interfaces at once; its four
+edge-speed arrays are computed only when first read.
+:func:`sample_solution` evaluates it at any self-similar speed xi.  It
+tests rarefaction edges by comparing velocities with the velocity whose
+eigenvalue is xi, so it reads no edge-speed array.  A single problem is a
+batch of one.  Each Newton solve runs only on the interfaces
 that have its wave, and each entry is frozen at its first iterate with
 |residual| < eps, so an interface solves to the same bits alone or in any
 batch.
@@ -66,10 +69,13 @@ def _p(u, eos: EosParams):
     return -np.arcsinh(eos.sqrt_2K * np.sinh(0.5 * u))
 
 
-def _p_slope(u, eos: EosParams):
-    """dp/du, increasing in magnitude from a/2 at u = 0 toward 1/2."""
+def _p_and_slope(u, eos: EosParams):
+    """(p(u), dp/du) sharing a*sinh(u/2); the slope grows in magnitude from
+    a/2 at u = 0 toward 1/2."""
     a = eos.sqrt_2K
-    return -0.5 * a * np.cosh(0.5 * u) / np.hypot(1.0, a * np.sinh(0.5 * u))
+    h = 0.5 * u
+    x = a * np.sinh(h)
+    return -np.arcsinh(x), -0.5 * a * np.cosh(h) / np.hypot(1.0, x)
 
 
 def _s1_curve(u, eos: EosParams):
@@ -80,15 +86,15 @@ def _s1_curve(u, eos: EosParams):
     return p - cu, p + cu
 
 
+# region of each sign pattern 2*(dr < 0) + (ds < 0) of finite (dr, ds)
+_QUADRANTS = np.array([REGION_IV, REGION_I, REGION_III, REGION_II], dtype=np.int8)
+
+
 def _classify_arrays(dr, ds):
-    """Quadrant of (dr, ds) = UR - UL; REGION_II is tentative (points of the
-    (-,-) quadrant between the shock curves and the axes belong to I or
-    III)."""
-    region = np.full(np.shape(dr), REGION_IV, dtype=np.int8)
-    region[(dr < 0) & (ds >= 0)] = REGION_III
-    region[(dr >= 0) & (ds < 0)] = REGION_I
-    region[(dr < 0) & (ds < 0)] = REGION_II
-    return region
+    """Quadrant of (dr, ds) = UR - UL, both finite; REGION_II is tentative
+    (points of the (-,-) quadrant between the shock curves and the axes
+    belong to I or III)."""
+    return _QUADRANTS[2 * (dr < 0) + (ds < 0)]
 
 
 def _newton(step, u, arrays, eos: EosParams, eps: float):
@@ -112,8 +118,10 @@ def _newton(step, u, arrays, eos: EosParams, eps: float):
 
 
 def _pure_step(u, eos, t):
-    resid = t - _s1_curve(u, eos)[0]
-    return np.abs(resid), resid / (_p_slope(u, eos) - eos.sqrt_K_half)
+    p, slope = _p_and_slope(u, eos)
+    c = eos.sqrt_K_half
+    resid = t - (p - c * u)
+    return np.abs(resid), resid / (slope - c)
 
 
 def _solve_pure(t, eos: EosParams, eps: float):
@@ -124,12 +132,14 @@ def _solve_pure(t, eos: EosParams, eps: float):
 
 
 def _two_shock_step(u1, eos, dr, ds, delta):
-    c1 = _s1_curve(u1, eos)
-    c2 = _s1_curve(u1 - delta, eos)
-    resid_r = dr - (c1[0] + c2[1])
-    resid_s = ds - (c1[1] + c2[0])
-    slope = _p_slope(u1, eos) + _p_slope(u1 - delta, eos)
-    return np.maximum(np.abs(resid_r), np.abs(resid_s)), 0.5 * (resid_r + resid_s) / slope
+    # the 1-shock curve at u1 plus the mirrored curve at u2 (see _s1_curve)
+    u2 = u1 - delta
+    (p1, slope1), (p2, slope2) = _p_and_slope(u1, eos), _p_and_slope(u2, eos)
+    cu1, cu2 = eos.sqrt_K_half * u1, eos.sqrt_K_half * u2
+    resid_r = dr - ((p1 - cu1) + (p2 + cu2))
+    resid_s = ds - ((p1 + cu1) + (p2 - cu2))
+    return (np.maximum(np.abs(resid_r), np.abs(resid_s)),
+            0.5 * (resid_r + resid_s) / (slope1 + slope2))
 
 
 def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
@@ -151,6 +161,9 @@ class RiemannGridSolution:
     Attributes are parallel arrays, one entry per interface.  Wave speeds
     are in the local Minkowski frame of the cell; the scheme scales them by
     the cell's coordinate light speed when it needs coordinate speeds.
+    Shock speeds are computed with the solution, on shock entries only; the
+    edge speeds speed1_head, speed1_tail, speed2_head and speed2_tail are
+    computed on first read and kept; sampling reads the shock speeds only.
     """
 
     __slots__ = (
@@ -166,24 +179,40 @@ class RiemannGridSolution:
         "s_mid",
         "rho_mid",
         "v_mid",
-        "speed1_head",
-        "speed1_tail",
-        "speed2_head",
-        "speed2_tail",
         "r_right",
         "s_left",
+        "_shocks",
+        "_speeds",
     )
 
     def __init__(self, eos, rho_l, v_l, rho_r, v_r):
         self.eos = eos
         self.rho_l, self.v_l, self.rho_r, self.v_r = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (rho_l, v_l, rho_r, v_r)))
+        self._speeds = None
 
     def wave1_is_shock(self):
         return (self.region == REGION_II) | (self.region == REGION_III)
 
     def wave2_is_shock(self):
         return (self.region == REGION_I) | (self.region == REGION_II)
+
+    def _edge_speeds(self):
+        """Rarefaction edges move at the characteristic speeds of their
+        bounding states; both edges of a shock move at its speed."""
+        if self._speeds is None:
+            eos = self.eos
+            on1, s1, on2, s2 = self._shocks
+            self._speeds = (np.where(on1, s1, fluid.lambda1_arrays(self.v_l, eos)),
+                            np.where(on1, s1, fluid.lambda1_arrays(self.v_mid, eos)),
+                            np.where(on2, s2, fluid.lambda2_arrays(self.v_mid, eos)),
+                            np.where(on2, s2, fluid.lambda2_arrays(self.v_r, eos)))
+        return self._speeds
+
+    speed1_head = property(lambda self: self._edge_speeds()[0])
+    speed1_tail = property(lambda self: self._edge_speeds()[1])
+    speed2_head = property(lambda self: self._edge_speeds()[2])
+    speed2_tail = property(lambda self: self._edge_speeds()[3])
 
 
 def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10):
@@ -194,10 +223,11 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     first interface whose Newton solve does not converge.
     """
     sol = RiemannGridSolution(eos, rho_l, v_l, rho_r, v_r)
-    fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",
-                   rho_l=sol.rho_l, rho_r=sol.rho_r)
-    fluid._require((np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0),
-                   "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)
+    rho_ok = (sol.rho_l > 0.0) & (sol.rho_r > 0.0)
+    v_ok = (np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0)
+    if not np.all(rho_ok & v_ok):
+        fluid._require(rho_ok, "rho must be positive", rho_l=sol.rho_l, rho_r=sol.rho_r)
+        fluid._require(v_ok, "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)
     rL, sL = fluid.invariant_arrays(sol.rho_l, sol.v_l, eos)
     rR, sR = fluid.invariant_arrays(sol.rho_r, sol.v_r, eos)
     dr = rR - rL
@@ -260,7 +290,7 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     sol.r_mid, sol.s_mid = r_mid, s_mid
     sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(r_mid, s_mid, eos)
     sol.r_right, sol.s_left = rR, sL
-    _attach_speeds(sol, w1, w2)
+    sol._shocks = _shock_speeds(sol, w1, w2)
     return sol
 
 
@@ -269,37 +299,34 @@ def _rest_frame_shock_speed(f_value, eos: EosParams):
     return np.sqrt((f_value + sig) / (f_value + 1.0 / sig))
 
 
-def _attach_speeds(sol: RiemannGridSolution, w1, w2):
-    """Coordinate-frame wave speeds (Minkowski cell, light speed 1).
+def _shock_speeds(sol: RiemannGridSolution, w1, w2):
+    """(is_shock1, s1, is_shock2, s2): where each family is a shock, and its
+    speed there (NaN elsewhere), evaluated on the shock entries only
+    (indices w1 of 1-shocks, w2 of 2-shocks).
 
-    Rarefaction edges are the characteristic speeds of their bounding
-    states.  On the shock entries only (indices w1 of 1-shocks, w2 of
-    2-shocks), both edges become the rest-frame shock speed composed with
-    the pre-wave state's velocity by the relativistic addition law; the
-    1-family speed is negative in the rest frame.
+    Each is the rest-frame shock speed composed with the pre-wave state's
+    velocity by the relativistic addition law; the 1-family speed is
+    negative in the rest frame.
     """
     eos = sol.eos
-    head1 = fluid.lambda1_arrays(sol.v_l, eos)
-    tail1 = fluid.lambda1_arrays(sol.v_mid, eos)
-    s1_rest = -_rest_frame_shock_speed(_f_big(sol.beta1[w1]), eos)
-    head1[w1] = tail1[w1] = fluid.lorentz_compose(sol.v_l[w1], s1_rest)
-
-    head2 = fluid.lambda2_arrays(sol.v_mid, eos)
-    tail2 = fluid.lambda2_arrays(sol.v_r, eos)
-    s2_rest = _rest_frame_shock_speed(1.0 / _f_big(sol.beta2[w2]), eos)
-    head2[w2] = tail2[w2] = fluid.lorentz_compose(sol.v_mid[w2], s2_rest)
-
-    sol.speed1_head, sol.speed1_tail = head1, tail1
-    sol.speed2_head, sol.speed2_tail = head2, tail2
+    s1, s2 = np.full(sol.region.shape, np.nan), np.full(sol.region.shape, np.nan)
+    s1[w1] = fluid.lorentz_compose(
+        sol.v_l[w1], -_rest_frame_shock_speed(_f_big(sol.beta1[w1]), eos))
+    s2[w2] = fluid.lorentz_compose(
+        sol.v_mid[w2], _rest_frame_shock_speed(1.0 / _f_big(sol.beta2[w2]), eos))
+    return sol.wave1_is_shock(), s1, sol.wave2_is_shock(), s2
 
 
 def sample_solution(sol: RiemannGridSolution, xi):
     """Self-similar state at speed(s) xi for every interface in the batch.
 
-    xi broadcasts against the interface arrays.  Fan interiors invert the
-    matching eigenvalue and carry the invariant that is constant across
-    that family (s across a 1-fan, r across a 2-fan); those formulas run
-    on the fan entries only, so xi = +-1 never reaches the rapidity.
+    xi broadcasts against the interface arrays.  Both eigenvalue maps
+    increase with v, so a rarefaction edge is tested in velocity space:
+    xi <= lambda1(v) exactly when v >= w1 = v_from_lambda(xi, 1), and
+    likewise for the 2-family with w2.  w1 and w2 are scalars when xi is,
+    so no edge-speed array is formed; shock entries compare xi with the
+    shock speed.  Fan interiors take v = w and carry the invariant that is
+    constant across that family (s across a 1-fan, r across a 2-fan).
     """
     eos = sol.eos
     xi = np.asarray(xi, dtype=float)
@@ -308,24 +335,26 @@ def sample_solution(sol: RiemannGridSolution, xi):
     def at(a, mask):
         return np.broadcast_to(a, shape)[mask]
 
-    rho = np.broadcast_to(sol.rho_mid, shape).copy()
-    v = np.broadcast_to(sol.v_mid, shape).copy()
+    # the inverse maps are monotone on [-1, 1]; every fan lies inside it
+    xc = np.minimum(np.maximum(xi, -1.0), 1.0)
+    w1, w2 = fluid.v_from_lambda(xc, 1, eos), fluid.v_from_lambda(xc, 2, eos)
+    on1, s1, on2, s2 = sol._shocks
 
-    left_of_1 = xi <= sol.speed1_head
-    rho[left_of_1] = at(sol.rho_l, left_of_1)
-    v[left_of_1] = at(sol.v_l, left_of_1)
+    left_of_1 = np.where(on1, xi <= s1, sol.v_l >= w1)
+    rho = np.where(left_of_1, sol.rho_l, sol.rho_mid)
+    v = np.where(left_of_1, sol.v_l, sol.v_mid)
 
-    in_fan1 = (~sol.wave1_is_shock()) & (xi > sol.speed1_head) & (xi < sol.speed1_tail)
+    in_fan1 = ~on1 & (w1 > sol.v_l) & (w1 < sol.v_mid)
     if in_fan1.any():
-        v[in_fan1] = fluid.v_from_lambda(at(xi, in_fan1), 1, eos)
+        v[in_fan1] = at(w1, in_fan1)
         rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
 
-    right_of_2 = xi >= sol.speed2_tail
-    rho[right_of_2] = at(sol.rho_r, right_of_2)
-    v[right_of_2] = at(sol.v_r, right_of_2)
+    right_of_2 = np.where(on2, xi >= s2, sol.v_r <= w2)
+    rho = np.where(right_of_2, sol.rho_r, rho)
+    v = np.where(right_of_2, sol.v_r, v)
 
-    in_fan2 = (~sol.wave2_is_shock()) & (xi > sol.speed2_head) & (xi < sol.speed2_tail)
+    in_fan2 = ~on2 & (w2 > sol.v_mid) & (w2 < sol.v_r)
     if in_fan2.any():
-        v[in_fan2] = fluid.v_from_lambda(at(xi, in_fan2), 2, eos)
+        v[in_fan2] = at(w2, in_fan2)
         rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)
     return rho, v

@@ -197,10 +197,14 @@ def _naming_cells(t: float, first: int | None):
         raise NonPhysicalState(str(err).replace(f"at index {k}", f"at {where}, t={t:.9g}")) from err
 
 
-def _refresh_left_ghost(state: SimState, t_new: float):
-    rho, v, _, _, _ = state.model.evaluate(t_new, state.x[:1])
+def _refresh_left_boundary(state: SimState, t_new: float):
+    """Set the left ghost fluid from the model and return the model's
+    (A, B, M) at the first edge, the anchors of the mass/metric integration;
+    one evaluation at (x_0, xe_0) gives both."""
+    rho, v, a, b, m = state.model.evaluate(t_new, np.array([state.x[0], state.xe[0]]))
     state.rho[0] = rho[0]
     state.v[0] = v[0]
+    return a[1], b[1], m[1]
 
 
 def _refresh_right_ghost_fluid(state: SimState, t_new: float):
@@ -213,21 +217,22 @@ def _refresh_right_ghost_fluid(state: SimState, t_new: float):
     state.v[-1] = v[0]
 
 
-def update_mass_metric(state: SimState, t_new: float):
-    """Integrate M, A and B up from the exact left-boundary anchors using
-    midpoint values of the freshly updated conserved field."""
+def update_mass_metric(state: SimState, t_new: float, anchors):
+    """Integrate M, A and B up from the exact left-boundary anchors, the
+    model's (A, B, M) at xe[0] and t_new, using midpoint values of the
+    freshly updated conserved field."""
     eos = state.eos
     xe = state.xe
     if state.right_frozen:
         # left boundary still tracks the model; right ghost edge is frozen
         a_right, b_right = state.A[-1], state.B[-1]
-    _, _, a0, b0, m0 = state.model.evaluate(t_new, xe[:1])
+    a0, b0, m0 = anchors
     u0mid = 0.5 * (state.u0[:-1] + state.u0[1:])   # at xe[0..n-1]
     u1mid = 0.5 * (state.u1[:-1] + state.u1[1:])
     terms_m = 0.5 * KAPPA * u0mid[:-1] * xe[:-1] ** 2 * state.dx
-    M = m0[0] + np.concatenate(([0.0], np.cumsum(terms_m)))
+    M = m0 + np.concatenate(([0.0], np.cumsum(terms_m)))
     A = 1.0 - 2.0 * M / xe
-    A[0] = a0[0]
+    A[0] = a0
     if np.any(A <= HORIZON_FLOOR):
         raise HorizonEncountered(
             f"radial metric component reached {A.min():.3e} at t={t_new:.6f}"
@@ -236,7 +241,7 @@ def update_mass_metric(state: SimState, t_new: float):
     t11_mid = fluid.t11_arrays(rho_mid, v_mid, eos)
     terms_b = ((1.0 / A[:-1] - 1.0) / xe[:-1]
                + KAPPA * xe[:-1] / A[:-1] * t11_mid) * state.dx
-    B = b0[0] * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
+    B = b0 * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
     state.M, state.A, state.B = M, A, B
     if state.right_frozen:
         state.A[-1], state.B[-1] = a_right, b_right
@@ -309,14 +314,14 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     state.u0[1:-1], state.u1[1:-1] = u0_new, u1_new
     state.rho[1:-1], state.v[1:-1] = rho_new, v_new
 
-    _refresh_left_ghost(state, t_new)
+    anchors = _refresh_left_boundary(state, t_new)
     _refresh_right_ghost_fluid(state, t_new)
     ends = [0, -1]
     state.u0[ends], state.u1[ends] = fluid.conserved_arrays(state.rho[ends], state.v[ends], eos)
 
     # Update step: mass and metric by integration from the left anchor.
     with _naming_cells(t_new, None):   # midpoint k lies between cells k, k+1
-        update_mass_metric(state, t_new)
+        update_mass_metric(state, t_new, anchors)
     _override_right_ghost_metric(state, t_new)
 
     state.t = t_new

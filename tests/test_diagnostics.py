@@ -125,6 +125,41 @@ def test_weak_residual_rejects_support_outside_the_run():
         late.value()
 
 
+class FirstChop:
+    """Hook recording the time of the first step run on a chopped grid."""
+
+    def __init__(self):
+        self.t = None
+
+    def on_start(self, state):
+        self.n = state.n
+
+    def __call__(self, state, report):
+        if self.t is None and state.n < self.n:
+            self.t = state.t
+
+
+def test_weak_residual_refuses_a_chopped_grid():
+    """A bump whose window covers a chopped step stops the run with a
+    RelshockError naming that step; a bump that ends before the first chop
+    keeps its value."""
+    eos = EosParams()
+    model = models.make_model("frw1_tov", eos, r0=5.0, reversed_time=True)
+    t0 = model.t_start
+    first_chop = FirstChop()
+    before = diagnostics.WeakResidualMonitor(
+        diagnostics.BumpTestFunction(t0 + 1.05, 1.0, 5.0, 1.0))
+    covering = diagnostics.WeakResidualMonitor(
+        diagnostics.BumpTestFunction(t0 + 2.3, 2.25, 5.0, 1.0))
+    with pytest.raises(RelshockError, match="does not support runs that chop the grid") as info:
+        experiments.simulate_model(model, scheme.SimGrid(0.1, 20.0, 128), eos, 5.0,
+                                   extra_hooks=(first_chop, before, covering),
+                                   chop_after_hit=True, min_cells=64)
+    assert t0 + 1.05 + 1.0 < first_chop.t < t0 + 2.3 + 2.25
+    assert f"step ending at t={first_chop.t:.9g}:" in str(info.value)
+    assert before.value() > 0.0
+
+
 FRW1_BUMPS = [(0.25, 0.2, 5.0, 1.0), (0.1, 0.08, 4.0, 0.5), (0.3, 0.15, 6.2, 0.7)]
 # (model, make_model keywords, n, duration, bumps as (start offset of the
 # time center, time halfwidth, x center, x halfwidth))

@@ -1,6 +1,8 @@
 """Pointwise conversions among fluid variables, conserved quantities,
 invariants and stress components, and the physicality checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,29 @@ def test_eos_constants(eos):
     assert eos.sound_speed == pytest.approx(1.0 / np.sqrt(3.0))
 
 
+@pytest.mark.parametrize("sigma", [0.1, 1.0 / 3.0, 0.9])
+def test_eos_cached_constants_equal_closed_forms(sigma):
+    """The derived constants are computed once per instance and equal
+    their closed forms exactly, on first and on later reads."""
+    eos = EosParams(sigma)
+    k = 2.0 * sigma / (1.0 + sigma) ** 2
+    closed = {"sound_speed": np.sqrt(sigma), "K": k,
+              "sqrt_K_half": np.sqrt(k / 2.0), "sqrt_2K": np.sqrt(2.0 * k)}
+    for _ in range(2):
+        assert {name: getattr(eos, name) for name in closed} == closed
+        assert set(closed) <= set(vars(eos))
+
+
+def test_eos_stays_frozen_hashable_and_equal_by_sigma():
+    read, fresh = EosParams(0.3), EosParams(0.3)
+    assert read.sqrt_2K > 0.0 and "sqrt_2K" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert {read: 1}[fresh] == 1
+    assert read != EosParams(0.4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.sigma = 0.5
+
+
 def test_eos_rejects_bad_sigma():
     with pytest.raises(NonPhysicalState, match="sigma must lie in"):
         EosParams(1.5)
@@ -53,6 +78,39 @@ def test_check_fluid_rejects_nan_and_names_the_index():
         check_fluid(np.array([1.0, np.nan]), np.array([0.0, 0.0]))
     with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at index 0"):
         check_fluid(np.array([1.0, 1.0]), np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("rho, v, message", [
+    (np.nan, 0.1, "rho must be positive at index 0 (rho=nan)"),
+    (0.0, 0.1, "rho must be positive at index 0 (rho=0.000000e+00)"),
+    (-1.0, 0.1, "rho must be positive at index 0 (rho=-1.000000e+00)"),
+    (1.0, 1.0, "|v| must be < 1 at index 0 (v=1.000000e+00)"),
+    (1.0, -1.5, "|v| must be < 1 at index 0 (v=-1.500000e+00)"),
+    (1.0, np.nan, "|v| must be < 1 at index 0 (v=nan)"),
+])
+def test_check_fluid_on_python_scalars(rho, v, message):
+    """Plain floats go through the same single mask and, on failure, the
+    same per-condition message."""
+    check_fluid(1.0, 0.5)
+    with pytest.raises(NonPhysicalState) as info:
+        check_fluid(rho, v)
+    assert str(info.value) == message and info.value.index == 0
+
+
+@pytest.mark.parametrize("u0, u1, message", [
+    (np.nan, 0.1, "conserved pair outside the physical region (disc < 0) at index 0 "
+                  "(u0=nan, u1=1.000000e-01)"),
+    (1.0, np.nan, "conserved pair outside the physical region (disc < 0) at index 0 "
+                  "(u0=1.000000e+00, u1=nan)"),
+    (1.0, 2.0, "conserved pair outside the physical region (disc < 0) at index 0 "
+               "(u0=1.000000e+00, u1=2.000000e+00)"),
+    (0.0, 0.0, "u0 must be positive at index 0 (u0=0.000000e+00, u1=0.000000e+00)"),
+    (-1.0, 0.0, "u0 must be positive at index 0 (u0=-1.000000e+00, u1=0.000000e+00)"),
+])
+def test_fluid_arrays_on_python_scalars(eos, u0, u1, message):
+    with pytest.raises(NonPhysicalState) as info:
+        fluid_arrays(u0, u1, eos)
+    assert str(info.value) == message and info.value.index == 0
 
 
 def test_comoving_conserved(eos):

@@ -141,6 +141,49 @@ def test_manifest_writes_numpy_values_as_plain_numbers(tmp_path):
     assert list(json.loads(text)) == sorted(payload)
 
 
+def reference_manifest(payload, path):
+    """The indented writer: json's pure-Python encoder, two-space indent."""
+    def default(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, (np.floating, np.integer)):
+            return obj.item()
+        raise TypeError(f"cannot serialize {type(obj)}")
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
+        fh.write("\n")
+
+
+def test_manifest_parses_as_the_indented_writer(tmp_path):
+    """One top-level key per line, each value compact; parsed, it equals
+    the indented writer's file, numpy scalars and arrays included."""
+    rng = np.random.default_rng(3)
+    payload = {
+        "steps": np.int64(1030),
+        "stop_reason": "grid_exhausted",
+        "dt_history": list(rng.uniform(1e-3, 2e-3, 2 * output._BLOCK_ROWS + 1)),
+        "cones": [[np.float64(t), {"sound_left": np.float64(t / 2), "clamped": bool(t > 0.5)}]
+                  for t in rng.uniform(0.0, 1.0, output._BLOCK_ROWS)],
+        "mu_history": np.column_stack([rng.uniform(0, 1, 30), rng.uniform(0, 1, 30)]),
+        "eos": {"sigma": 1.0 / 3.0, "sizes": np.arange(4, dtype=np.int32)},
+        "empty": {}, "no_chops": [], "none": None, "flag": np.float32(0.25),
+        "one": [np.int64(7)],
+    }
+    new, ref = tmp_path / "new.json", tmp_path / "ref.json"
+    output.emit_manifest(payload, str(new))
+    reference_manifest(payload, str(ref))
+    text = new.read_text()
+    assert json.loads(text) == json.loads(ref.read_text())
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+    assert [json.loads("{" + line.rstrip(",") + "}").popitem()[0]
+            for line in lines[1:-1]] == sorted(payload)
+    empty = tmp_path / "empty.json"
+    output.emit_manifest({}, str(empty))
+    assert empty.read_text() == "{}\n"
+
+
 def test_manifest_rejects_unknown_types(tmp_path):
     with pytest.raises(TypeError, match="cannot serialize"):
         output.emit_manifest({"x": object()}, str(tmp_path / "manifest.json"))

@@ -491,6 +491,108 @@ def test_newton_failure_names_interface_and_states(eos, monkeypatch):
     assert expected in str(info.value)
 
 
+def reference_edge_speeds(sol):
+    """The four edge speeds as the solver once stored them: characteristic
+    speeds of the bounding states, overwritten on shock entries by the
+    shock speed."""
+    eos = sol.eos
+    w1, w2 = sol.wave1_is_shock(), sol.wave2_is_shock()
+    head1 = fluid.lambda1_arrays(sol.v_l, eos)
+    tail1 = fluid.lambda1_arrays(sol.v_mid, eos)
+    s1_rest = -riemann._rest_frame_shock_speed(riemann._f_big(sol.beta1[w1]), eos)
+    head1[w1] = tail1[w1] = fluid.lorentz_compose(sol.v_l[w1], s1_rest)
+    head2 = fluid.lambda2_arrays(sol.v_mid, eos)
+    tail2 = fluid.lambda2_arrays(sol.v_r, eos)
+    s2_rest = riemann._rest_frame_shock_speed(1.0 / riemann._f_big(sol.beta2[w2]), eos)
+    head2[w2] = tail2[w2] = fluid.lorentz_compose(sol.v_mid[w2], s2_rest)
+    return head1, tail1, head2, tail2
+
+
+def reference_sample(sol, xi):
+    """The lambda-space sampler: xi compared with the edge-speed arrays."""
+    eos = sol.eos
+    head1, tail1, head2, tail2 = reference_edge_speeds(sol)
+    xi = np.asarray(xi, dtype=float)
+    shape = np.broadcast_shapes(xi.shape, sol.rho_mid.shape)
+
+    def at(a, mask):
+        return np.broadcast_to(a, shape)[mask]
+
+    rho = np.broadcast_to(sol.rho_mid, shape).copy()
+    v = np.broadcast_to(sol.v_mid, shape).copy()
+    left_of_1 = xi <= head1
+    rho[left_of_1] = at(sol.rho_l, left_of_1)
+    v[left_of_1] = at(sol.v_l, left_of_1)
+    in_fan1 = (~sol.wave1_is_shock()) & (xi > head1) & (xi < tail1)
+    if in_fan1.any():
+        v[in_fan1] = fluid.v_from_lambda(at(xi, in_fan1), 1, eos)
+        rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
+    right_of_2 = xi >= tail2
+    rho[right_of_2] = at(sol.rho_r, right_of_2)
+    v[right_of_2] = at(sol.v_r, right_of_2)
+    in_fan2 = (~sol.wave2_is_shock()) & (xi > head2) & (xi < tail2)
+    if in_fan2.any():
+        v[in_fan2] = fluid.v_from_lambda(at(xi, in_fan2), 2, eos)
+        rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)
+    return rho, v
+
+
+def sampling_batch(eos, rng):
+    """Random interfaces plus transonic 1- and 2-rarefactions (a fan that
+    straddles xi = 0), with 1- and 2-shocks moving both ways."""
+    rho, v = random_states(rng, 4000, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
+    a = eos.sound_speed
+    v_sonic = np.r_[rng.uniform(a - 0.3, a - 0.01, 50), rng.uniform(-0.95, -a - 0.01, 50)]
+    r, s = fluid.invariant_arrays(np.ones(100), v_sonic, eos)
+    d = rng.uniform(0.5, 2.0, 100)
+    rho_r, v_r = fluid.fluid_from_invariant_arrays(r + np.r_[d[:50], np.zeros(50)],
+                                                   s + np.r_[np.zeros(50), d[50:]], eos)
+    sol = solve_interfaces(np.r_[rho[::2], np.ones(100)], np.r_[v[::2], v_sonic],
+                           np.r_[rho[1::2], rho_r], np.r_[v[1::2], v_r], eos)
+    head1, tail1, head2, tail2 = reference_edge_speeds(sol)
+    on1, on2 = sol.wave1_is_shock(), sol.wave2_is_shock()
+    assert np.any(~on1 & (head1 < 0) & (tail1 > 0)) and np.any(~on2 & (head2 < 0) & (tail2 > 0))
+    for on, speed in ((on1, head1), (on2, head2)):
+        assert np.any(on & (speed < 0)) and np.any(on & (speed > 0))
+    return sol
+
+
+def test_lazy_edge_speeds_equal_the_stored_ones(eos, rng):
+    sol = sampling_batch(eos, rng)
+    got = (sol.speed1_head, sol.speed1_tail, sol.speed2_head, sol.speed2_tail)
+    for new, ref in zip(got, reference_edge_speeds(sol)):
+        assert new.tobytes() == ref.tobytes()
+
+
+def test_velocity_space_sampler_is_bit_identical_at_xi_zero(eos, rng):
+    """The scheme samples at xi = 0 only; there the velocity-space edge
+    tests decide exactly as the speed comparisons (the sign of lambda(v)
+    is the sign of v -+ a), so the states are the same bits."""
+    sol = sampling_batch(eos, rng)
+    for xi in (0.0, np.zeros(sol.rho_mid.size)):
+        for new, ref in zip(sample_solution(sol, xi), reference_sample(sol, xi)):
+            assert new.tobytes() == ref.tobytes()
+
+
+def test_velocity_space_sampler_within_four_ulp_anywhere(eos, rng):
+    """At arbitrary xi, per interface, broadcast and outside the light
+    cone, the two samplers agree to 4 ulp.  Exactly on an edge speed the
+    rounding of w can put the state on the other side of the edge; there
+    v agrees to 4 ulp of 1 and rho to the accuracy with which the fan's
+    closed form meets its bounding state."""
+    sol = sampling_batch(eos, rng)
+    cases = [rng.uniform(-1.0, 1.0, sol.rho_mid.size), rng.uniform(-1.0, 1.0, (7, 1)),
+             np.array([-3.0, -1.5, -1.0, 1.0, 1.5, 3.0])[:, None]]
+    for xi in cases:
+        for new, ref in zip(sample_solution(sol, xi), reference_sample(sol, xi)):
+            assert new.shape == ref.shape
+            assert np.all(np.abs(new - ref) <= 4 * np.spacing(np.abs(ref)))
+    for xi in reference_edge_speeds(sol):
+        (rho, v), (rho_ref, v_ref) = sample_solution(sol, xi), reference_sample(sol, xi)
+        assert np.all(np.abs(v - v_ref) <= 4 * np.spacing(1.0))
+        np.testing.assert_allclose(rho, rho_ref, rtol=1e-12, atol=0.0)
+
+
 def test_sample_piecewise_structure(eos):
     left_state = sample_one(TUBE_LEFT, TUBE_RIGHT, -0.9, eos)
     assert left_state[0] == pytest.approx(TUBE_LEFT[0])

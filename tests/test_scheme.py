@@ -137,6 +137,35 @@ def test_advance_inverts_conserved_pairs_three_times(monkeypatch):
     assert in_godunov == []
 
 
+def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
+    """A step samples its Riemann fans at xi = 0 only, which needs no
+    rarefaction edge speed, so no eigenvalue kernel runs; the left ghost
+    and the mass/metric anchors come from one model evaluation (the matched
+    exterior's ghost values need none)."""
+    state, eos = make_state("frw1_tov", n=64, r0=5.0)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+    for name in ("lambda1_arrays", "lambda2_arrays"):
+        monkeypatch.setattr(fluid, name, spy(name, getattr(fluid, name)))
+    monkeypatch.setattr(state.model, "evaluate", spy("evaluate", state.model.evaluate))
+    regions = set()
+    for _ in range(5):
+        regions.update(advance(state).regions.tolist())
+    assert regions >= {riemann.REGION_I, riemann.REGION_IV}
+    assert calls == ["evaluate"] * 5
+    sol = riemann.solve_interfaces(state.rho[:-1], state.v[:-1], state.rho[1:],
+                                   state.v[1:], eos)
+    assert np.all(sol.speed1_head <= sol.speed2_tail)        # computes all four edges
+    assert np.all(sol.speed1_tail <= sol.speed2_head + 1e-14)  # reuses them
+    assert calls[5:] == ["lambda1_arrays", "lambda1_arrays",
+                         "lambda2_arrays", "lambda2_arrays"]
+
+
 def _half_cell_average_by_quadrature(left, right, alpha, dt, dx, eos):
     """Exact average of the evolved Riemann solution over the right half
     cell of the interface (the cell-center state is `right`)."""
@@ -305,7 +334,7 @@ def test_horizon_stop():
     state, eos = make_state("tov", n=64, b0=1.0)
     state.u0[1:-1] *= 1e6  # pile mass on until 2M/r crosses 1
     with pytest.raises(HorizonEncountered):
-        scheme.update_mass_metric(state, state.t)
+        scheme.update_mass_metric(state, state.t, (state.A[0], state.B[0], state.M[0]))
 
 
 def test_advance_tov_static_profiles():
