@@ -134,13 +134,22 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_levels(spec: str):
+    """Mesh sizes lo, 2*lo, 4*lo, ... up to hi from 'lo..hi'; at least two
+    levels, the coarsest with at least 8 gridpoints."""
     lo, _, hi = spec.partition("..")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ConfigError(f"--levels {spec!r}: expected lo..hi with integer bounds") from None
+    if lo < 8:
+        raise ConfigError(f"--levels {spec!r}: the coarsest level needs at least 8 gridpoints")
     ns = []
     n = lo
     while n <= hi:
         ns.append(n)
         n *= 2
+    if len(ns) < 2:
+        raise ConfigError(f"--levels {spec!r}: a ladder needs at least two levels (hi >= 2*lo)")
     return ns
 
 

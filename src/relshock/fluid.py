@@ -27,9 +27,6 @@ __all__ = [
     "t11_arrays",
     "check_fluid",
     "partial_density",
-    "lambda1_arrays",
-    "lambda2_arrays",
-    "v_from_lambda",
     "lorentz_compose",
 ]
 
@@ -162,30 +159,10 @@ def partial_density(invariant_value, which: str, v, eos: EosParams):
     raise ValueError(f"which must be 'r' or 's', got {which!r}")
 
 
-def lambda1_arrays(v, eos: EosParams):
-    """Characteristic speed of the 1-family: sound moving left relative to
-    the fluid."""
-    a = eos.sound_speed
-    return (v - a) / (1.0 - a * v)
-
-
-def lambda2_arrays(v, eos: EosParams):
-    """Characteristic speed of the 2-family: sound moving right relative to
-    the fluid."""
-    a = eos.sound_speed
-    return (v + a) / (1.0 + a * v)
-
-
-def v_from_lambda(lam, family: int, eos: EosParams):
-    """Invert an eigenvalue for the fluid velocity inside a rarefaction fan."""
-    a = eos.sound_speed
-    if family == 1:
-        return (lam + a) / (1.0 + a * lam)
-    if family == 2:
-        return (lam - a) / (1.0 - a * lam)
-    raise ValueError(f"family must be 1 or 2, got {family}")
-
-
 def lorentz_compose(v, w):
-    """Relativistic velocity addition (v + w)/(1 + v*w), c = 1."""
+    """Relativistic velocity addition (v + w)/(1 + v*w), c = 1.
+
+    With w = -a or +a (a the sound speed) it gives the characteristic speeds
+    lambda1(v) and lambda2(v) of the two families; with (xi, +a) or (xi, -a)
+    it inverts them for the velocity inside a 1- or 2-rarefaction fan."""
     return (v + w) / (1.0 + v * w)

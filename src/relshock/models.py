@@ -161,15 +161,15 @@ def match(variant: str, r0: float, eos: EosParams, reversed_time: bool = False) 
 
 
 class Frw1Model:
-    """Pure expanding universe, unit light speed chart (psi0 = 1)."""
+    """Pure expanding universe, unit light speed chart (psi0 = 1); a
+    negative t_start gives the time-reversed (collapsing) solution."""
 
     name = "frw1"
 
-    def __init__(self, eos: EosParams, t_start: float, reversed_time: bool = False):
+    def __init__(self, eos: EosParams, t_start: float):
         _require_radiation(eos)
         self.eos = eos
         self.t_start = float(t_start)
-        self.reversed_time = reversed_time
 
     def evaluate(self, t, r):
         return frw1_state(t, r)
@@ -217,7 +217,6 @@ class MatchedModel:
                  reversed_time: bool = False):
         self.eos = eos
         self.variant = variant
-        self.reversed_time = reversed_time
         self.data = match(variant, r0, eos, reversed_time)
         self.name = f"{variant}_tov" + ("_reversed" if reversed_time else "")
         self.t_start = self.data.t0
@@ -251,9 +250,11 @@ class MatchedModel:
 def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
                t_start: float | None = None, b0: float = 1.0,
                psi0: float | None = None, reversed_time: bool = False):
-    """Model factory keyed by the run-config variant name."""
+    """Model factory keyed by the run-config variant name.  reversed_time
+    applies to frw1_tov; a pure frw1 model runs reversed from a negative
+    t_start."""
     if variant == "frw1":
-        return Frw1Model(eos, t_start if t_start is not None else 15.0, reversed_time)
+        return Frw1Model(eos, t_start if t_start is not None else 15.0)
     if variant == "frw2":
         return Frw2Model(eos, t_start if t_start is not None else 15.0, psi0)
     if variant == "tov":

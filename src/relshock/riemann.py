@@ -201,12 +201,12 @@ class RiemannGridSolution:
         """Rarefaction edges move at the characteristic speeds of their
         bounding states; both edges of a shock move at its speed."""
         if self._speeds is None:
-            eos = self.eos
+            a = self.eos.sound_speed
             on1, s1, on2, s2 = self._shocks
-            self._speeds = (np.where(on1, s1, fluid.lambda1_arrays(self.v_l, eos)),
-                            np.where(on1, s1, fluid.lambda1_arrays(self.v_mid, eos)),
-                            np.where(on2, s2, fluid.lambda2_arrays(self.v_mid, eos)),
-                            np.where(on2, s2, fluid.lambda2_arrays(self.v_r, eos)))
+            self._speeds = (np.where(on1, s1, fluid.lorentz_compose(self.v_l, -a)),
+                            np.where(on1, s1, fluid.lorentz_compose(self.v_mid, -a)),
+                            np.where(on2, s2, fluid.lorentz_compose(self.v_mid, a)),
+                            np.where(on2, s2, fluid.lorentz_compose(self.v_r, a)))
         return self._speeds
 
     speed1_head = property(lambda self: self._edge_speeds()[0])
@@ -322,7 +322,7 @@ def sample_solution(sol: RiemannGridSolution, xi):
 
     xi broadcasts against the interface arrays.  Both eigenvalue maps
     increase with v, so a rarefaction edge is tested in velocity space:
-    xi <= lambda1(v) exactly when v >= w1 = v_from_lambda(xi, 1), and
+    xi <= lambda1(v) exactly when v >= w1 = lorentz_compose(xi, a), and
     likewise for the 2-family with w2.  w1 and w2 are scalars when xi is,
     so no edge-speed array is formed; shock entries compare xi with the
     shock speed.  Fan interiors take v = w and carry the invariant that is
@@ -337,7 +337,8 @@ def sample_solution(sol: RiemannGridSolution, xi):
 
     # the inverse maps are monotone on [-1, 1]; every fan lies inside it
     xc = np.minimum(np.maximum(xi, -1.0), 1.0)
-    w1, w2 = fluid.v_from_lambda(xc, 1, eos), fluid.v_from_lambda(xc, 2, eos)
+    a = eos.sound_speed
+    w1, w2 = fluid.lorentz_compose(xc, a), fluid.lorentz_compose(xc, -a)
     on1, s1, on2, s2 = sol._shocks
 
     left_of_1 = np.where(on1, xi <= s1, sol.v_l >= w1)

@@ -8,7 +8,11 @@ interface under the cell's frozen metric, a flux average (Godunov) over
 each cell, one explicit source increment (ODE), and the mass/metric
 integration up from the left boundary (update).  The Godunov stage is in
 flux form: it takes the flux (T01, T11) of each interface's zero-speed
-Riemann state and of each cell's own (rho, v).
+Riemann state and of each cell's own (rho, v).  Before the update, the
+boundary stage takes the exact model outside the interaction region in one
+evaluation: both ghost cells, the update's left anchors and the last
+edge's (A, B).  A matched model's static exterior is rematched after the
+update, from the integrated B.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ __all__ = ["SimGrid", "SimState", "StepReport", "RunLog", "Hook", "init", "cfl_d
 
 # stop before a literal coordinate singularity; A hits 0 only at a horizon
 HORIZON_FLOOR = 1e-6
+# a run that has not reached t_end after this many steps stops ("max_steps")
+MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -197,36 +203,34 @@ def _naming_cells(t: float, first: int | None):
         raise NonPhysicalState(str(err).replace(f"at index {k}", f"at {where}, t={t:.9g}")) from err
 
 
-def _refresh_left_boundary(state: SimState, t_new: float):
-    """Set the left ghost fluid from the model and return the model's
-    (A, B, M) at the first edge, the anchors of the mass/metric integration;
-    one evaluation at (x_0, xe_0) gives both."""
-    rho, v, a, b, m = state.model.evaluate(t_new, np.array([state.x[0], state.xe[0]]))
-    state.rho[0] = rho[0]
-    state.v[0] = v[0]
-    return a[1], b[1], m[1]
+def _refresh_boundaries(state: SimState, t_new: float):
+    """Boundary stage: set both ghost cells and return the boundary data of
+    the update, left = the model's (A, B, M) at xe_0 and right = the last
+    edge's (A, B).  One model evaluation at (x_0, xe_0), plus (x_{n+1}, xe_n)
+    for a pure model whose grid has not been chopped; a matched exterior or
+    a chopped boundary keeps its right ghost and last-edge values."""
+    tracks_right = not (state.right_frozen or _is_matched(state.model))
+    r = [state.x[0], state.xe[0]] + ([state.x[-1], state.xe[-1]] if tracks_right else [])
+    rho, v, a, b, m = state.model.evaluate(t_new, np.array(r))
+    state.rho[0], state.v[0] = rho[0], v[0]
+    right = state.A[-1], state.B[-1]
+    if tracks_right:
+        state.rho[-1], state.v[-1] = rho[2], v[2]
+        right = a[3], b[3]
+    ends = [0, -1]
+    state.u0[ends], state.u1[ends] = fluid.conserved_arrays(
+        state.rho[ends], state.v[ends], state.eos)
+    return (a[1], b[1], m[1]), right
 
 
-def _refresh_right_ghost_fluid(state: SimState, t_new: float):
-    # static exterior of a matched model never changes; a chopped boundary
-    # keeps whatever the discarded cell held
-    if state.right_frozen or _is_matched(state.model):
-        return
-    rho, v, _, _, _ = state.model.evaluate(t_new, state.x[-1:])
-    state.rho[-1] = rho[0]
-    state.v[-1] = v[0]
-
-
-def update_mass_metric(state: SimState, t_new: float, anchors):
-    """Integrate M, A and B up from the exact left-boundary anchors, the
-    model's (A, B, M) at xe[0] and t_new, using midpoint values of the
-    freshly updated conserved field."""
+def update_mass_metric(state: SimState, t_new: float, left, right):
+    """Integrate M, A and B up from the exact left-boundary anchors
+    left = (A, B, M) at xe[0] and t_new, using midpoint values of the
+    freshly updated conserved field; the last edge then takes the boundary
+    values right = (A, B)."""
     eos = state.eos
     xe = state.xe
-    if state.right_frozen:
-        # left boundary still tracks the model; right ghost edge is frozen
-        a_right, b_right = state.A[-1], state.B[-1]
-    a0, b0, m0 = anchors
+    a0, b0, m0 = left
     u0mid = 0.5 * (state.u0[:-1] + state.u0[1:])   # at xe[0..n-1]
     u1mid = 0.5 * (state.u1[:-1] + state.u1[1:])
     terms_m = 0.5 * KAPPA * u0mid[:-1] * xe[:-1] ** 2 * state.dx
@@ -242,9 +246,8 @@ def update_mass_metric(state: SimState, t_new: float, anchors):
     terms_b = ((1.0 / A[:-1] - 1.0) / xe[:-1]
                + KAPPA * xe[:-1] / A[:-1] * t11_mid) * state.dx
     B = b0 * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
+    A[-1], B[-1] = right
     state.M, state.A, state.B = M, A, B
-    if state.right_frozen:
-        state.A[-1], state.B[-1] = a_right, b_right
 
 
 def rematch_tov_timescale(state: SimState, border_index: int) -> float:
@@ -260,22 +263,17 @@ def rematch_tov_timescale(state: SimState, border_index: int) -> float:
     return float(state.B[k] * state.xe[k] ** (-q))
 
 
-def _override_right_ghost_metric(state: SimState, t_new: float) -> None:
-    """Right boundary data: model values for pure models, rematched static
-    exterior for matched models, frozen values after chopping."""
-    if state.right_frozen:
-        return
-    if _is_matched(state.model):
-        try:
-            _, idx = diagnostics.detect_tov_border(state)
-            state.bt = rematch_tov_timescale(state, idx)
-        except BorderNotFound:
-            pass  # exterior still uncontaminated: keep the current scale
-        _, _, a, b, _ = models.tov_state(state.xe[-1:], state.bt, state.eos)
-    else:
-        _, _, a, b, _ = state.model.evaluate(t_new, state.xe[-1:])
-    state.A[-1] = a[0]
-    state.B[-1] = b[0]
+def _rematch_exterior(state: SimState) -> None:
+    """Matched right boundary: read the static exterior's time scale off the
+    freshly integrated B at the detected border, and give the last edge the
+    exterior's (A, B) at that scale."""
+    try:
+        _, idx = diagnostics.detect_tov_border(state)
+        state.bt = rematch_tov_timescale(state, idx)
+    except BorderNotFound:
+        pass  # exterior still uncontaminated: keep the current scale
+    _, _, a, b, _ = models.tov_state(state.xe[-1:], state.bt, state.eos)
+    state.A[-1], state.B[-1] = a[0], b[0]
 
 
 def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
@@ -314,19 +312,16 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     state.u0[1:-1], state.u1[1:-1] = u0_new, u1_new
     state.rho[1:-1], state.v[1:-1] = rho_new, v_new
 
-    anchors = _refresh_left_boundary(state, t_new)
-    _refresh_right_ghost_fluid(state, t_new)
-    ends = [0, -1]
-    state.u0[ends], state.u1[ends] = fluid.conserved_arrays(state.rho[ends], state.v[ends], eos)
+    left, right = _refresh_boundaries(state, t_new)
 
     # Update step: mass and metric by integration from the left anchor.
     with _naming_cells(t_new, None):   # midpoint k lies between cells k, k+1
-        update_mass_metric(state, t_new, anchors)
-    _override_right_ghost_metric(state, t_new)
+        update_mass_metric(state, t_new, left, right)
 
     state.t = t_new
     boundary_hit = False
     if _is_matched(state.model) and not state.right_frozen:
+        _rematch_exterior(state)
         boundary_hit = _interaction_at_right_boundary(state)
     return StepReport(
         dt=dt, max_light_speed=float(alpha.max()), regions=sol.region,
@@ -356,8 +351,7 @@ def chop_right(state: SimState, min_cells: int = 16) -> SimState:
 def run(model, grid: SimGrid, eos: EosParams, t_end: float,
         hooks: Sequence[Hook] = (),
         eps: float = 1e-10, stop_on_boundary_hit: bool = False,
-        chop_after_hit: bool = False, min_cells: int = 16,
-        max_steps: int = 2_000_000):
+        chop_after_hit: bool = False, min_cells: int = 16):
     """March from the model's start time to t_end, clamping the final step.
 
     Returns (state, RunLog).  A horizon stop is recorded, not raised; all
@@ -373,7 +367,7 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float,
     hit = False
     tiny = 1e-12 * max(1.0, abs(t_end))
     while state.t < t_end - tiny:
-        if log.steps >= max_steps:
+        if log.steps >= MAX_STEPS:
             log.stop_reason = "max_steps"
             break
         if hit and chop_after_hit:

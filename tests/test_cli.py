@@ -66,11 +66,29 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "line 2: unknown key 'nn'" in capsys.readouterr().err
 
 
-def test_single_level_ladder_exits_four(tmp_path, capsys):
-    argv = ["converge", "--model", "frw1", "--levels", "64..64",
-            "--duration", "0.05", "--outdir", str(tmp_path)]
-    assert cli.main(argv) == cli.EXIT_NUMERICAL
-    assert "need at least two errors" in capsys.readouterr().err
+MALFORMED_LEVELS = [
+    ("64", "integer bounds"),
+    ("abc", "integer bounds"),
+    ("64..1e3", "integer bounds"),
+    ("4..16", "at least 8 gridpoints"),
+    ("64..32", "at least two levels"),
+    ("64..64", "at least two levels"),
+]
+
+
+@pytest.mark.parametrize("levels, message", MALFORMED_LEVELS,
+                         ids=[c[0] for c in MALFORMED_LEVELS])
+def test_converge_rejects_malformed_levels(levels, message, tmp_path, capsys):
+    """A --levels spec without integer bounds, with a coarsest level below
+    the grid's 8 points, or with fewer than two levels is a configuration
+    error naming the spec, refused before anything runs or is written."""
+    out = tmp_path / "out"
+    argv = ["converge", "--model", "frw1", "--levels", levels,
+            "--duration", "0.05", "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--levels {levels!r}" in err and message in err
+    assert not out.exists()
 
 
 def test_reverse_without_room_before_t_zero_exits_two(tmp_path, capsys):

@@ -20,7 +20,6 @@ from relshock.fluid import (
     lorentz_compose,
     partial_density,
     t11_arrays,
-    v_from_lambda,
 )
 
 from conftest import random_states
@@ -197,28 +196,31 @@ def test_partial_density_unit_point(eos):
 
 
 def test_eigenvalues_rest_frame(eos):
-    l1, l2 = fluid.lambda1_arrays(0.0, eos), fluid.lambda2_arrays(0.0, eos)
+    a = eos.sound_speed
+    l1, l2 = lorentz_compose(0.0, -a), lorentz_compose(0.0, a)
     assert l1 == pytest.approx(-1.0 / np.sqrt(3.0))
     assert l2 == pytest.approx(+1.0 / np.sqrt(3.0))
 
 
 def test_eigenvalue_cancellation_at_sound_speed(eos):
-    l1 = fluid.lambda1_arrays(eos.sound_speed, eos)
+    l1 = lorentz_compose(eos.sound_speed, -eos.sound_speed)
     assert l1 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_eigenvalue_inversion(eos, rng):
+    """Composing with the opposite sound speed inverts an eigenvalue."""
     _, v = random_states(rng, 500)
-    l1 = fluid.lambda1_arrays(v, eos)
-    l2 = fluid.lambda2_arrays(v, eos)
-    np.testing.assert_allclose(v_from_lambda(l1, 1, eos), v, atol=1e-14)
-    np.testing.assert_allclose(v_from_lambda(l2, 2, eos), v, atol=1e-14)
+    a = eos.sound_speed
+    l1 = lorentz_compose(v, -a)
+    l2 = lorentz_compose(v, a)
+    np.testing.assert_allclose(lorentz_compose(l1, a), v, atol=1e-14)
+    np.testing.assert_allclose(lorentz_compose(l2, -a), v, atol=1e-14)
 
 
 def test_eigenvalues_ordered_and_subluminal(eos, rng):
     _, v = random_states(rng, 1000)
-    l1 = fluid.lambda1_arrays(v, eos)
-    l2 = fluid.lambda2_arrays(v, eos)
+    l1 = lorentz_compose(v, -eos.sound_speed)
+    l2 = lorentz_compose(v, eos.sound_speed)
     assert np.all(l1 < l2)
     assert np.all(np.abs(l1) < 1.0) and np.all(np.abs(l2) < 1.0)
 

@@ -139,31 +139,45 @@ def test_advance_inverts_conserved_pairs_three_times(monkeypatch):
 
 def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
     """A step samples its Riemann fans at xi = 0 only, which needs no
-    rarefaction edge speed, so no eigenvalue kernel runs; the left ghost
-    and the mass/metric anchors come from one model evaluation (the matched
-    exterior's ghost values need none)."""
-    state, eos = make_state("frw1_tov", n=64, r0=5.0)
-    calls = []
+    rarefaction edge speed; the boundary stage evaluates the model once per
+    step for every model (both ghosts and the mass/metric boundary data of
+    a pure model, the left ghost and anchors of a matched one)."""
+    edge_reads = []
+    edge_speeds = riemann.RiemannGridSolution._edge_speeds
 
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-    for name in ("lambda1_arrays", "lambda2_arrays"):
-        monkeypatch.setattr(fluid, name, spy(name, getattr(fluid, name)))
-    monkeypatch.setattr(state.model, "evaluate", spy("evaluate", state.model.evaluate))
-    regions = set()
-    for _ in range(5):
-        regions.update(advance(state).regions.tolist())
-    assert regions >= {riemann.REGION_I, riemann.REGION_IV}
-    assert calls == ["evaluate"] * 5
+    def spied_edge_speeds(sol):
+        edge_reads.append(sol)
+        return edge_speeds(sol)
+    monkeypatch.setattr(riemann.RiemannGridSolution, "_edge_speeds", spied_edge_speeds)
+    for variant, kw in (("frw1", {}), ("tov", {}), ("frw1_tov", {"r0": 5.0})):
+        state, eos = make_state(variant, n=64, **kw)
+        evaluations = []
+        model_evaluate = state.model.evaluate
+
+        def spied_evaluate(*args):
+            evaluations.append(args)
+            return model_evaluate(*args)
+        monkeypatch.setattr(state.model, "evaluate", spied_evaluate)
+        regions = set()
+        for _ in range(5):
+            regions.update(advance(state).regions.tolist())
+        assert len(evaluations) == 5, variant
+        assert edge_reads == [], variant
+    assert regions >= {riemann.REGION_I, riemann.REGION_IV}   # the matched run
+
+    composed = []
+    compose = fluid.lorentz_compose
+
+    def spied_compose(*args):
+        composed.append(args)
+        return compose(*args)
     sol = riemann.solve_interfaces(state.rho[:-1], state.v[:-1], state.rho[1:],
                                    state.v[1:], eos)
+    monkeypatch.setattr(fluid, "lorentz_compose", spied_compose)
     assert np.all(sol.speed1_head <= sol.speed2_tail)        # computes all four edges
+    assert len(composed) == 4
     assert np.all(sol.speed1_tail <= sol.speed2_head + 1e-14)  # reuses them
-    assert calls[5:] == ["lambda1_arrays", "lambda1_arrays",
-                         "lambda2_arrays", "lambda2_arrays"]
+    assert len(composed) == 4 and len(edge_reads) == 4
 
 
 def _half_cell_average_by_quadrature(left, right, alpha, dt, dx, eos):
@@ -334,7 +348,8 @@ def test_horizon_stop():
     state, eos = make_state("tov", n=64, b0=1.0)
     state.u0[1:-1] *= 1e6  # pile mass on until 2M/r crosses 1
     with pytest.raises(HorizonEncountered):
-        scheme.update_mass_metric(state, state.t, (state.A[0], state.B[0], state.M[0]))
+        scheme.update_mass_metric(state, state.t, (state.A[0], state.B[0], state.M[0]),
+                                  (state.A[-1], state.B[-1]))
 
 
 def test_advance_tov_static_profiles():
@@ -423,6 +438,25 @@ def test_chop_right_preserves_interior():
     assert state.n == n_before - 1
     np.testing.assert_array_equal(state.rho, rho_before[:-1])
     assert state.right_frozen
+
+
+def test_chopped_boundary_stays_frozen():
+    """After a chop the right ghost keeps the (rho, v) it had at the chop,
+    and their conserved pair, and the last edge keeps its (A, B): a pure
+    model's ghost is no longer refreshed and a matched exterior is no
+    longer rematched."""
+    for variant, kw in (("frw1_tov", {"r0": 5.0}), ("frw1", {})):
+        state, eos = make_state(variant, n=64, **kw)
+        for _ in range(5):
+            advance(state)
+        chop_right(state, min_cells=16)
+        rho, v, a, b, bt = state.rho[-1], state.v[-1], state.A[-1], state.B[-1], state.bt
+        u0, u1 = fluid.conserved_arrays(rho, v, eos)
+        for _ in range(3):
+            advance(state)
+            assert (state.rho[-1], state.v[-1]) == (rho, v), variant
+            assert (state.u0[-1], state.u1[-1]) == (u0, u1), variant
+            assert (state.A[-1], state.B[-1], state.bt) == (a, b, bt), variant
 
 
 def test_chop_right_exhausts():
