@@ -52,6 +52,10 @@ class RunConfig:
             raise ConfigError("eps must be positive")
         if self.duration <= 0.0:
             raise ConfigError("duration must be positive")
+        if self.snapshots < 0:
+            raise ConfigError(f"snapshots must be non-negative, got {self.snapshots}")
+        if self.min_cells < 8:
+            raise ConfigError(f"min_cells must be at least 8, got {self.min_cells}")
         if self.reversed and self.model != "frw1_tov":
             raise ConfigError("reversed runs are defined for model = frw1_tov")
         return self

@@ -2,9 +2,14 @@
 
 Every CSV number is written as `%.10e`.  Snapshot and table files end
 their lines in `\r\n`, as Python's `csv` module writes them; Riemann
-samples end theirs in `\n`.  Numeric columns are formatted a block of rows
-at a time, with one `%` over the whole block, because Python calls per
-value cost about as much again as the formatting itself.
+samples end theirs in `\n`.  Snapshot and sample columns are formatted a
+block of rows at a time by array kernels: each field's mantissa digits and
+exponent are looked up in tables of ASCII bytes and gathered into one
+zero-padded fixed-width record, and one `bytes.translate` drops the
+padding.  A value the kernels cannot round with certainty (NaN, inf,
+|x| < 1e-290 or >= 1e290, or a mantissa within 0.001 of a decimal tie)
+is formatted by `%` into its own record, so the bytes are those of a
+per-value `%.10e` writer.
 """
 
 from __future__ import annotations
@@ -20,19 +25,94 @@ __all__ = ["emit_plotdata", "emit_samples", "emit_fan_json", "emit_table",
            "emit_manifest"]
 
 SNAPSHOT_COLUMNS = ("r", "rho", "v", "A", "B", "M", "sqrtAB", "mu")
-# rows (or manifest list entries) formatted per string: large enough to
-# amortise the `%` or encoder call, small enough that the block's Python
-# objects and text stay a few hundred KiB
+# rows (or manifest list entries) formatted per pass: large enough to
+# amortise the per-call cost of the array kernels or the encoder, small
+# enough that the block's temporaries and text stay a few hundred KiB
 _BLOCK_ROWS = 256
+
+
+# `%.10e` by table lookup.  A finite x != 0 is written as d.dddddddddde±XX
+# with E = floor(log10|x|) and the 11 digits N = rint(y), y = |x| 10^(10 - E).
+# For 1e-290 <= |x| < 1e290 the computed y lies within 2 ulp (< 3e-5) of its
+# exact value, so when 1e10 <= y < 1e11 and |y - N| < 0.499, N is the
+# correctly rounded mantissa.  Any other value (a tie within 0.001, or an
+# exponent estimate off by one next to a power of ten) takes `%`.  The
+# tables cover exponents -_E_MAX.._E_MAX: every floor(log10|x|) on that
+# range, off by one or carried.
+_E_MAX = 292
+_TINY, _HUGE = 1e-290, 1e290
+
+
+def _tables():
+    """The lookup tables.  Text entries are ASCII zero-padded to the
+    entry's width: `_HEAD[i]` is "d.dd" of i/100 for i < 1000, `_QUAD[i]`
+    is `%04d` of i and `_EXP[E + _E_MAX]` is `e%+03d` of E.
+    `_SCALE[E + _E_MAX]` is 10^(10 - E) to within one ulp."""
+    # row i: the four digits of i, as np.indices counts in decimal
+    quad = np.ascontiguousarray(
+        np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+    head = np.insert(quad[:1000, 1:], 1, ord("."), axis=1)
+    e = np.arange(-_E_MAX, _E_MAX + 1)
+    exp = np.zeros((e.size, 8), np.uint8)
+    exp[:, 0] = ord("e")
+    exp[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    exp[:, 2:5] = quad[np.abs(e), 1:]
+    two = np.abs(e) < 100                    # two digits: drop the leading 0
+    exp[two, 2:5] = np.roll(exp[two, 2:5], -1, axis=1)
+    exp[two, 4] = 0
+    return (head.view(np.uint32).ravel(), quad.view(np.uint32).ravel(),
+            exp.view(np.uint64).ravel(), 10.0 ** (10 - e))
+
+
+_HEAD, _QUAD, _EXP, _SCALE = _tables()
+
+
+def _format_block(x, seps) -> bytes:
+    """The rows of the float64 block `x` as `%.10e` fields, each followed by
+    its column's separator from `seps` (uint64, zero-padded ASCII).
+
+    Each field is a record of four uint64 words: sign and "d.dd", two
+    groups of four digits, the exponent, the separator.
+    """
+    rows, cols = x.shape
+    x = x.ravel()
+    ax = np.abs(x)
+    inrange = (ax >= _TINY) & (ax < _HUGE)
+    a = np.where(inrange, ax, 1.0)           # log10 only where defined
+    e = np.floor(np.log10(a)).astype(np.intp) + _E_MAX   # table index of E
+    y = a * _SCALE[e]
+    n = np.rint(y)
+    fast = inrange & (np.abs(y - n) < 0.499) & (y >= 1e10) & (y < 1e11)
+    slow = np.flatnonzero(~fast & (x != 0.0))
+    carry = n == 1e11                         # 9.99999999999...e(E) rounds to 1e(E+1)
+    e += carry
+    m = np.where(carry, 10**10, n.astype(np.int64))
+    m *= fast                                 # +-0 is 0.0000000000e+00
+    rec = np.empty((x.size, 8), np.uint32)
+    rec[:, 0] = np.signbit(x) * ord("-")
+    digits = m // 10**8
+    rec[:, 1] = _HEAD[digits]
+    m -= digits * 10**8
+    digits = m // 10**4
+    rec[:, 2] = _QUAD[digits]
+    m -= digits * 10**4
+    rec[:, 3] = _QUAD[m]
+    words = rec.view(np.uint64)
+    words[:, 2] = _EXP[e]
+    words.reshape(rows, cols, 4)[:, :, 3] = seps
+    if slow.size:
+        text = b"".join([(b"%.10e" % v).ljust(24, b"\0") for v in x[slow].tolist()])
+        words[slow, :3] = np.frombuffer(text, np.uint64).reshape(-1, 3)
+    return rec.tobytes().translate(None, b"\0")
 
 
 def _write_rows(fh, columns, end: str) -> None:
     """Write equal-length columns as rows of `%.10e` fields ending in `end`."""
     table = np.column_stack(columns)
-    row = ",".join(["%.10e"] * table.shape[1]) + end
+    seps = np.array([","] * (table.shape[1] - 1) + [end], "S8").view(np.uint64)
     for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        block = table[start:start + _BLOCK_ROWS].astype(np.float64)
+        fh.write(_format_block(block, seps).decode("ascii"))
 
 
 def emit_plotdata(prof, path: str) -> str:

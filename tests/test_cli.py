@@ -91,6 +91,19 @@ def test_converge_rejects_malformed_levels(levels, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--snapshots", "-3"], "snapshots must be non-negative, got -3"),
+    (["reverse", "--continue-chop", "--min-cells", "-5"], "min_cells must be at least 8, got -5"),
+], ids=["simulate-snapshots", "reverse-min-cells"])
+def test_invalid_counts_exit_two(argv, message, tmp_path, capsys):
+    """A negative snapshot count or a chopping floor below 8 cells is a
+    configuration error, refused before anything runs or is written."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--n", "64", "--outdir", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reverse_without_room_before_t_zero_exits_two(tmp_path, capsys):
     """On r in [3, 7] the reversed start time is -5.455, so
     |t_start| - 2*r_min is negative and there is nothing to march."""

@@ -53,3 +53,20 @@ def test_parse_config_rejects_with_line(tmp_path, text, message):
 def test_parse_config_validates(tmp_path):
     with pytest.raises(ConfigError, match="n must be at least 8"):
         load(tmp_path, "n = 4\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("snapshots = -3\n", "snapshots must be non-negative, got -3"),
+    ("min_cells = -5\n", "min_cells must be at least 8, got -5"),
+    ("min_cells = 7\n", "min_cells must be at least 8, got 7"),
+], ids=["snapshots=-3", "min_cells=-5", "min_cells=7"])
+def test_parse_config_rejects_negative_snapshots_and_small_chop_floor(tmp_path, text, message):
+    """A negative snapshot count, or a chopping floor below the grid's
+    8 points, is refused like any other invalid value."""
+    with pytest.raises(ConfigError, match=message):
+        load(tmp_path, text)
+
+
+def test_parse_config_accepts_the_smallest_valid_counts(tmp_path):
+    cfg = load(tmp_path, "snapshots = 0\nmin_cells = 8\n")
+    assert (cfg.snapshots, cfg.min_cells) == (0, 8)

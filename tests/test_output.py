@@ -3,12 +3,16 @@ reference writer, and numpy values in tables and manifests come out as
 plain numbers."""
 
 import csv
+import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relshock import output
+from relshock import cli, output
 from relshock.experiments import ProfileSlice
 
 
@@ -94,14 +98,144 @@ def test_plotdata_with_no_cells_writes_the_header(rng, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == b"r,rho,v,A,B,M,sqrtAB,mu\r\n"
 
 
+def reference_samples(xi, rho, v, path):
+    """One line per sample, one format call per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("xi,rho,v\n")
+        for k in range(len(xi)):
+            fh.write(f"{_fmt(xi[k])},{_fmt(rho[k])},{_fmt(v[k])}\n")
+
+
 def test_samples_match_per_value_writer(rng, tmp_path):
     xi = np.linspace(-1.0, 1.0, 2 * output._BLOCK_ROWS + 7)
     rho, v = 10.0 ** rng.uniform(-300, 300, xi.size), rng.uniform(-0.999, 0.999, xi.size)
-    expected = "xi,rho,v\n" + "".join(
-        f"{xi[k]:.10e},{rho[k]:.10e},{v[k]:.10e}\n" for k in range(xi.size))
-    path = tmp_path / "samples.csv"
+    ref, path = tmp_path / "ref.csv", tmp_path / "samples.csv"
+    reference_samples(xi, rho, v, ref)
     assert output.emit_samples(xi, rho, v, str(path)) == str(path)
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def write_rows(columns, end="\r\n"):
+    fh = io.StringIO()
+    output._write_rows(fh, columns, end)
+    return fh.getvalue()
+
+
+def reference_rows(columns, end="\r\n"):
+    """The rows with one `%.10e` per value."""
+    return "".join(",".join("%.10e" % float(col[k]) for col in columns) + end
+                   for k in range(len(columns[0])))
+
+
+def assert_rows_match(*columns, end="\r\n"):
+    columns = [np.asarray(col) for col in columns]
+    assert write_rows(columns, end) == reference_rows(columns, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=40))
+def test_rows_match_per_value_format(rows):
+    """Any doubles, NaN, infinities and subnormals included."""
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    assert_rows_match(*columns, end="\n")
+
+
+def test_exact_decimal_ties_round_half_even():
+    """Mantissas ending in an exact 5 after ten digits are ties: `%` rounds
+    them to even, with a carry into the exponent for the last."""
+    ties = np.array([100000000005.0, 100000000015.0, 999999999995.0])
+    assert write_rows([ties], "\n") == (
+        "1.0000000000e+11\n1.0000000002e+11\n1.0000000000e+12\n")
+    assert_rows_match(ties, -ties)
+
+
+def test_near_ties_round_as_the_exact_value():
+    """Doubles a few ulp from a decimal tie whose scaled mantissa, rounded
+    in floating point, lands on the other side of the tie from the exact
+    value."""
+    near = np.array([3.42808042385e+196, 5.49906232315e-34, 6.20882652995e-155])
+    assert write_rows([near], "\n") == (
+        "3.4280804239e+196\n5.4990623231e-34\n6.2088265300e-155\n")
+    assert_rows_match(near, -near)
+
+
+@pytest.mark.parametrize("offset", [-1.0, 1.0])
+def test_wrong_exponent_estimate_still_gives_the_bytes(offset, monkeypatch, rng):
+    """The digits do not rest on log10 being accurate: with every exponent
+    estimate off by one the values take the `%` path."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + offset)
+    values = 10.0 ** rng.uniform(-280, 280, 300)
+    assert_rows_match(values, -values)
+
+
+def test_neighbours_of_powers_of_ten_match_per_value_format():
+    """The exponent estimate is off by one on one side of each 10^k."""
+    powers = np.array([float(f"1e{k}") for k in range(-20, 21)])
+    assert_rows_match(np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf))
+
+
+def test_range_edges_and_special_values_match_per_value_format():
+    """Signed zeros, the smallest subnormal and normal, both sides of the
+    table range 1e-290 <= |x| < 1e290, the largest double, inf and NaN."""
+    values = np.array([
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+        np.nextafter(1e-290, 0.0), 1e-290, np.nextafter(1e290, 0.0), 1e290,
+        1.7976931348623157e308, np.inf, np.nan,
+    ])
+    assert_rows_match(values, -values)
+    assert write_rows([np.array([-0.0, 5e-324])], "\n") == (
+        "-0.0000000000e+00\n4.9406564584e-324\n")
+
+
+def test_float32_empty_and_mixed_exponent_columns_match():
+    assert_rows_match(np.float32([0.1, -2.5e-30, 3.4e38, 1e-45]),
+                      np.float32([1.0, -0.0, 7.0, 65504.0]))
+    assert write_rows([np.zeros(0), np.zeros(0)]) == ""
+    mixed = np.array([1.5e-5, -2.5e-150, 3.25e99, -4.75e100, 0.5, -6e-100, 7e299, -8.125])
+    assert_rows_match(mixed, -mixed[::-1], end="\n")
+
+
+def test_lookup_tables_hold_the_format_of_their_index():
+    """Each entry, with its zero padding removed, is the `%` text of its
+    index; the scale entries are powers of ten to within one ulp."""
+    def entries(table, width):
+        return [row.tobytes().rstrip(b"\0") for row in table.view(np.uint8).reshape(-1, width)]
+
+    assert entries(output._HEAD, 4) == [b"%d.%02d" % divmod(i, 100) for i in range(1000)]
+    assert entries(output._QUAD, 4) == [b"%04d" % i for i in range(10_000)]
+    exponents = range(-output._E_MAX, output._E_MAX + 1)
+    assert entries(output._EXP, 8) == [b"e%+03d" % e for e in exponents]
+    powers = np.array([float(f"1e{10 - e}") for e in exponents])
+    assert np.all(np.abs(output._SCALE.view(np.int64) - powers.view(np.int64)) <= 1)
+
+
+def test_cli_outputs_match_the_per_value_writers(tmp_path, monkeypatch):
+    """Every CSV that `simulate` (3 snapshots) and `riemann` write equals
+    the per-value writers' file for the same data."""
+    written = []
+
+    def spy(emit, reference):
+        def wrapper(*args):
+            written.append((reference, args))
+            return emit(*args)
+        return wrapper
+
+    monkeypatch.setattr(output, "emit_plotdata", spy(output.emit_plotdata, reference_plotdata))
+    monkeypatch.setattr(output, "emit_samples", spy(output.emit_samples, reference_samples))
+    sim, fan = tmp_path / "sim", tmp_path / "fan"
+    assert cli.main(["simulate", "--model", "frw1_tov", "--n", "64", "--duration", "0.1",
+                     "--snapshots", "3", "--outdir", str(sim)]) == cli.EXIT_OK
+    assert cli.main(["riemann", "--rho-l", "2", "--v-l", "0.5", "--rho-r", "1",
+                     "--v-r", "-0.4", "--xi-min", "-3", "--xi-max", "3",
+                     "--outdir", str(fan)]) == cli.EXIT_OK
+    csvs = sorted(sim.glob("*.csv")) + sorted(fan.glob("*.csv"))
+    assert len(csvs) == len(written) >= 4
+    for k, (reference, args) in enumerate(written):
+        *data, path = args
+        ref = tmp_path / f"ref_{k}.csv"
+        reference(*data, ref)
+        assert pathlib.Path(path).read_bytes() == ref.read_bytes(), path
 
 
 def test_table_with_numpy_values_matches_csv_writer(tmp_path):
