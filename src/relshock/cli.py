@@ -119,7 +119,7 @@ def cmd_simulate(args) -> int:
     grid = scheme.SimGrid(cfg.r_min, cfg.r_max, cfg.n)
     arts = experiments.simulate_model(
         model, grid, eos, cfg.duration,
-        snapshots=max(cfg.snapshots, 1),
+        snapshots=cfg.snapshots,
         track_cones=cfg.track_cones and cfg.model.endswith("_tov"),
         track_mu=cfg.reversed, track_tv=True, eps=cfg.eps,
     )

@@ -27,6 +27,8 @@ class RunConfig:
     reversed: bool = False
     sigma: float = 1.0 / 3.0
     eps: float = 1e-10
+    # snapshot files of `simulate`: k >= 2 gives k evenly spaced slices from
+    # the start to the end of the run, 1 the final slice alone, 0 none
     snapshots: int = 5
     outdir: str = "out"
     t_start: float = 15.0   # pure models only; matched models derive it from r0

@@ -349,7 +349,7 @@ class WeakResidualMonitor:
             area = 0.5 * state.dx * dt
             for xm, sl in self._halves:
                 rho, v, u0, u1 = rho_c[sl], v_c[sl], u0_c[sl], u1_c[sl]
-                t11 = fluid.t11_arrays(rho, v, eos)
+                t11 = fluid.t11_arrays(u1, rho, v, eos)
                 f0, f1 = alpha * u1, alpha * t11
                 g0, g1 = _conservation_sources(A, alpha, rho, u0, u1, t11, xm, eos)
                 p, pt, px = self.phi.values(tm, xm)

@@ -62,23 +62,26 @@ class ProfileSlice:
 
 
 class SnapshotHook:
-    """Collects evenly spaced snapshots along a run."""
+    """Collects the slices of `RunConfig.snapshots`' rule along a run:
+    count >= 2 evenly spaced from t_start to t_end, 1 the slice at t_end
+    alone, 0 none."""
 
     def __init__(self, t_start: float, t_end: float, count: int):
-        self.times = np.linspace(t_start, t_end, max(count, 2))
+        self.times = (np.linspace(t_start, t_end, count) if count > 1
+                      else np.full(count, float(t_end)))
         self.slices: list[ProfileSlice] = []
         self._next = 0
 
     def on_start(self, state):
-        self._take(state)
-
-    def _take(self, state):
-        self.slices.append(ProfileSlice.from_state(state))
-        self._next += 1
+        self._catch_up(state)
 
     def __call__(self, state, report):
+        self._catch_up(state)
+
+    def _catch_up(self, state):
         while self._next < len(self.times) and state.t >= self.times[self._next] - 1e-12:
-            self._take(state)
+            self.slices.append(ProfileSlice.from_state(state))
+            self._next += 1
 
 
 @dataclass
@@ -95,7 +98,12 @@ def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
                    snapshots: int = 0, track_cones: bool = False,
                    track_mu: bool = False, track_tv: bool = False,
                    eps: float = 1e-10, extra_hooks=(), **run_kw) -> RunArtifacts:
-    """Run a model for `duration` time units with optional trackers."""
+    """Run a model for `duration` time units with optional trackers.
+
+    `snapshots` slices are kept by `RunConfig.snapshots`' rule (see
+    SnapshotHook); a run that stops before its end time ends them with its
+    last state instead.  With snapshots = 0 the list is empty.
+    """
     t_end = model.t_start + duration
     hooks = list(extra_hooks)
     snap = None
@@ -117,11 +125,9 @@ def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
     state, log = scheme.run(model, grid, eos, t_end, hooks=hooks, eps=eps, **run_kw)
     arts = RunArtifacts(state=state, log=log, cones=cones, mu=mu, tv=tv)
     if snap is not None:
-        if snap.slices[-1].t < state.t - 1e-12:
+        if not snap.slices or snap.slices[-1].t < state.t - 1e-12:
             snap.slices.append(ProfileSlice.from_state(state))
         arts.snapshots = snap.slices
-    else:
-        arts.snapshots = [ProfileSlice.from_state(state)]
     return arts
 
 
@@ -190,14 +196,14 @@ def ladder(make_model, ns, eos: EosParams, r_min: float, r_max: float,
         arts = simulate_model(model, grid, eos, duration, eps=eps)
         runs[n] = arts
     table = {name: [] for name in FIELDS}
+    fine = ProfileSlice.from_state(runs[all_ns[-1]].state)
     for n in ns:
-        prof = runs[n].snapshots[-1]
+        prof = ProfileSlice.from_state(runs[n].state)
         dx = scheme.SimGrid(r_min, r_max, n).dx
         if reference == "model":
             model = make_model()
             ref = model_reference(model, prof.t, prof)
         else:
-            fine = runs[all_ns[-1]].snapshots[-1]
             ref = {
                 name: np.interp(prof.positions(name), fine.positions(name),
                                 fine.get(name))
@@ -281,10 +287,10 @@ def cross_model_comparison(n: int, n_ref: int, eos: EosParams,
 
     ref_arts = simulate_model(m1, scheme.SimGrid(r_min, r_max, n_ref), eos,
                               duration_frw1, eps=eps)
-    ref = ref_arts.snapshots[-1]
+    ref = ProfileSlice.from_state(ref_arts.state)
     arts = simulate_model(m2, scheme.SimGrid(r_min, r_max, n), eos,
                           duration_frw2, eps=eps)
-    prof = arts.snapshots[-1]
+    prof = ProfileSlice.from_state(arts.state)
 
     ref_interp = {
         name: np.interp(prof.positions(name), ref.positions(name), ref.get(name))

@@ -4,8 +4,10 @@ Three coordinate systems on the state space are used throughout: the fluid
 variables (rho, v), the conserved pair (u0, u1) = (T00_M, T01_M) of
 flat-space energy and momentum densities, and the Riemann invariants
 (r, s) in which rarefaction curves are straight lines.  Every conversion
-is one exact closed-form kernel that accepts scalars or numpy arrays; T11_M
-for the fluxes is :func:`t11_arrays`.  The speed of light is fixed at c = 1.
+is one exact closed-form kernel that accepts scalars or numpy arrays.  The
+momentum flux T11_M = u1*v + sigma*rho (:func:`t11_arrays`) takes the
+momentum density u1 = T01_M the caller already holds, so it costs no
+enthalpy evaluation.  The speed of light is fixed at c = 1.
 """
 
 from __future__ import annotations
@@ -77,13 +79,8 @@ def conserved_arrays(rho, v, eos: EosParams):
     would show up in the round trip.
     """
     sig = eos.sigma
-    h = _enthalpy_gamma2(rho, v, sig)
+    h = rho * (sig + 1.0) / ((1.0 - v) * (1.0 + v))
     return h - sig * rho, h * v
-
-
-def _enthalpy_gamma2(rho, v, sig):
-    """(sigma+1)*rho/(1-v^2), the factor shared by T00_M, T01_M and T11_M."""
-    return rho * (sig + 1.0) / ((1.0 - v) * (1.0 + v))
 
 
 def _require(ok, what: str, **values):
@@ -108,11 +105,12 @@ def fluid_arrays(u0, u1, eos: EosParams):
     """
     sig = eos.sigma
     disc = (sig + 1.0) ** 2 * u0 * u0 - 4.0 * sig * u1 * u1
-    if not np.all((disc >= 0.0) & (u0 > 0.0)):
+    ok = (disc >= 0.0) & (u0 > 0.0)
+    if np.count_nonzero(ok) != np.size(ok):
         _require(disc >= 0.0, "conserved pair outside the physical region (disc < 0)",
                  u0=u0, u1=u1)
         _require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
-    denom = (sig + 1.0) * u0 + np.sqrt(np.maximum(disc, 0.0))
+    denom = (sig + 1.0) * u0 + np.sqrt(disc)   # disc >= 0: checked above
     v = 2.0 * u1 / denom
     rho = (1.0 - v) * (1.0 + v) * denom / (2.0 * (sig + 1.0))
     return rho, v
@@ -120,14 +118,17 @@ def fluid_arrays(u0, u1, eos: EosParams):
 
 def check_fluid(rho, v):
     """Reject any entry without rho > 0 and |v| < 1 (NaN fails both)."""
-    if not np.all((rho > 0.0) & (np.abs(v) < 1.0)):
+    ok = (rho > 0.0) & (np.abs(v) < 1.0)
+    if np.count_nonzero(ok) != np.size(ok):
         _require(rho > 0.0, "rho must be positive", rho=rho)
         _require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
 
 
-def t11_arrays(rho, v, eos: EosParams):
-    """T11_M, the momentum flux of the flat-space system."""
-    return _enthalpy_gamma2(rho, v, eos.sigma) * v * v + eos.sigma * rho
+def t11_arrays(u1, rho, v, eos: EosParams):
+    """T11_M = u1*v + sigma*rho, the momentum flux of the flat-space system,
+    from the momentum density u1 = T01_M of the same state (u1 = h*v, so this
+    is h*v^2 + sigma*rho with h = (sigma+1)*rho/(1-v^2))."""
+    return u1 * v + eos.sigma * rho
 
 
 def invariant_arrays(rho, v, eos: EosParams):

@@ -57,7 +57,7 @@ def frw1_state(t_bar, r_bar):
     reversed solution).  Requires the radiation equation of state.
     """
     xi = np.asarray(r_bar, dtype=float) / t_bar
-    if np.any(np.abs(xi) >= 1.0):
+    if np.count_nonzero(np.abs(xi) >= 1.0):
         raise NonPhysicalState(f"|r/t| >= 1 on the requested slice (t={t_bar})")
     small = np.abs(xi) < 1e-14
     xi_safe = np.where(small, 1.0, xi)
@@ -73,7 +73,7 @@ def frw2_frw_time(t_bar, r_bar, psi0: float):
     """Comoving time t of the expanding universe from FRW-2 coordinates."""
     t4 = np.asarray(t_bar, dtype=float) ** 4
     disc = t4 - np.asarray(r_bar, dtype=float) ** 2 * psi0**4
-    if np.any(disc < 0.0):
+    if np.count_nonzero(disc < 0.0):
         raise NonPhysicalState("t_bar^4 < r_bar^2 psi0^4: outside the FRW-2 chart")
     return (t_bar**2 + np.sqrt(disc)) / (2.0 * psi0**2)
 
@@ -83,7 +83,7 @@ def frw2_state(t_bar, r_bar, psi0: float):
     t = frw2_frw_time(t_bar, r_bar, psi0)
     r = np.asarray(r_bar, dtype=float)
     v = r / (2.0 * t)
-    if np.any(np.abs(v) >= 1.0):
+    if np.count_nonzero(np.abs(v) >= 1.0):
         raise NonPhysicalState("fluid speed >= 1 on the requested slice")
     rho = 3.0 / (4.0 * KAPPA * t * t)
     psi = psi0 * np.sqrt(t / (4.0 * t * t + r * r))
@@ -96,7 +96,7 @@ def frw2_state(t_bar, r_bar, psi0: float):
 def tov_state(r_bar, b0: float, eos: EosParams):
     """Static isothermal sphere: rho = gamma/r^2, constant A, B = b0*r^q."""
     r = np.asarray(r_bar, dtype=float)
-    if np.any(r <= 0.0) or b0 <= 0.0:
+    if np.count_nonzero(r <= 0.0) or b0 <= 0.0:
         raise NonPhysicalState("tov_state needs r > 0 and b0 > 0")
     g = gamma(eos)
     rho = g / (r * r)
@@ -236,9 +236,10 @@ class MatchedModel:
     def evaluate(self, t, r):
         r = np.asarray(r, dtype=float)
         inner = r < self.data.r0
-        if inner.all():
+        k = np.count_nonzero(inner)
+        if k == inner.size:
             return self.evaluate_inner(t, r)
-        if not inner.any():
+        if not k:
             return self.evaluate_outer(t, r)
         # placeholder radius keeps masked-out inner evaluations in-domain
         # (well inside both charts: |r/t| = 1/4, and r psi0^2 < t^2)

@@ -14,6 +14,7 @@ per-value `%.10e` writer.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -43,11 +44,13 @@ _E_MAX = 292
 _TINY, _HUGE = 1e-290, 1e290
 
 
+@functools.cache
 def _tables():
-    """The lookup tables.  Text entries are ASCII zero-padded to the
-    entry's width: `_HEAD[i]` is "d.dd" of i/100 for i < 1000, `_QUAD[i]`
-    is `%04d` of i and `_EXP[E + _E_MAX]` is `e%+03d` of E.
-    `_SCALE[E + _E_MAX]` is 10^(10 - E) to within one ulp."""
+    """The lookup tables (head, quad, exp, scale), built on first use so a
+    process that formats no CSV does not hold them.  Text entries are ASCII
+    zero-padded to the entry's width: head[i] is "d.dd" of i/100 for
+    i < 1000, quad[i] is `%04d` of i and exp[E + _E_MAX] is `e%+03d` of E.
+    scale[E + _E_MAX] is 10^(10 - E) to within one ulp."""
     # row i: the four digits of i, as np.indices counts in decimal
     quad = np.ascontiguousarray(
         np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
@@ -60,11 +63,11 @@ def _tables():
     two = np.abs(e) < 100                    # two digits: drop the leading 0
     exp[two, 2:5] = np.roll(exp[two, 2:5], -1, axis=1)
     exp[two, 4] = 0
-    return (head.view(np.uint32).ravel(), quad.view(np.uint32).ravel(),
-            exp.view(np.uint64).ravel(), 10.0 ** (10 - e))
-
-
-_HEAD, _QUAD, _EXP, _SCALE = _tables()
+    tables = (head.view(np.uint32).ravel(), quad.view(np.uint32).ravel(),
+              exp.view(np.uint64).ravel(), 10.0 ** (10 - e))
+    for table in tables:
+        table.flags.writeable = False   # the one cached copy serves every caller
+    return tables
 
 
 def _format_block(x, seps) -> bytes:
@@ -74,13 +77,14 @@ def _format_block(x, seps) -> bytes:
     Each field is a record of four uint64 words: sign and "d.dd", two
     groups of four digits, the exponent, the separator.
     """
+    head, quad, exp, scale = _tables()
     rows, cols = x.shape
     x = x.ravel()
     ax = np.abs(x)
     inrange = (ax >= _TINY) & (ax < _HUGE)
     a = np.where(inrange, ax, 1.0)           # log10 only where defined
     e = np.floor(np.log10(a)).astype(np.intp) + _E_MAX   # table index of E
-    y = a * _SCALE[e]
+    y = a * scale[e]
     n = np.rint(y)
     fast = inrange & (np.abs(y - n) < 0.499) & (y >= 1e10) & (y < 1e11)
     slow = np.flatnonzero(~fast & (x != 0.0))
@@ -91,14 +95,14 @@ def _format_block(x, seps) -> bytes:
     rec = np.empty((x.size, 8), np.uint32)
     rec[:, 0] = np.signbit(x) * ord("-")
     digits = m // 10**8
-    rec[:, 1] = _HEAD[digits]
+    rec[:, 1] = head[digits]
     m -= digits * 10**8
     digits = m // 10**4
-    rec[:, 2] = _QUAD[digits]
+    rec[:, 2] = quad[digits]
     m -= digits * 10**4
-    rec[:, 3] = _QUAD[m]
+    rec[:, 3] = quad[m]
     words = rec.view(np.uint64)
-    words[:, 2] = _EXP[e]
+    words[:, 2] = exp[e]
     words.reshape(rows, cols, 4)[:, :, 3] = seps
     if slow.size:
         text = b"".join([(b"%.10e" % v).ljust(24, b"\0") for v in x[slow].tolist()])

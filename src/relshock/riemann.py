@@ -31,6 +31,8 @@ batch.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import fluid
@@ -70,12 +72,13 @@ def _p(u, eos: EosParams):
 
 
 def _p_and_slope(u, eos: EosParams):
-    """(p(u), dp/du) sharing a*sinh(u/2); the slope grows in magnitude from
-    a/2 at u = 0 toward 1/2."""
+    """(p(u), slope), where slope() evaluates dp/du when a Newton step needs
+    it; both share a*sinh(u/2).  The slope grows in magnitude from a/2 at
+    u = 0 toward 1/2."""
     a = eos.sqrt_2K
     h = 0.5 * u
     x = a * np.sinh(h)
-    return -np.arcsinh(x), -0.5 * a * np.cosh(h) / np.hypot(1.0, x)
+    return -np.arcsinh(x), lambda: -0.5 * a * np.cosh(h) / np.hypot(1.0, x)
 
 
 def _s1_curve(u, eos: EosParams):
@@ -84,6 +87,12 @@ def _s1_curve(u, eos: EosParams):
     p = _p(u, eos)
     cu = eos.sqrt_K_half * u
     return p - cu, p + cu
+
+
+@functools.cache
+def _floor_displacement(eos: EosParams) -> float:
+    """-dr of the weakest counted 1-shock (u = _U_FLOOR), per EOS."""
+    return -_s1_curve(_U_FLOOR, eos)[0]
 
 
 # region of each sign pattern 2*(dr < 0) + (ds < 0) of finite (dr, ds)
@@ -100,20 +109,31 @@ def _classify_arrays(dr, ds):
 def _newton(step, u, arrays, eos: EosParams, eps: float):
     """Elementwise Newton, u <- u + du, from a start right of the root.
 
-    `step(u, eos, *arrays)` returns (|residual|, du).  Each entry is frozen
-    at its first iterate with |residual| < eps and dropped from the work
-    arrays, so its result does not depend on the batch.  Entries still
-    unconverged after _MAX_NEWTON residual checks are NaN.
+    `step(u, eos, *arrays)` returns (|residual|, du), where du() evaluates
+    the increment; it is called only when some entry goes on.  Each entry
+    is frozen at its first iterate with |residual| < eps, so its result
+    does not depend on the batch.  The work arrays are compacted only when
+    some entries have converged and others have not, and the solve returns
+    as soon as every entry has converged; an empty batch returns at once.
+    Entries still unconverged after _MAX_NEWTON residual checks are NaN.
     """
     out = np.full(u.shape, np.nan)
+    if not u.size:
+        return out
     idx = np.arange(u.size)
     for _ in range(_MAX_NEWTON):
-        if not idx.size:
-            break
         resid, du = step(u, eos, *arrays)
-        go = ~(resid < eps)
-        out[idx[~go]] = u[~go]
-        idx, u, arrays = idx[go], u[go] + du[go], [x[go] for x in arrays]
+        done = resid < eps
+        k = np.count_nonzero(done)
+        if k == done.size:
+            out[idx] = u
+            return out
+        if k:
+            out[idx[done]] = u[done]
+            go = ~done
+            idx, u, arrays = idx[go], u[go] + du()[go], [x[go] for x in arrays]
+        else:
+            u = u + du()
     return out
 
 
@@ -121,7 +141,7 @@ def _pure_step(u, eos, t):
     p, slope = _p_and_slope(u, eos)
     c = eos.sqrt_K_half
     resid = t - (p - c * u)
-    return np.abs(resid), resid / (slope - c)
+    return np.abs(resid), lambda: resid / (slope() - c)
 
 
 def _solve_pure(t, eos: EosParams, eps: float):
@@ -132,14 +152,20 @@ def _solve_pure(t, eos: EosParams, eps: float):
 
 
 def _two_shock_step(u1, eos, dr, ds, delta):
-    # the 1-shock curve at u1 plus the mirrored curve at u2 (see _s1_curve)
-    u2 = u1 - delta
-    (p1, slope1), (p2, slope2) = _p_and_slope(u1, eos), _p_and_slope(u2, eos)
-    cu1, cu2 = eos.sqrt_K_half * u1, eos.sqrt_K_half * u2
+    # the 1-shock curve at u1 plus the mirrored curve at u2 (see _s1_curve),
+    # both legs evaluated in one pass
+    k = u1.size
+    u = np.concatenate((u1, u1 - delta))
+    p, slope = _p_and_slope(u, eos)
+    cu = eos.sqrt_K_half * u
+    p1, p2, cu1, cu2 = p[:k], p[k:], cu[:k], cu[k:]
     resid_r = dr - ((p1 - cu1) + (p2 + cu2))
     resid_s = ds - ((p1 + cu1) + (p2 - cu2))
-    return (np.maximum(np.abs(resid_r), np.abs(resid_s)),
-            0.5 * (resid_r + resid_s) / (slope1 + slope2))
+
+    def du():
+        s = slope()
+        return 0.5 * (resid_r + resid_s) / (s[:k] + s[k:])
+    return np.maximum(np.abs(resid_r), np.abs(resid_s)), du
 
 
 def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
@@ -187,15 +213,22 @@ class RiemannGridSolution:
 
     def __init__(self, eos, rho_l, v_l, rho_r, v_r):
         self.eos = eos
-        self.rho_l, self.v_l, self.rho_r, self.v_r = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (rho_l, v_l, rho_r, v_r)))
+        sides = (rho_l, v_l, rho_r, v_r)
+        # the stepper passes four 1-D float64 arrays of one shape: keep them
+        if not all(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+                   and x.shape == rho_l.shape for x in sides):
+            sides = np.broadcast_arrays(
+                *(np.atleast_1d(np.asarray(x, dtype=float)) for x in sides))
+        self.rho_l, self.v_l, self.rho_r, self.v_r = sides
         self._speeds = None
 
     def wave1_is_shock(self):
-        return (self.region == REGION_II) | (self.region == REGION_III)
+        """Mask of the 1-shocks (regions II and III)."""
+        return self._shocks[0].copy()
 
     def wave2_is_shock(self):
-        return (self.region == REGION_I) | (self.region == REGION_II)
+        """Mask of the 2-shocks (regions I and II)."""
+        return self._shocks[2].copy()
 
     def _edge_speeds(self):
         """Rarefaction edges move at the characteristic speeds of their
@@ -223,11 +256,13 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     first interface whose Newton solve does not converge.
     """
     sol = RiemannGridSolution(eos, rho_l, v_l, rho_r, v_r)
-    rho_ok = (sol.rho_l > 0.0) & (sol.rho_r > 0.0)
-    v_ok = (np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0)
-    if not np.all(rho_ok & v_ok):
-        fluid._require(rho_ok, "rho must be positive", rho_l=sol.rho_l, rho_r=sol.rho_r)
-        fluid._require(v_ok, "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)
+    ok = (np.minimum(sol.rho_l, sol.rho_r) > 0.0) & \
+        (np.maximum(np.abs(sol.v_l), np.abs(sol.v_r)) < 1.0)
+    if np.count_nonzero(ok) != ok.size:
+        fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",
+                       rho_l=sol.rho_l, rho_r=sol.rho_r)
+        fluid._require((np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0),
+                       "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)
     rL, sL = fluid.invariant_arrays(sol.rho_l, sol.v_l, eos)
     rR, sR = fluid.invariant_arrays(sol.rho_r, sol.v_r, eos)
     dr = rR - rL
@@ -241,10 +276,10 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     # p(|delta|) > m.  A displacement of at least eps but smaller than that
     # of a beta = 1e-20 pure shock counts as no shock: both such -> IV, one
     # -> the region of the other shock.
-    ii = np.flatnonzero(region == REGION_II)
+    ii = (region == REGION_II).nonzero()[0]
     if ii.size:
         d1, d2 = -dr[ii], -ds[ii]
-        thr = -_s1_curve(_U_FLOOR, eos)[0]
+        thr = _floor_displacement(eos)
         fl1 = (d1 >= eps) & (d1 < thr)
         fl2 = (d2 >= eps) & (d2 < thr)
         delta = (d1 - d2) / (2.0 * eos.sqrt_K_half)
@@ -252,18 +287,21 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
         floored = fl1 | fl2
         to_I = np.where(floored, fl1, outside & (delta < 0))
         to_III = np.where(floored, fl2, outside & (delta > 0))
-        region[ii[to_I]] = REGION_I
-        region[ii[to_III]] = REGION_III
-        region[ii[to_I & to_III]] = REGION_IV
+        region[ii] = np.where(to_I, np.where(to_III, REGION_IV, REGION_I),
+                              np.where(to_III, REGION_III, REGION_II))
 
     # Newton on the shock legs only: the pure curve for the single shock of
     # regions III (target dr) and I (target ds), the coupled solve for II.
-    i1, i2, i3 = (np.flatnonzero(region == k) for k in (REGION_I, REGION_II, REGION_III))
+    i1, i2, i3 = ((region == k).nonzero()[0] for k in (REGION_I, REGION_II, REGION_III))
     u = _solve_pure(np.concatenate((dr[i3], ds[i1])), eos, eps)
     u1_ii, u2_ii = _solve_two_shock(dr[i2], ds[i2], eos, eps)
-    failed = np.concatenate((i3, i1, i2))[np.isnan(np.concatenate((u, u1_ii)))]
-    if failed.size:
-        k = failed.min()
+    # the shock legs: 1-shocks of III and II (w1), then 2-shocks of I and II (w2)
+    n3, n1 = i3.size, i1.size
+    w1, w2 = np.concatenate((i3, i2)), np.concatenate((i1, i2))
+    u_legs = np.concatenate((u[:n3], u1_ii, u[n3:], u2_ii))
+    failed = np.isnan(u_legs)
+    if np.count_nonzero(failed):
+        k = np.concatenate((w1, w2))[failed].min()
         raise RelshockError(
             f"Riemann Newton solve did not converge at interface {k}: "
             f"(dr, ds) = ({dr[k]:.6e}, {ds[k]:.6e}), left (rho, v) = "
@@ -272,25 +310,29 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
         )
 
     # Middle state: rarefaction legs keep the invariant they carry (r from
-    # the right, s from the left); shock legs add their curve displacement.
-    # Only region II reaches r_mid from the left state.
-    w1, u1 = np.concatenate((i3, i2)), np.concatenate((u[:i3.size], u1_ii))
-    w2, u2 = np.concatenate((i1, i2)), np.concatenate((u[i3.size:], u2_ii))
-    c1 = _s1_curve(u1, eos)
+    # the right, s from the left); shock legs add their curve displacement
+    # (see _s1_curve).  Only region II reaches r_mid from the left state.
+    # One h = sinh(u/2) gives each leg's displacement and beta = 2h^2.
+    m = w1.size
+    h = np.sinh(0.5 * u_legs)
+    p = -np.arcsinh(eos.sqrt_2K * h)
+    cu = eos.sqrt_K_half * u_legs
+    p_plus = p + cu
     r_mid, s_mid = rR.copy(), sL.copy()
-    s_mid[w1] += c1[1]
-    r_mid[i1] -= _s1_curve(u2[:i1.size], eos)[1]
-    r_mid[i2] = rL[i2] + c1[0][i3.size:]
+    s_mid[w1] += p_plus[:m]
+    r_mid[i1] -= p_plus[m:m + n1]
+    r_mid[i2] = rL[i2] + (p[n3:m] - cu[n3:m])
+    beta = 2.0 * h ** 2
     beta1, beta2 = np.zeros(dr.shape), np.zeros(dr.shape)
-    beta1[w1] = 2.0 * np.sinh(0.5 * u1) ** 2
-    beta2[w2] = 2.0 * np.sinh(0.5 * u2) ** 2
+    beta1[w1] = beta[:m]
+    beta2[w2] = beta[m:]
 
     sol.region = region
     sol.beta1, sol.beta2 = beta1, beta2
     sol.r_mid, sol.s_mid = r_mid, s_mid
     sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(r_mid, s_mid, eos)
     sol.r_right, sol.s_left = rR, sL
-    sol._shocks = _shock_speeds(sol, w1, w2)
+    sol._shocks = _shock_speeds(sol, w1, w2, beta)
     return sol
 
 
@@ -299,22 +341,29 @@ def _rest_frame_shock_speed(f_value, eos: EosParams):
     return np.sqrt((f_value + sig) / (f_value + 1.0 / sig))
 
 
-def _shock_speeds(sol: RiemannGridSolution, w1, w2):
+def _shock_speeds(sol: RiemannGridSolution, w1, w2, beta_legs):
     """(is_shock1, s1, is_shock2, s2): where each family is a shock, and its
-    speed there (NaN elsewhere), evaluated on the shock entries only
-    (indices w1 of 1-shocks, w2 of 2-shocks).
+    speed there (NaN elsewhere), in one pass over the shock legs: indices
+    w1 of 1-shocks, then w2 of 2-shocks, with strengths beta_legs.
 
     Each is the rest-frame shock speed composed with the pre-wave state's
     velocity by the relativistic addition law; the 1-family speed is
-    negative in the rest frame.
+    negative in the rest frame, and a 2-shock's density ratio is 1/f.
     """
-    eos = sol.eos
-    s1, s2 = np.full(sol.region.shape, np.nan), np.full(sol.region.shape, np.nan)
-    s1[w1] = fluid.lorentz_compose(
-        sol.v_l[w1], -_rest_frame_shock_speed(_f_big(sol.beta1[w1]), eos))
-    s2[w2] = fluid.lorentz_compose(
-        sol.v_mid[w2], _rest_frame_shock_speed(1.0 / _f_big(sol.beta2[w2]), eos))
-    return sol.wave1_is_shock(), s1, sol.wave2_is_shock(), s2
+    m = w1.size
+    f = _f_big(beta_legs)
+    f[m:] = 1.0 / f[m:]
+    speed = _rest_frame_shock_speed(f, sol.eos)
+    speed[:m] = -speed[:m]
+    speed = fluid.lorentz_compose(np.concatenate((sol.v_l[w1], sol.v_mid[w2])), speed)
+    shape = sol.region.shape
+    on1, on2 = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    on1[w1] = True
+    on2[w2] = True
+    s1, s2 = np.full(shape, np.nan), np.full(shape, np.nan)
+    s1[w1] = speed[:m]
+    s2[w2] = speed[m:]
+    return on1, s1, on2, s2
 
 
 def sample_solution(sol: RiemannGridSolution, xi):
@@ -330,10 +379,9 @@ def sample_solution(sol: RiemannGridSolution, xi):
     """
     eos = sol.eos
     xi = np.asarray(xi, dtype=float)
-    shape = np.broadcast_shapes(xi.shape, sol.rho_mid.shape)
 
     def at(a, mask):
-        return np.broadcast_to(a, shape)[mask]
+        return np.broadcast_to(a, mask.shape)[mask]
 
     # the inverse maps are monotone on [-1, 1]; every fan lies inside it
     xc = np.minimum(np.maximum(xi, -1.0), 1.0)
@@ -346,7 +394,7 @@ def sample_solution(sol: RiemannGridSolution, xi):
     v = np.where(left_of_1, sol.v_l, sol.v_mid)
 
     in_fan1 = ~on1 & (w1 > sol.v_l) & (w1 < sol.v_mid)
-    if in_fan1.any():
+    if np.count_nonzero(in_fan1):
         v[in_fan1] = at(w1, in_fan1)
         rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
 
@@ -355,7 +403,7 @@ def sample_solution(sol: RiemannGridSolution, xi):
     v = np.where(right_of_2, sol.v_r, v)
 
     in_fan2 = ~on2 & (w2 > sol.v_mid) & (w2 < sol.v_r)
-    if in_fan2.any():
+    if np.count_nonzero(in_fan2):
         v[in_fan2] = at(w2, in_fan2)
         rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)
     return rho, v

@@ -17,7 +17,6 @@ update, from the integrated B.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -171,10 +170,12 @@ def source_G(A, B, rho, v, x, eos: EosParams):
     flux correction for the metric jump at the cell center."""
     sig = eos.sigma
     alpha = np.sqrt(A * B)
-    pref = -0.5 * alpha * (1.0 + sig) / (1.0 - v * v) * rho / x
+    vv = v * v
+    inv_a = 1.0 / A
+    pref = -0.5 * alpha * (1.0 + sig) / (1.0 - vv) * rho / x
     kx2 = KAPPA / A * rho * x * x
-    g0 = pref * v * (2.0 * (1.0 / A + 1.0) - kx2 * (1.0 - sig))
-    g1 = pref * (4.0 * v * v + (1.0 / A - 1.0) * (1.0 + v * v) + kx2 * (sig - v * v))
+    g0 = pref * v * (2.0 * (inv_a + 1.0) - kx2 * (1.0 - sig))
+    g1 = pref * (4.0 * vv + (inv_a - 1.0) * (1.0 + vv) + kx2 * (sig - vv))
     return g0, g1
 
 
@@ -189,18 +190,26 @@ def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
     return ubar0 + g0 * dt, ubar1 + g1 * dt
 
 
-@contextmanager
-def _naming_cells(t: float, first: int | None):
-    """Restate a kernel's NonPhysicalState at entry k as one at cell first + k,
-    ghosts counted (interfaces, first=None: cells k and k + 1), and time t."""
-    try:
-        yield
-    except NonPhysicalState as err:
-        if err.index is None:
-            raise
-        k = err.index
+class _naming_cells:
+    """Context that restates a kernel's NonPhysicalState at entry k as one at
+    cell first + k, ghosts counted (interfaces, first=None: cells k and
+    k + 1), and time t."""
+
+    __slots__ = ("t", "first")
+
+    def __init__(self, t: float, first: int | None):
+        self.t, self.first = t, first
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, tb):
+        if not isinstance(err, NonPhysicalState) or err.index is None:
+            return False
+        k, first = err.index, self.first
         where = f"cells {k} and {k + 1}" if first is None else f"cell {first + k}"
-        raise NonPhysicalState(str(err).replace(f"at index {k}", f"at {where}, t={t:.9g}")) from err
+        raise NonPhysicalState(
+            str(err).replace(f"at index {k}", f"at {where}, t={self.t:.9g}")) from err
 
 
 def _refresh_boundaries(state: SimState, t_new: float):
@@ -231,18 +240,18 @@ def update_mass_metric(state: SimState, t_new: float, left, right):
     eos = state.eos
     xe = state.xe
     a0, b0, m0 = left
-    u0mid = 0.5 * (state.u0[:-1] + state.u0[1:])   # at xe[0..n-1]
-    u1mid = 0.5 * (state.u1[:-1] + state.u1[1:])
-    terms_m = 0.5 * KAPPA * u0mid[:-1] * xe[:-1] ** 2 * state.dx
+    u0mid = 0.5 * (state.u0[:-2] + state.u0[1:-1])   # at xe[0..n-1]
+    u1mid = 0.5 * (state.u1[:-2] + state.u1[1:-1])
+    terms_m = 0.5 * KAPPA * u0mid * xe[:-1] ** 2 * state.dx
     M = m0 + np.concatenate(([0.0], np.cumsum(terms_m)))
     A = 1.0 - 2.0 * M / xe
     A[0] = a0
-    if np.any(A <= HORIZON_FLOOR):
+    if np.count_nonzero(A <= HORIZON_FLOOR):
         raise HorizonEncountered(
             f"radial metric component reached {A.min():.3e} at t={t_new:.6f}"
         )
-    rho_mid, v_mid = fluid.fluid_arrays(u0mid[:-1], u1mid[:-1], eos)
-    t11_mid = fluid.t11_arrays(rho_mid, v_mid, eos)
+    rho_mid, v_mid = fluid.fluid_arrays(u0mid, u1mid, eos)
+    t11_mid = fluid.t11_arrays(u1mid, rho_mid, v_mid, eos)
     terms_b = ((1.0 / A[:-1] - 1.0) / xe[:-1]
                + KAPPA * xe[:-1] / A[:-1] * t11_mid) * state.dx
     B = b0 * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
@@ -291,14 +300,15 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
             state.rho[:-1], state.v[:-1], state.rho[1:], state.v[1:], eos, state.eps
         )
     rho_star, v_star = riemann.sample_solution(sol, 0.0)
-    f_star = (fluid.conserved_arrays(rho_star, v_star, eos)[1],
-              fluid.t11_arrays(rho_star, v_star, eos))
+    t01_star = fluid.conserved_arrays(rho_star, v_star, eos)[1]
+    f_star = (t01_star, fluid.t11_arrays(t01_star, rho_star, v_star, eos))
 
     # Godunov step over interior cells.
     alpha = state.light_speed()
+    u1_c = state.u1[1:-1]
     ubar0, ubar1 = godunov_cell_update(
-        (state.u0[1:-1], state.u1[1:-1]),
-        (state.u1[1:-1], fluid.t11_arrays(state.rho[1:-1], state.v[1:-1], eos)),
+        (state.u0[1:-1], u1_c),
+        (u1_c, fluid.t11_arrays(u1_c, state.rho[1:-1], state.v[1:-1], eos)),
         f_star, alpha, dt, state.dx,
     )
 

@@ -51,6 +51,28 @@ def test_simulate_small_grid_exits_zero(tmp_path):
     assert (tmp_path / "snapshot_000.csv").is_file()
 
 
+def simulate_snapshots(outdir, count):
+    argv = ["simulate", "--model", "frw1_tov", "--n", "64", "--duration", "0.05",
+            "--snapshots", str(count), "--outdir", str(outdir)]
+    assert cli.main(argv) == cli.EXIT_OK
+    return [path.read_bytes() for path in sorted(outdir.glob("snapshot_*.csv"))]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_simulate_writes_one_file_per_requested_snapshot(count, tmp_path):
+    assert len(simulate_snapshots(tmp_path, count)) == count
+    assert (tmp_path / "manifest.json").is_file()
+
+
+def test_snapshot_slices_run_from_the_start_to_the_end(tmp_path):
+    """k >= 2 slices include both ends; a single slice is the final one."""
+    five = simulate_snapshots(tmp_path / "five", 5)
+    two = simulate_snapshots(tmp_path / "two", 2)
+    (one,) = simulate_snapshots(tmp_path / "one", 1)
+    assert two == [five[0], five[-1]]
+    assert one == five[-1] != five[0]
+
+
 def test_converge_small_ladder_exits_zero(tmp_path):
     argv = ["converge", "--model", "frw1", "--levels", "64..128",
             "--duration", "0.05", "--outdir", str(tmp_path)]

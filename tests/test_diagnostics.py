@@ -77,7 +77,7 @@ def weak_residual(history, phi):
         for xm, sl in ((xm_l, slice(None, -1)), (xm_r, slice(1, None))):
             rho, v = history.rho[j][sl], history.v[j][sl]
             u0, u1 = history.u0[j][sl], history.u1[j][sl]
-            t11 = fluid.t11_arrays(rho, v, eos)
+            t11 = fluid.t11_arrays(u1, rho, v, eos)
             f0, f1 = alpha * u1, alpha * t11
             g0, g1 = diagnostics._conservation_sources(A, alpha, rho, u0, u1, t11, xm, eos)
             p, pt, px = phi.values(tm, xm)

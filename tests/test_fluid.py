@@ -3,6 +3,7 @@ invariants and stress components, and the physicality checks."""
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,19 @@ def test_invariant_round_trip(rho, v):
     assert g_v == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
+@given(rho=st.floats(min_value=-6.0, max_value=3.0).map(lambda e: 10.0**e), v=velocities)
+@settings(max_examples=300, deadline=None)
+def test_t11_from_momentum_density_matches_enthalpy_form(rho, v):
+    """T11 = u1*v + sigma*rho from the kernel's own u1 equals h*v^2 + sigma*rho,
+    h = (sigma+1)*rho/(1-v^2), evaluated exactly on the same float inputs."""
+    eos = EosParams()
+    got = t11_arrays(conserved_arrays(rho, v, eos)[1], rho, v, eos)
+    with mpmath.workdps(50):
+        r, w, sig = mpmath.mpf(rho), mpmath.mpf(v), mpmath.mpf(eos.sigma)
+        exact = float((sig + 1) * r / (1 - w * w) * w * w + sig * r)
+    assert abs(got - exact) <= 1e-14 * exact
+
+
 def test_conserved_dominance_sweep(eos, rng):
     rho, v = random_states(rng, 1000)
     u0, u1 = fluid.conserved_arrays(rho, v, eos)
@@ -240,7 +254,7 @@ def test_lorentz_associative_and_bounded(rng):
 
 def test_stress_rest_frame_diagonal(eos):
     t00, t01 = conserved_arrays(1.0, 0.0, eos)
-    t11 = t11_arrays(1.0, 0.0, eos)
+    t11 = t11_arrays(t01, 1.0, 0.0, eos)
     assert t00 == pytest.approx(1.0)
     assert t01 == 0.0
     assert t11 == pytest.approx(eos.sigma)
@@ -249,7 +263,7 @@ def test_stress_rest_frame_diagonal(eos):
 def test_stress_determinant_positive(eos, rng):
     rho, v = random_states(rng, 1000)
     t00, t01 = conserved_arrays(rho, v, eos)
-    t11 = t11_arrays(rho, v, eos)
+    t11 = t11_arrays(t01, rho, v, eos)
     det = t00 * t11 - t01 * t01
     assert np.all(det > 0.0)
     # the determinant collapses to a closed form used by the momentum source;
@@ -262,7 +276,7 @@ def test_stress_matches_conserved_pair(eos, rng):
     and T11_M the textbook (v^2 + sigma) gamma^2 rho."""
     rho, v = random_states(rng, 300)
     u0, u1 = fluid.conserved_arrays(rho, v, eos)
-    t11 = t11_arrays(rho, v, eos)
+    t11 = t11_arrays(u1, rho, v, eos)
     sig = eos.sigma
     for k in range(0, 300, 37):
         r, w = rho[k], v[k]

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,12 +204,23 @@ def test_lookup_tables_hold_the_format_of_their_index():
     def entries(table, width):
         return [row.tobytes().rstrip(b"\0") for row in table.view(np.uint8).reshape(-1, width)]
 
-    assert entries(output._HEAD, 4) == [b"%d.%02d" % divmod(i, 100) for i in range(1000)]
-    assert entries(output._QUAD, 4) == [b"%04d" % i for i in range(10_000)]
+    head, quad, exp, scale = output._tables()
+    assert entries(head, 4) == [b"%d.%02d" % divmod(i, 100) for i in range(1000)]
+    assert entries(quad, 4) == [b"%04d" % i for i in range(10_000)]
     exponents = range(-output._E_MAX, output._E_MAX + 1)
-    assert entries(output._EXP, 8) == [b"e%+03d" % e for e in exponents]
+    assert entries(exp, 8) == [b"e%+03d" % e for e in exponents]
     powers = np.array([float(f"1e{10 - e}") for e in exponents])
-    assert np.all(np.abs(output._SCALE.view(np.int64) - powers.view(np.int64)) <= 1)
+    assert np.all(np.abs(scale.view(np.int64) - powers.view(np.int64)) <= 1)
+
+
+def test_importing_output_builds_no_lookup_table():
+    """The tables are built on the first formatted block, not at import, so a
+    process that writes no snapshot does not hold them."""
+    probe = ("import relshock.output as o; n = o._tables.cache_info().currsize; "
+             "o._tables(); print(n, o._tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=pathlib.Path(output.__file__).parents[1])
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_cli_outputs_match_the_per_value_writers(tmp_path, monkeypatch):

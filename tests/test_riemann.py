@@ -86,7 +86,7 @@ def sample_one(left, right, xi, eos):
 
 def minkowski_flux(rho, v, eos):
     u0, u1 = fluid.conserved_arrays(rho, v, eos)
-    return np.array([u0, u1]), np.array([u1, fluid.t11_arrays(rho, v, eos)])
+    return np.array([u0, u1]), np.array([u1, fluid.t11_arrays(u1, rho, v, eos)])
 
 
 def rh_residual(ahead, behind, speed, eos):
@@ -444,6 +444,29 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
         for name in SOLUTION_FIELDS:
             got = getattr(batch, name)[k:k + 1]
             assert getattr(one, name).tobytes() == got.tobytes(), (k, name)
+
+
+def test_newton_batch_converging_at_different_iterations_matches_single_solves(eos):
+    """Entries frozen at different iterations leave the batch one by one; each
+    ends on the same bits as its own solve, and an empty batch returns an
+    empty result without evaluating the residual."""
+    sizes = []
+
+    def step(u, eos_, *arrays):
+        sizes.append(u.size)
+        return riemann._pure_step(u, eos_, *arrays)
+
+    t = -np.geomspace(1e-9, 40.0, 17)
+    u0 = -t / (0.5 * eos.sqrt_2K + eos.sqrt_K_half)
+    batch = riemann._newton(step, u0, [t], eos, 1e-10)
+    assert len(set(sizes)) > 2 and sizes == sorted(sizes, reverse=True), sizes
+    assert np.all(np.isfinite(batch))
+    for k in range(t.size):
+        one = riemann._newton(riemann._pure_step, u0[k:k + 1], [t[k:k + 1]], eos, 1e-10)
+        assert one.tobytes() == batch[k:k + 1].tobytes(), k
+    sizes.clear()
+    empty = riemann._newton(step, np.zeros(0), [np.zeros(0)], eos, 1e-10)
+    assert empty.shape == (0,) and empty.dtype == np.float64 and sizes == []
 
 
 def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
