@@ -42,6 +42,8 @@ class RunConfig:
             raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.n < 8:
             raise ConfigError(f"n must be at least 8, got {self.n}")
+        if self.r_min <= 0.0:
+            raise ConfigError(f"r_min must be positive (r is the areal radius), got {self.r_min}")
         if not self.r_min < self.r_max:
             raise ConfigError("r_min must be below r_max")
         if self.model.endswith("_tov") and not self.r_min < self.r0 < self.r_max:

@@ -29,7 +29,6 @@ __all__ = [
     "total_variation",
     "one_norm_error",
     "convergence_rate",
-    "b_affine_remap",
     "affine_scale",
     "coordinate_time_map",
     "BumpTestFunction",
@@ -55,7 +54,6 @@ class ConeState:
     light_right: float
     sound_left: float
     sound_right: float
-    clamped: bool = False
 
 
 def advance_cones(cones: ConeState, state, dt: float) -> ConeState:
@@ -64,7 +62,7 @@ def advance_cones(cones: ConeState, state, dt: float) -> ConeState:
     Light moves at +/- sqrt(AB); sound at sqrt(AB) times the relativistic
     composition of the fluid velocity with +/- the sound speed.  Metric and
     fluid values are linearly interpolated at the current front positions.
-    Fronts are clamped at the grid and flagged once they leave it.
+    Fronts are clamped at the grid.
     """
     a = float(state.eos.sound_speed)
     lo, hi = float(state.x[1]), float(state.x[-2])
@@ -80,8 +78,7 @@ def advance_cones(cones: ConeState, state, dt: float) -> ConeState:
         return r[k] + alpha[k] * (w + sign * a) / (1.0 + sign * w * a) * dt
 
     new = [light(0, -1.0), light(1, 1.0), sound(2, -1.0), sound(3, 1.0)]
-    outside = any(x < lo or x > hi for x in new)
-    return ConeState(*(min(max(x, lo), hi) for x in new), clamped=cones.clamped or outside)
+    return ConeState(*(min(max(x, lo), hi) for x in new))
 
 
 class ConeTracker:
@@ -213,19 +210,9 @@ def convergence_rate(errors):
     return np.log2(errors[:-1] / errors[1:])
 
 
-def b_affine_remap(b1, b2):
-    """Affine map sending the range of b1 onto the range of b2.
-
-    The time component of the metric is only determined up to the scale
-    freedom of the time coordinate; this removes it before comparing runs.
-    """
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    s = affine_scale(b1, b2)
-    return s * (b1 - b1.min()) + b2.min()
-
-
 def affine_scale(b1, b2) -> float:
+    """Ratio of the ranges of b2 and b1: the scale of the affine map sending
+    the range of b1 onto the range of b2."""
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     d1 = b1.max() - b1.min()

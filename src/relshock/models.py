@@ -116,7 +116,6 @@ class MatchData:
     v0: float         # fluid velocity on the expanding side of the jump
     b0: float         # time scale of the static exterior
     psi0: float | None = None   # integrating factor constant (FRW-2 only)
-    t0_frw: float | None = None  # comoving time at the jump (FRW-2 only)
 
 
 def _v0(eos: EosParams, reversed_time: bool) -> float:
@@ -150,21 +149,17 @@ def match(variant: str, r0: float, eos: EosParams, reversed_time: bool = False) 
     if variant == "frw2":
         if reversed_time:
             raise NonPhysicalState("the FRW-2 matching is forward-time only")
-        t0_frw = r0 / (2.0 * v0)
+        t0_frw = r0 / (2.0 * v0)  # comoving time at the jump
         psi0 = np.sqrt((4.0 * t0_frw**2 + r0**2) / t0_frw)
         t0 = psi0**2 / 2.0
-        return MatchData(
-            r0=r0, t0=float(t0), v0=float(v0), b0=float(b0),
-            psi0=float(psi0), t0_frw=float(t0_frw),
-        )
+        return MatchData(r0=r0, t0=float(t0), v0=float(v0), b0=float(b0),
+                         psi0=float(psi0))
     raise ValueError(f"variant must be 'frw1' or 'frw2', got {variant!r}")
 
 
 class Frw1Model:
     """Pure expanding universe, unit light speed chart (psi0 = 1); a
     negative t_start gives the time-reversed (collapsing) solution."""
-
-    name = "frw1"
 
     def __init__(self, eos: EosParams, t_start: float):
         _require_radiation(eos)
@@ -177,8 +172,6 @@ class Frw1Model:
 
 class Frw2Model:
     """Pure expanding universe under the dynamical integrating factor."""
-
-    name = "frw2"
 
     def __init__(self, eos: EosParams, t_start: float, psi0: float | None = None):
         _require_radiation(eos)
@@ -193,8 +186,6 @@ class Frw2Model:
 
 class TovModel:
     """Pure static isothermal sphere."""
-
-    name = "tov"
 
     def __init__(self, eos: EosParams, b0: float = 1.0, t_start: float = 0.0):
         self.eos = eos
@@ -218,7 +209,6 @@ class MatchedModel:
         self.eos = eos
         self.variant = variant
         self.data = match(variant, r0, eos, reversed_time)
-        self.name = f"{variant}_tov" + ("_reversed" if reversed_time else "")
         self.t_start = self.data.t0
 
     @property

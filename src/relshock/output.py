@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from .riemann import REGION_NAMES
+from .riemann import REGION_NAMES, edge_speeds
 
 __all__ = ["emit_plotdata", "emit_samples", "emit_fan_json", "emit_table",
            "emit_manifest"]
@@ -156,15 +156,14 @@ def emit_fan_json(sol, path: str) -> str:
         return {"kind": "rarefaction", "head_speed": float(head[0]),
                 "tail_speed": float(tail[0])}
 
+    head1, tail1, head2, tail2 = edge_speeds(sol)
     payload = {
         "region": REGION_NAMES[int(sol.region[0])],
         "left": {"rho": float(sol.rho_l[0]), "v": float(sol.v_l[0])},
         "middle": {"rho": float(sol.rho_mid[0]), "v": float(sol.v_mid[0])},
         "right": {"rho": float(sol.rho_r[0]), "v": float(sol.v_r[0])},
-        "wave1": wave(sol.wave1_is_shock()[0], sol.beta1, sol.speed1_head,
-                      sol.speed1_tail),
-        "wave2": wave(sol.wave2_is_shock()[0], sol.beta2, sol.speed2_head,
-                      sol.speed2_tail),
+        "wave1": wave(sol.shock1[0], sol.beta1, head1, tail1),
+        "wave2": wave(sol.shock2[0], sol.beta2, head2, tail2),
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

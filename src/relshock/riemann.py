@@ -18,11 +18,11 @@ fixed and the problem is one equation in u1, from u1 = delta/2 - m/a.
 
 Everything is vectorized: :func:`solve_interfaces` takes one array per
 side and returns a :class:`RiemannGridSolution` holding middle states,
-shock strengths and shock speeds for all interfaces at once; its four
-edge-speed arrays are computed only when first read.
+shock masks, strengths and speeds for all interfaces at once;
+:func:`edge_speeds` derives the four wave-edge speeds from it.
 :func:`sample_solution` evaluates it at any self-similar speed xi.  It
 tests rarefaction edges by comparing velocities with the velocity whose
-eigenvalue is xi, so it reads no edge-speed array.  A single problem is a
+eigenvalue is xi, so it needs no edge speed.  A single problem is a
 batch of one.  Each Newton solve runs only on the interfaces
 that have its wave, and each entry is frozen at its first iterate with
 |residual| < eps, so an interface solves to the same bits alone or in any
@@ -47,6 +47,7 @@ __all__ = [
     "REGION_NAMES",
     "RiemannGridSolution",
     "solve_interfaces",
+    "edge_speeds",
     "sample_solution",
 ]
 
@@ -65,34 +66,25 @@ def _f_big(beta):
     return 1.0 + beta + np.sqrt(beta) * np.sqrt(beta + 2.0)
 
 
-def _p(u, eos: EosParams):
-    """Rapidity jump p(u) = -asinh(a*sinh(u/2)) = -0.5*ln f(2K beta) across
-    a shock of strength u = ln f(beta)."""
-    return -np.arcsinh(eos.sqrt_2K * np.sinh(0.5 * u))
-
-
-def _p_and_slope(u, eos: EosParams):
-    """(p(u), slope), where slope() evaluates dp/du when a Newton step needs
-    it; both share a*sinh(u/2).  The slope grows in magnitude from a/2 at
-    u = 0 toward 1/2."""
+def _curve(u, eos: EosParams):
+    """(p, c*u, h, slope) of the 1-shock curve S1(u) = (p - c*u, p + c*u) at
+    strength u, with h = sinh(u/2) and p = -asinh(a*h) = -0.5*ln f(2K beta);
+    the 2-shock curve is the mirror image with the components exchanged.
+    slope() evaluates dp/du, which grows in magnitude from a/2 at u = 0
+    toward 1/2."""
     a = eos.sqrt_2K
-    h = 0.5 * u
-    x = a * np.sinh(h)
-    return -np.arcsinh(x), lambda: -0.5 * a * np.cosh(h) / np.hypot(1.0, x)
-
-
-def _s1_curve(u, eos: EosParams):
-    """(dr, ds) along the 1-shock curve; the 2-shock curve is the mirror
-    image with dr and ds exchanged."""
-    p = _p(u, eos)
-    cu = eos.sqrt_K_half * u
-    return p - cu, p + cu
+    half = 0.5 * u
+    h = np.sinh(half)
+    x = a * h
+    return (-np.arcsinh(x), eos.sqrt_K_half * u, h,
+            lambda: -0.5 * a * np.cosh(half) / np.hypot(1.0, x))
 
 
 @functools.cache
 def _floor_displacement(eos: EosParams) -> float:
     """-dr of the weakest counted 1-shock (u = _U_FLOOR), per EOS."""
-    return -_s1_curve(_U_FLOOR, eos)[0]
+    p, cu, _, _ = _curve(_U_FLOOR, eos)
+    return -(p - cu)
 
 
 # region of each sign pattern 2*(dr < 0) + (ds < 0) of finite (dr, ds)
@@ -138,10 +130,9 @@ def _newton(step, u, arrays, eos: EosParams, eps: float):
 
 
 def _pure_step(u, eos, t):
-    p, slope = _p_and_slope(u, eos)
-    c = eos.sqrt_K_half
-    resid = t - (p - c * u)
-    return np.abs(resid), lambda: resid / (slope() - c)
+    p, cu, _, slope = _curve(u, eos)
+    resid = t - (p - cu)
+    return np.abs(resid), lambda: resid / (slope() - eos.sqrt_K_half)
 
 
 def _solve_pure(t, eos: EosParams, eps: float):
@@ -152,12 +143,10 @@ def _solve_pure(t, eos: EosParams, eps: float):
 
 
 def _two_shock_step(u1, eos, dr, ds, delta):
-    # the 1-shock curve at u1 plus the mirrored curve at u2 (see _s1_curve),
+    # the 1-shock curve at u1 plus the mirrored curve at u2 (see _curve),
     # both legs evaluated in one pass
     k = u1.size
-    u = np.concatenate((u1, u1 - delta))
-    p, slope = _p_and_slope(u, eos)
-    cu = eos.sqrt_K_half * u
+    p, cu, _, slope = _curve(np.concatenate((u1, u1 - delta)), eos)
     p1, p2, cu1, cu2 = p[:k], p[k:], cu[:k], cu[k:]
     resid_r = dr - ((p1 - cu1) + (p2 + cu2))
     resid_s = ds - ((p1 + cu1) + (p2 - cu2))
@@ -184,12 +173,12 @@ def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
 class RiemannGridSolution:
     """Middle states and wave data for a batch of Riemann problems.
 
-    Attributes are parallel arrays, one entry per interface.  Wave speeds
-    are in the local Minkowski frame of the cell; the scheme scales them by
-    the cell's coordinate light speed when it needs coordinate speeds.
-    Shock speeds are computed with the solution, on shock entries only; the
-    edge speeds speed1_head, speed1_tail, speed2_head and speed2_tail are
-    computed on first read and kept; sampling reads the shock speeds only.
+    Attributes are parallel arrays, one entry per interface.  shock1 and
+    shock2 mask the interfaces whose 1- and 2-wave is a shock (regions II
+    and III, and I and II); shock_speed1 and shock_speed2 hold those shock
+    speeds, NaN off the shocks.  Wave speeds are in the local Minkowski
+    frame of the cell; the scheme scales them by the cell's coordinate
+    light speed when it needs coordinate speeds.
     """
 
     __slots__ = (
@@ -207,8 +196,10 @@ class RiemannGridSolution:
         "v_mid",
         "r_right",
         "s_left",
-        "_shocks",
-        "_speeds",
+        "shock1",
+        "shock_speed1",
+        "shock2",
+        "shock_speed2",
     )
 
     def __init__(self, eos, rho_l, v_l, rho_r, v_r):
@@ -220,32 +211,18 @@ class RiemannGridSolution:
             sides = np.broadcast_arrays(
                 *(np.atleast_1d(np.asarray(x, dtype=float)) for x in sides))
         self.rho_l, self.v_l, self.rho_r, self.v_r = sides
-        self._speeds = None
 
-    def wave1_is_shock(self):
-        """Mask of the 1-shocks (regions II and III)."""
-        return self._shocks[0].copy()
 
-    def wave2_is_shock(self):
-        """Mask of the 2-shocks (regions I and II)."""
-        return self._shocks[2].copy()
-
-    def _edge_speeds(self):
-        """Rarefaction edges move at the characteristic speeds of their
-        bounding states; both edges of a shock move at its speed."""
-        if self._speeds is None:
-            a = self.eos.sound_speed
-            on1, s1, on2, s2 = self._shocks
-            self._speeds = (np.where(on1, s1, fluid.lorentz_compose(self.v_l, -a)),
-                            np.where(on1, s1, fluid.lorentz_compose(self.v_mid, -a)),
-                            np.where(on2, s2, fluid.lorentz_compose(self.v_mid, a)),
-                            np.where(on2, s2, fluid.lorentz_compose(self.v_r, a)))
-        return self._speeds
-
-    speed1_head = property(lambda self: self._edge_speeds()[0])
-    speed1_tail = property(lambda self: self._edge_speeds()[1])
-    speed2_head = property(lambda self: self._edge_speeds()[2])
-    speed2_tail = property(lambda self: self._edge_speeds()[3])
+def edge_speeds(sol: RiemannGridSolution):
+    """(head1, tail1, head2, tail2) of every interface.  Rarefaction edges
+    move at the characteristic speeds of their bounding states; both edges
+    of a shock move at its speed."""
+    a = sol.eos.sound_speed
+    on1, s1, on2, s2 = sol.shock1, sol.shock_speed1, sol.shock2, sol.shock_speed2
+    return (np.where(on1, s1, fluid.lorentz_compose(sol.v_l, -a)),
+            np.where(on1, s1, fluid.lorentz_compose(sol.v_mid, -a)),
+            np.where(on2, s2, fluid.lorentz_compose(sol.v_mid, a)),
+            np.where(on2, s2, fluid.lorentz_compose(sol.v_r, a)))
 
 
 def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10):
@@ -283,7 +260,7 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
         fl1 = (d1 >= eps) & (d1 < thr)
         fl2 = (d2 >= eps) & (d2 < thr)
         delta = (d1 - d2) / (2.0 * eos.sqrt_K_half)
-        outside = _p(np.abs(delta), eos) <= -0.5 * (d1 + d2)
+        outside = _curve(np.abs(delta), eos)[0] <= -0.5 * (d1 + d2)
         floored = fl1 | fl2
         to_I = np.where(floored, fl1, outside & (delta < 0))
         to_III = np.where(floored, fl2, outside & (delta > 0))
@@ -311,12 +288,10 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
 
     # Middle state: rarefaction legs keep the invariant they carry (r from
     # the right, s from the left); shock legs add their curve displacement
-    # (see _s1_curve).  Only region II reaches r_mid from the left state.
+    # (see _curve).  Only region II reaches r_mid from the left state.
     # One h = sinh(u/2) gives each leg's displacement and beta = 2h^2.
     m = w1.size
-    h = np.sinh(0.5 * u_legs)
-    p = -np.arcsinh(eos.sqrt_2K * h)
-    cu = eos.sqrt_K_half * u_legs
+    p, cu, h, _ = _curve(u_legs, eos)
     p_plus = p + cu
     r_mid, s_mid = rR.copy(), sL.copy()
     s_mid[w1] += p_plus[:m]
@@ -332,7 +307,8 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     sol.r_mid, sol.s_mid = r_mid, s_mid
     sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(r_mid, s_mid, eos)
     sol.r_right, sol.s_left = rR, sL
-    sol._shocks = _shock_speeds(sol, w1, w2, beta)
+    sol.shock1, sol.shock_speed1, sol.shock2, sol.shock_speed2 = \
+        _shock_speeds(sol, w1, w2, beta)
     return sol
 
 
@@ -387,7 +363,7 @@ def sample_solution(sol: RiemannGridSolution, xi):
     xc = np.minimum(np.maximum(xi, -1.0), 1.0)
     a = eos.sound_speed
     w1, w2 = fluid.lorentz_compose(xc, a), fluid.lorentz_compose(xc, -a)
-    on1, s1, on2, s2 = sol._shocks
+    on1, s1, on2, s2 = sol.shock1, sol.shock_speed1, sol.shock2, sol.shock_speed2
 
     left_of_1 = np.where(on1, xi <= s1, sol.v_l >= w1)
     rho = np.where(left_of_1, sol.rho_l, sol.rho_mid)

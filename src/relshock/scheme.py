@@ -151,9 +151,10 @@ def init(model, grid: SimGrid, eos: EosParams, eps: float = 1e-10) -> SimState:
     )
 
 
-def cfl_dt(state: SimState) -> float:
-    """Largest step for which neighboring Riemann fans cannot meet."""
-    return float(state.dx / (2.0 * state.light_speed().max()))
+def cfl_dt(dx: float, max_speed: float) -> float:
+    """Largest step for which neighboring Riemann fans cannot meet on cells
+    of width dx whose fastest coordinate light speed is max_speed."""
+    return float(dx / (2.0 * max_speed))
 
 
 def godunov_cell_update(u_c, f_c, f_star, alpha, dt, dx):
@@ -288,7 +289,9 @@ def _rematch_exterior(state: SimState) -> None:
 def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     """One full fractional step; mutates the state and reports on it."""
     eos = state.eos
-    dt = cfl_dt(state)
+    alpha = state.light_speed()
+    max_speed = float(alpha.max())
+    dt = cfl_dt(state.dx, max_speed)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     t_new = state.t + dt
@@ -304,7 +307,6 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     f_star = (t01_star, fluid.t11_arrays(t01_star, rho_star, v_star, eos))
 
     # Godunov step over interior cells.
-    alpha = state.light_speed()
     u1_c = state.u1[1:-1]
     ubar0, ubar1 = godunov_cell_update(
         (state.u0[1:-1], u1_c),
@@ -334,7 +336,7 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
         _rematch_exterior(state)
         boundary_hit = _interaction_at_right_boundary(state)
     return StepReport(
-        dt=dt, max_light_speed=float(alpha.max()), regions=sol.region,
+        dt=dt, max_light_speed=max_speed, regions=sol.region,
         boundary_hit=boundary_hit,
     )
 

@@ -126,6 +126,18 @@ def test_invalid_counts_exit_two(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r_min", ["-1", "0"])
+def test_non_positive_radius_exits_two(r_min, tmp_path, capsys):
+    """A grid reaching r <= 0 is refused before anything runs or is
+    written (it used to run on negative radii, or fail with NaN at 0)."""
+    out = tmp_path / "out"
+    argv = ["simulate", "--model", "frw1", "--r-min", r_min, "--n", "64",
+            "--duration", "0.01", "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "r_min must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reverse_without_room_before_t_zero_exits_two(tmp_path, capsys):
     """On r in [3, 7] the reversed start time is -5.455, so
     |t_start| - 2*r_min is negative and there is nothing to march."""

@@ -67,6 +67,13 @@ def test_parse_config_rejects_negative_snapshots_and_small_chop_floor(tmp_path, 
         load(tmp_path, text)
 
 
+@pytest.mark.parametrize("r_min", ["-1", "0"])
+def test_parse_config_rejects_a_non_positive_radius(tmp_path, r_min):
+    """r is the areal radius, so the grid must start at r > 0."""
+    with pytest.raises(ConfigError, match=f"r_min must be positive .*got {float(r_min)}"):
+        load(tmp_path, f"model = frw1\nr_min = {r_min}\n")
+
+
 def test_parse_config_accepts_the_smallest_valid_counts(tmp_path):
     cfg = load(tmp_path, "snapshots = 0\nmin_cells = 8\n")
     assert (cfg.snapshots, cfg.min_cells) == (0, 8)

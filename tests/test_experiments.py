@@ -15,3 +15,19 @@ def test_frw_images_agree_after_b_remap(eos):
         assert errors[0] > errors[1] > errors[2], (name, errors)
     for run in runs:
         assert abs(run["b_scale"] - 1.0) < 0.02, run["b_scale"]
+
+
+def test_matched_run_side_errors_fall_and_cones_lie_between_borders(eos):
+    """The headline matched FRW/TOV run: outside the interaction region the
+    solution converges to the exact FRW and TOV sides (every side error
+    falls per doubling), and the tracked sound cone lies between the two
+    detected borders at every resolution."""
+    runs = [experiments.matched_run("frw1", n, eos, duration=0.5)
+            for n in (64, 128, 256, 512)]
+    for run in runs:
+        assert set(run.side_errors) == {"frw", "tov"}
+        assert run.frw_border <= run.sound_left <= run.sound_right <= run.tov_border
+    for side in ("frw", "tov"):
+        for name in experiments.FIELDS:
+            errors = [run.side_errors[side][name] for run in runs]
+            assert all(a > b for a, b in zip(errors, errors[1:])), (side, name, errors)

@@ -20,6 +20,7 @@ from relshock.riemann import (
     REGION_II,
     REGION_III,
     REGION_IV,
+    edge_speeds,
     sample_solution,
     solve_interfaces,
 )
@@ -54,6 +55,13 @@ TUBE_MIDDLE = (202_697_484.93, 0.00204131070)
 TUBE_SPEEDS = (-0.484900887599, 0.578709541022, 0.874436559411)
 TWO_SHOCK_LEFT = (2.0, 0.5)
 TWO_SHOCK_RIGHT = (1.0, -0.4)
+
+
+def s1_curve(u, eos):
+    """(dr, ds) along the 1-shock curve; the 2-shock curve is the mirror
+    image with dr and ds exchanged."""
+    p, cu, _, _ = riemann._curve(u, eos)
+    return p - cu, p + cu
 
 
 def f_minus(beta):
@@ -174,7 +182,7 @@ def test_beta_matches_shock_density_ratio(eos):
 
 
 def test_wave_curve_shock_origin(eos):
-    dr, ds = riemann._s1_curve(0.0, eos)
+    dr, ds = s1_curve(0.0, eos)
     assert dr == 0.0 and ds == 0.0
 
 
@@ -196,7 +204,7 @@ def test_wave_curve_rarefactions_are_axes(eos):
 
 def test_shock_curves_negative_and_decreasing(eos):
     # the 2-shock curve is the same pair with dr and ds exchanged
-    dr, ds = riemann._s1_curve(u_of(BETA_GRID), eos)
+    dr, ds = s1_curve(u_of(BETA_GRID), eos)
     assert np.all(dr < 0.0) and np.all(ds < 0.0)
     assert np.all(np.diff(dr) < 0.0) and np.all(np.diff(ds) < 0.0)
 
@@ -206,7 +214,7 @@ def test_u_form_curve_matches_log_form(eos):
     -/+ sqrt(K/2) ln f(beta)), here evaluated at 50 digits because the
     float log form itself loses ~1e-13 to cancellation at beta = 1e-6."""
     mpmath.mp.dps = 50
-    dr, ds = riemann._s1_curve(u_of(BETA_GRID), eos)
+    dr, ds = s1_curve(u_of(BETA_GRID), eos)
     k = mpmath.mpf(eos.K)
     for j, b in enumerate(BETA_GRID):
         bm = mpmath.mpf(b)
@@ -269,7 +277,7 @@ def test_degenerate_input_short_circuits(eos):
     sol = solve_one(s, s, eos)
     assert sol.rho_mid[0] == pytest.approx(3.0)
     assert sol.v_mid[0] == pytest.approx(-0.2)
-    assert not sol.wave1_is_shock()[0] and not sol.wave2_is_shock()[0]
+    assert not sol.shock1[0] and not sol.shock2[0]
 
 
 def test_tube_middle_state_against_frozen_oracle(eos):
@@ -285,23 +293,24 @@ def test_tube_middle_state_against_frozen_oracle(eos):
 
 def test_tube_speeds_against_frozen_oracle(eos):
     sol = solve_one(TUBE_LEFT, TUBE_RIGHT, eos)
-    assert sol.wave1_is_shock()[0]
-    assert not sol.wave2_is_shock()[0]
-    assert sol.speed1_head[0] == pytest.approx(TUBE_SPEEDS[0], abs=1e-9)
-    assert sol.speed2_head[0] == pytest.approx(TUBE_SPEEDS[1], abs=1e-9)
-    assert sol.speed2_tail[0] == pytest.approx(TUBE_SPEEDS[2], abs=1e-9)
+    assert sol.shock1[0]
+    assert not sol.shock2[0]
+    head1, _, head2, tail2 = edge_speeds(sol)
+    assert head1[0] == pytest.approx(TUBE_SPEEDS[0], abs=1e-9)
+    assert head2[0] == pytest.approx(TUBE_SPEEDS[1], abs=1e-9)
+    assert tail2[0] == pytest.approx(TUBE_SPEEDS[2], abs=1e-9)
     # the fan edges are the characteristic speeds of the bounding states
-    assert sol.speed2_head[0] == pytest.approx(
+    assert head2[0] == pytest.approx(
         fluid.lorentz_compose(sol.v_mid[0], eos.sound_speed), rel=1e-12
     )
-    assert sol.speed2_tail[0] == pytest.approx(
+    assert tail2[0] == pytest.approx(
         fluid.lorentz_compose(TUBE_RIGHT[1], eos.sound_speed), rel=1e-12
     )
 
 
 def test_tube_shock_satisfies_jump_conditions(eos):
     sol = solve_one(TUBE_LEFT, TUBE_RIGHT, eos)
-    assert rh_residual(TUBE_LEFT, middle(sol), sol.speed1_head[0], eos) < 1e-8
+    assert rh_residual(TUBE_LEFT, middle(sol), edge_speeds(sol)[0][0], eos) < 1e-8
 
 
 def test_two_shock_case(eos):
@@ -310,14 +319,15 @@ def test_two_shock_case(eos):
     assert sol.region[0] == REGION_II
     assert sol.rho_mid[0] == pytest.approx(4.2801066725, rel=1e-9)
     assert sol.v_mid[0] == pytest.approx(0.2145633005, abs=1e-9)
-    assert sol.speed1_head[0] == pytest.approx(-0.2965361358, abs=1e-9)
-    assert sol.speed2_head[0] == pytest.approx(0.5810869968, abs=1e-9)
+    head1, _, head2, _ = edge_speeds(sol)
+    assert head1[0] == pytest.approx(-0.2965361358, abs=1e-9)
+    assert head2[0] == pytest.approx(0.5810869968, abs=1e-9)
     # density ratios across each shock are the two f branches
     assert sol.rho_mid[0] / left[0] == pytest.approx(f_minus(sol.beta1[0]), rel=1e-8)
     assert right[0] / sol.rho_mid[0] == pytest.approx(f_plus(sol.beta2[0]), rel=1e-8)
     # both shocks satisfy the jump conditions in the lab frame
-    assert rh_residual(left, middle(sol), sol.speed1_head[0], eos) < 1e-8
-    assert rh_residual(right, middle(sol), sol.speed2_head[0], eos) < 1e-8
+    assert rh_residual(left, middle(sol), head1[0], eos) < 1e-8
+    assert rh_residual(right, middle(sol), head2[0], eos) < 1e-8
 
 
 def test_two_shock_speed_frame_independence(eos):
@@ -329,34 +339,36 @@ def test_two_shock_speed_frame_independence(eos):
         TWO_SHOCK_RIGHT[1],
         np.sqrt((f_minus(beta2) + eos.sigma) / (f_minus(beta2) + 1.0 / eos.sigma)),
     )
-    assert sol.speed2_head[0] == pytest.approx(s2_from_right, rel=1e-9)
+    assert edge_speeds(sol)[2][0] == pytest.approx(s2_from_right, rel=1e-9)
     s1_from_middle = fluid.lorentz_compose(
         sol.v_mid[0],
         -np.sqrt((f_plus(beta1) + eos.sigma) / (f_plus(beta1) + 1.0 / eos.sigma)),
     )
-    assert sol.speed1_head[0] == pytest.approx(s1_from_middle, rel=1e-9)
+    assert edge_speeds(sol)[0][0] == pytest.approx(s1_from_middle, rel=1e-9)
 
 
 def test_weak_shock_moves_at_sound_speed(eos):
     sol = solve_one((1.0, 0.0), (1.0 + 1e-9, 0.0), eos)
     # a shock's speed and a rarefaction's head speed are both the head
-    for speed in (sol.speed1_head[0], sol.speed2_head[0]):
+    head1, _, head2, _ = edge_speeds(sol)
+    for speed in (head1[0], head2[0]):
         assert abs(speed) == pytest.approx(eos.sound_speed, abs=1e-5)
 
 
 def test_all_speeds_subluminal(eos, rng):
     rho, v = random_states(rng, 400, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
     sol = solve_interfaces(rho[:-1], v[:-1], rho[1:], v[1:], eos)
-    for arr in (sol.speed1_head, sol.speed1_tail, sol.speed2_head, sol.speed2_tail):
+    head1, tail1, head2, tail2 = edge_speeds(sol)
+    for arr in (head1, tail1, head2, tail2):
         assert np.all(np.abs(arr) < 1.0)
-    assert np.all(sol.speed1_tail <= sol.speed2_head + 1e-14)
+    assert np.all(tail1 <= head2 + 1e-14)
 
 
 def test_entropy_ordering_across_shocks(eos, rng):
     rho, v = random_states(rng, 400, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
     sol = solve_interfaces(rho[:-1], v[:-1], rho[1:], v[1:], eos)
-    s1 = sol.wave1_is_shock()
-    s2 = sol.wave2_is_shock()
+    s1 = sol.shock1
+    s2 = sol.shock2
     assert np.all(sol.rho_mid[s1] > sol.rho_l[s1])
     assert np.all(sol.rho_mid[s2] > sol.rho_r[s2])
 
@@ -371,9 +383,9 @@ def test_fan_recomposition(eos, rng):
     sol = solve_interfaces(rl, vl, rr, vr, eos, eps)
     r_l, s_l = fluid.invariant_arrays(rl, vl, eos)
     r_r, s_r = fluid.invariant_arrays(rr, vr, eos)
-    dr1, ds1 = riemann._s1_curve(u_of(sol.beta1), eos)
-    dr2s, ds2s = riemann._s1_curve(u_of(sol.beta2), eos)  # mirror for family 2
-    shock1, shock2 = sol.wave1_is_shock(), sol.wave2_is_shock()
+    dr1, ds1 = s1_curve(u_of(sol.beta1), eos)
+    dr2s, ds2s = s1_curve(u_of(sol.beta2), eos)  # mirror for family 2
+    shock1, shock2 = sol.shock1, sol.shock2
     r_end = r_l + np.where(shock1, dr1, sol.r_mid - r_l)
     s_end = s_l + np.where(shock1, ds1, 0.0)
     r_end = r_end + np.where(shock2, ds2s, 0.0)
@@ -383,7 +395,7 @@ def test_fan_recomposition(eos, rng):
 
 
 SOLUTION_FIELDS = ("region", "beta1", "beta2", "r_mid", "s_mid", "rho_mid", "v_mid",
-                   "speed1_head", "speed1_tail", "speed2_head", "speed2_tail")
+                   "shock1", "shock_speed1", "shock2", "shock_speed2")
 
 
 def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
@@ -393,7 +405,7 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     # (dr, ds) displacements in the invariant plane from one left state;
     # a pure shock of size 0.5 moves the other invariant by -2*sliver
     u_half = riemann._solve_pure(np.array([-0.5]), eos, 1e-10)
-    sliver = -0.5 * riemann._s1_curve(u_half, eos)[1][0]
+    sliver = -0.5 * s1_curve(u_half, eos)[1][0]
     steps = [(0.5, 0.3), (-0.5, 0.3), (0.3, -0.5), (-0.5, -0.5), (-0.2, -0.05),
              (-sliver, -0.5), (-0.5, -sliver), (-1e-11, 0.3), (-1e-11, -0.5),
              (-1.05e-10, -1.05e-10), (0.0, 0.0), (1e-12, -1e-12)]
@@ -429,8 +441,8 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     assert reclassified == {REGION_I, REGION_III, REGION_IV}
     assert np.any((np.abs(dr) < 1e-10) & (dr < 0))
     # rarefactions and absent waves carry zero strength
-    assert np.all(batch.beta1[~batch.wave1_is_shock()] == 0.0)
-    assert np.all(batch.beta2[~batch.wave2_is_shock()] == 0.0)
+    assert np.all(batch.beta1[~batch.shock1] == 0.0)
+    assert np.all(batch.beta2[~batch.shock2] == 0.0)
     # one pure-curve solve on exactly the single shocks of regions III (dr)
     # and I (ds), one coupled solve on exactly the genuine two-shock ones
     (pure,), = calls["pure"]
@@ -444,6 +456,8 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
         for name in SOLUTION_FIELDS:
             got = getattr(batch, name)[k:k + 1]
             assert getattr(one, name).tobytes() == got.tobytes(), (k, name)
+        for j, (alone, batched) in enumerate(zip(edge_speeds(one), edge_speeds(batch))):
+            assert alone.tobytes() == batched[k:k + 1].tobytes(), (k, j)
 
 
 def test_newton_batch_converging_at_different_iterations_matches_single_solves(eos):
@@ -520,7 +534,7 @@ def reference_edge_speeds(sol):
     shock speed."""
     eos = sol.eos
     a = eos.sound_speed
-    w1, w2 = sol.wave1_is_shock(), sol.wave2_is_shock()
+    w1, w2 = sol.shock1, sol.shock2
     head1 = fluid.lorentz_compose(sol.v_l, -a)
     tail1 = fluid.lorentz_compose(sol.v_mid, -a)
     s1_rest = -riemann._rest_frame_shock_speed(riemann._f_big(sol.beta1[w1]), eos)
@@ -547,14 +561,14 @@ def reference_sample(sol, xi):
     left_of_1 = xi <= head1
     rho[left_of_1] = at(sol.rho_l, left_of_1)
     v[left_of_1] = at(sol.v_l, left_of_1)
-    in_fan1 = (~sol.wave1_is_shock()) & (xi > head1) & (xi < tail1)
+    in_fan1 = (~sol.shock1) & (xi > head1) & (xi < tail1)
     if in_fan1.any():
         v[in_fan1] = fluid.lorentz_compose(at(xi, in_fan1), eos.sound_speed)
         rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
     right_of_2 = xi >= tail2
     rho[right_of_2] = at(sol.rho_r, right_of_2)
     v[right_of_2] = at(sol.v_r, right_of_2)
-    in_fan2 = (~sol.wave2_is_shock()) & (xi > head2) & (xi < tail2)
+    in_fan2 = (~sol.shock2) & (xi > head2) & (xi < tail2)
     if in_fan2.any():
         v[in_fan2] = fluid.lorentz_compose(at(xi, in_fan2), -eos.sound_speed)
         rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)
@@ -574,7 +588,7 @@ def sampling_batch(eos, rng):
     sol = solve_interfaces(np.r_[rho[::2], np.ones(100)], np.r_[v[::2], v_sonic],
                            np.r_[rho[1::2], rho_r], np.r_[v[1::2], v_r], eos)
     head1, tail1, head2, tail2 = reference_edge_speeds(sol)
-    on1, on2 = sol.wave1_is_shock(), sol.wave2_is_shock()
+    on1, on2 = sol.shock1, sol.shock2
     assert np.any(~on1 & (head1 < 0) & (tail1 > 0)) and np.any(~on2 & (head2 < 0) & (tail2 > 0))
     for on, speed in ((on1, head1), (on2, head2)):
         assert np.any(on & (speed < 0)) and np.any(on & (speed > 0))
@@ -583,8 +597,7 @@ def sampling_batch(eos, rng):
 
 def test_lazy_edge_speeds_equal_the_stored_ones(eos, rng):
     sol = sampling_batch(eos, rng)
-    got = (sol.speed1_head, sol.speed1_tail, sol.speed2_head, sol.speed2_tail)
-    for new, ref in zip(got, reference_edge_speeds(sol)):
+    for new, ref in zip(edge_speeds(sol), reference_edge_speeds(sol)):
         assert new.tobytes() == ref.tobytes()
 
 
@@ -656,23 +669,24 @@ def test_random_fans_satisfy_jump_and_invariant_conditions(eos, rng):
     conditions; every rarefaction edge pair matches the eigenvalues."""
     rho, v = random_states(rng, 300, rho_lo=1e-2, rho_hi=1e2, v_max=0.9)
     sol = solve_interfaces(rho[::2], v[::2], rho[1::2], v[1::2], eos)
-    shock1, shock2 = sol.wave1_is_shock(), sol.wave2_is_shock()
+    shock1, shock2 = sol.shock1, sol.shock2
+    head1, _, head2, tail2 = edge_speeds(sol)
     checked_shocks = 0
     for k in range(sol.region.size):
         left = (sol.rho_l[k], sol.v_l[k])
         right = (sol.rho_r[k], sol.v_r[k])
         if shock1[k] and sol.beta1[k] > 1e-8:
-            assert rh_residual(left, middle(sol, k), sol.speed1_head[k], eos) < 1e-6
+            assert rh_residual(left, middle(sol, k), head1[k], eos) < 1e-6
             checked_shocks += 1
         else:
-            assert sol.speed1_head[k] == pytest.approx(
+            assert head1[k] == pytest.approx(
                 fluid.lorentz_compose(left[1], -eos.sound_speed), rel=1e-12
             )
         if shock2[k] and sol.beta2[k] > 1e-8:
-            assert rh_residual(right, middle(sol, k), sol.speed2_head[k], eos) < 1e-6
+            assert rh_residual(right, middle(sol, k), head2[k], eos) < 1e-6
             checked_shocks += 1
         else:
-            assert sol.speed2_tail[k] == pytest.approx(
+            assert tail2[k] == pytest.approx(
                 fluid.lorentz_compose(right[1], eos.sound_speed), rel=1e-12
             )
     assert checked_shocks > 20
@@ -683,7 +697,7 @@ def test_general_sigma_round_trip():
     eos = EosParams(0.1)
     left, right = (5.0, 0.2), (1.0, -0.1)
     sol = solve_one(left, right, eos)
-    if sol.wave1_is_shock()[0]:
-        assert rh_residual(left, middle(sol), sol.speed1_head[0], eos) < 1e-8
-    if sol.wave2_is_shock()[0]:
-        assert rh_residual(right, middle(sol), sol.speed2_head[0], eos) < 1e-8
+    if sol.shock1[0]:
+        assert rh_residual(left, middle(sol), edge_speeds(sol)[0][0], eos) < 1e-8
+    if sol.shock2[0]:
+        assert rh_residual(right, middle(sol), edge_speeds(sol)[2][0], eos) < 1e-8

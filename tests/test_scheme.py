@@ -84,7 +84,7 @@ def test_init_tov_velocity_zero():
 
 def test_cfl_unit_light_speed():
     state, _ = make_state("frw1", n=41, t_start=15.0)
-    assert cfl_dt(state) == pytest.approx(0.05, rel=1e-12)
+    assert cfl_dt(state.dx, state.light_speed().max()) == pytest.approx(0.05, rel=1e-12)
 
 
 def test_cfl_constant_for_unit_speed_run():
@@ -99,8 +99,9 @@ def test_cfl_constant_for_unit_speed_run():
 def test_cfl_set_by_fastest_cell():
     state, _ = make_state("tov", n=64, b0=1.0)
     c = state.light_speed()
-    assert cfl_dt(state) == pytest.approx(state.dx / (2.0 * c.max()), rel=1e-14)
+    assert cfl_dt(state.dx, c.max()) == pytest.approx(state.dx / (2.0 * c.max()), rel=1e-14)
     assert np.argmax(c) == c.size - 1  # right edge is the fastest frame
+    assert advance(state).dt == cfl_dt(state.dx, c.max())
 
 
 def test_cfl_respected_per_step():
@@ -168,12 +169,12 @@ def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
     step for every model (both ghosts and the mass/metric boundary data of
     a pure model, the left ghost and anchors of a matched one)."""
     edge_reads = []
-    edge_speeds = riemann.RiemannGridSolution._edge_speeds
+    edge_speeds = riemann.edge_speeds
 
     def spied_edge_speeds(sol):
         edge_reads.append(sol)
         return edge_speeds(sol)
-    monkeypatch.setattr(riemann.RiemannGridSolution, "_edge_speeds", spied_edge_speeds)
+    monkeypatch.setattr(riemann, "edge_speeds", spied_edge_speeds)
     for variant, kw in (("frw1", {}), ("tov", {}), ("frw1_tov", {"r0": 5.0})):
         state, eos = make_state(variant, n=64, **kw)
         evaluations = []
@@ -199,10 +200,10 @@ def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
     sol = riemann.solve_interfaces(state.rho[:-1], state.v[:-1], state.rho[1:],
                                    state.v[1:], eos)
     monkeypatch.setattr(fluid, "lorentz_compose", spied_compose)
-    assert np.all(sol.speed1_head <= sol.speed2_tail)        # computes all four edges
-    assert len(composed) == 4
-    assert np.all(sol.speed1_tail <= sol.speed2_head + 1e-14)  # reuses them
-    assert len(composed) == 4 and len(edge_reads) == 4
+    head1, tail1, head2, tail2 = riemann.edge_speeds(sol)     # computes all four edges
+    assert np.all(head1 <= tail2)
+    assert len(composed) == 4 and len(edge_reads) == 1
+    assert np.all(tail1 <= head2 + 1e-14)
 
 
 def _half_cell_average_by_quadrature(left, right, alpha, dt, dx, eos):
@@ -215,10 +216,7 @@ def _half_cell_average_by_quadrature(left, right, alpha, dt, dx, eos):
             rho, v = riemann.sample_solution(sol, np.array([x / (alpha * dt)]))
             u0, u1 = fluid.conserved_arrays(rho[0], v[0], eos)
             return u0 if which == 0 else u1
-        breaks = alpha * dt * np.array(
-            [sol.speed1_head[0], sol.speed1_tail[0],
-             sol.speed2_head[0], sol.speed2_tail[0]]
-        )
+        breaks = alpha * dt * np.array([speed[0] for speed in riemann.edge_speeds(sol)])
         pts = sorted(b for b in breaks if 0.0 < b < dx / 2.0)
         val, err = quad(f, 0.0, dx / 2.0, points=pts or None, limit=200,
                         epsabs=1e-13, epsrel=1e-12)
@@ -314,7 +312,7 @@ def test_advance_rejects_the_state_it_makes(monkeypatch):
         return u0, u1
     monkeypatch.setattr(scheme, "ode_step", corrupt)
     t0, rho0 = state.t, state.rho.copy()
-    t_new = t0 + cfl_dt(state)
+    t_new = t0 + cfl_dt(state.dx, state.light_speed().max())
     with pytest.raises(NonPhysicalState, match=f"rho must be positive at cell 11, t={t_new:.9g} "):
         advance(state)
     assert state.t == t0
