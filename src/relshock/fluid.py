@@ -8,12 +8,20 @@ is one exact closed-form kernel that accepts scalars or numpy arrays.  The
 momentum flux T11_M = u1*v + sigma*rho (:func:`t11_arrays`) takes the
 momentum density u1 = T01_M the caller already holds, so it costs no
 enthalpy evaluation.  The speed of light is fixed at c = 1.
+
+Every kernel returns new arrays and never writes into an input.  The wide
+ones finish each formula in their outputs and a work array or two
+(augmented assignment, `out=`), in the operation order of the plain
+expression, so every bit is the same; their array arguments share one
+shape, and any of them may be a scalar.  Guards are min/max reductions,
+through which NaN propagates and fails; only a failed guard builds the
+masks that name the first bad entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,9 +73,26 @@ class EosParams:
         return np.sqrt(2.0 * self.K)
 
 
+def _into(buf):
+    """`out=` that finishes a formula in buf: buf itself when it is an array
+    the kernel allocated, None when it is a scalar (the ufunc then returns
+    a new scalar)."""
+    return buf if type(buf) is np.ndarray else None
+
+
+# min and max over every entry, NaN propagating; an empty array gives the
+# initial value, which passes every guard
+_least = partial(np.minimum.reduce, axis=None, initial=np.inf)
+_most = partial(np.maximum.reduce, axis=None, initial=-np.inf)
+
+
 def rapidity(v):
     """0.5*ln((1+v)/(1-v)); velocities compose additively in this variable."""
-    return 0.5 * np.log((1.0 + v) / (1.0 - v))
+    phi = 1.0 + v
+    phi /= 1.0 - v
+    phi = np.log(phi, out=_into(phi))
+    phi *= 0.5
+    return phi
 
 
 def conserved_arrays(rho, v, eos: EosParams):
@@ -79,14 +104,19 @@ def conserved_arrays(rho, v, eos: EosParams):
     would show up in the round trip.
     """
     sig = eos.sigma
-    h = rho * (sig + 1.0) / ((1.0 - v) * (1.0 + v))
-    return h - sig * rho, h * v
+    h = rho * (sig + 1.0)      # h = rho*(sig+1)/((1-v)*(1+v))
+    d = 1.0 - v
+    d *= 1.0 + v
+    h /= d
+    u0 = h - sig * rho
+    h *= v
+    return u0, h
 
 
 def _require(ok, what: str, **values):
     """Raise NonPhysicalState naming the first entry where `ok` is false;
-    NaN compares false, so it never passes.  Callers test all their
-    conditions in one mask first and come here only when it fails."""
+    NaN compares false, so it never passes.  Callers come here only when
+    their reduction guard has failed."""
     if np.all(ok):
         return
     k = int(np.flatnonzero(~np.asarray(ok))[0])
@@ -103,23 +133,31 @@ def fluid_arrays(u0, u1, eos: EosParams):
     and passes smoothly through u1 = 0.  A pair with disc < 0 or u0 <= 0,
     or a NaN, raises NonPhysicalState naming the first bad index.
     """
-    sig = eos.sigma
-    disc = (sig + 1.0) ** 2 * u0 * u0 - 4.0 * sig * u1 * u1
-    ok = (disc >= 0.0) & (u0 > 0.0)
-    if np.count_nonzero(ok) != np.size(ok):
+    sig1 = eos.sigma + 1.0
+    disc = sig1 ** 2 * u0      # disc = (sig+1)^2*u0*u0 - 4*sig*u1*u1
+    disc *= u0
+    w = 4.0 * eos.sigma * u1
+    w *= u1
+    disc -= w
+    if not (_least(disc) >= 0.0 and _least(u0) > 0.0):
         _require(disc >= 0.0, "conserved pair outside the physical region (disc < 0)",
                  u0=u0, u1=u1)
         _require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
-    denom = (sig + 1.0) * u0 + np.sqrt(disc)   # disc >= 0: checked above
-    v = 2.0 * u1 / denom
-    rho = (1.0 - v) * (1.0 + v) * denom / (2.0 * (sig + 1.0))
+    disc = np.sqrt(disc, out=_into(disc))
+    denom = np.multiply(sig1, u0, out=_into(w))
+    denom += disc
+    v = np.multiply(2.0, u1, out=_into(disc))
+    v /= denom
+    rho = 1.0 - v              # rho = (1-v)*(1+v)*denom/(2*(sig+1))
+    rho *= 1.0 + v
+    rho *= denom
+    rho /= 2.0 * sig1
     return rho, v
 
 
 def check_fluid(rho, v):
     """Reject any entry without rho > 0 and |v| < 1 (NaN fails both)."""
-    ok = (rho > 0.0) & (np.abs(v) < 1.0)
-    if np.count_nonzero(ok) != np.size(ok):
+    if not (_least(rho) > 0.0 and _most(np.abs(v)) < 1.0):
         _require(rho > 0.0, "rho must be positive", rho=rho)
         _require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
 
@@ -134,8 +172,9 @@ def t11_arrays(u1, rho, v, eos: EosParams):
 def invariant_arrays(rho, v, eos: EosParams):
     """(r, s) from (rho, v)."""
     phi = rapidity(v)
-    lr = eos.sqrt_K_half * np.log(rho)
-    return phi - lr, phi + lr
+    lr = np.log(rho)
+    lr *= eos.sqrt_K_half
+    return phi - lr, np.add(phi, lr, out=_into(lr))
 
 
 def fluid_from_invariant_arrays(r, s, eos: EosParams):

@@ -242,17 +242,19 @@ def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
                t_start: float | None = None, b0: float = 1.0,
                psi0: float | None = None, reversed_time: bool = False):
     """Model factory keyed by the run-config variant name.  reversed_time
-    applies to frw1_tov; a pure frw1 model runs reversed from a negative
-    t_start."""
+    is passed to the matching of frw1_tov and frw2_tov (the FRW-2 matching
+    refuses it); a pure model refuses it with ValueError, since a pure frw1
+    model runs reversed from a negative t_start."""
+    if variant in ("frw1_tov", "frw2_tov"):
+        return MatchedModel(variant[:4], r0, eos, reversed_time)
+    if variant not in ("frw1", "frw2", "tov"):
+        raise ValueError(f"unknown model variant {variant!r}")
+    if reversed_time:
+        raise ValueError(f"reversed_time applies to the matched models, not {variant!r}; "
+                         "a pure frw1 model runs reversed from a negative t_start")
     if variant == "frw1":
         return Frw1Model(eos, t_start if t_start is not None else 15.0)
     if variant == "frw2":
         return Frw2Model(eos, t_start if t_start is not None else 15.0, psi0)
-    if variant == "tov":
-        return TovModel(eos, b0)
-    if variant == "frw1_tov":
-        return MatchedModel("frw1", r0, eos, reversed_time)
-    if variant == "frw2_tov":
-        return MatchedModel("frw2", r0, eos)
-    raise ValueError(f"unknown model variant {variant!r}")
+    return TovModel(eos, b0)
 

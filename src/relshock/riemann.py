@@ -233,9 +233,9 @@ def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10)
     first interface whose Newton solve does not converge.
     """
     sol = RiemannGridSolution(eos, rho_l, v_l, rho_r, v_r)
-    ok = (np.minimum(sol.rho_l, sol.rho_r) > 0.0) & \
-        (np.maximum(np.abs(sol.v_l), np.abs(sol.v_r)) < 1.0)
-    if np.count_nonzero(ok) != ok.size:
+    least, most = fluid._least, fluid._most
+    if not (least(sol.rho_l) > 0.0 and least(sol.rho_r) > 0.0
+            and most(np.abs(sol.v_l)) < 1.0 and most(np.abs(sol.v_r)) < 1.0):
         fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",
                        rho_l=sol.rho_l, rho_r=sol.rho_r)
         fluid._require((np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0),

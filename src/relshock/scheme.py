@@ -13,18 +13,25 @@ boundary stage takes the exact model outside the interaction region in one
 evaluation: both ghost cells, the update's left anchors and the last
 edge's (A, B).  A matched model's static exterior is rematched after the
 update, from the integrated B.
+
+The stage kernels keep the contract of :mod:`relshock.fluid`: they
+allocate their outputs, finish each formula in them bit for bit, and never
+write into an input (the stepper passes views of its state).  The update
+stores new M, A and B arrays, so arrays kept from before a step stay as
+they were.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import diagnostics, fluid, models, riemann
 from .errors import BorderNotFound, GridExhausted, HorizonEncountered, NonPhysicalState
-from .fluid import EosParams
+from .fluid import EosParams, _into
 from .models import KAPPA
 
 __all__ = ["SimGrid", "SimState", "StepReport", "RunLog", "Hook", "init", "cfl_dt",
@@ -96,7 +103,13 @@ class SimState:
         return self.x.size - 2
 
     def light_speed(self) -> np.ndarray:
-        return np.sqrt(self.A * self.B)
+        ab = self.A * self.B
+        return np.sqrt(ab, out=ab)
+
+    @cached_property
+    def xe_sq(self) -> np.ndarray:
+        """xe[:-1]**2, computed once per grid; :func:`chop_right` drops it."""
+        return self.xe[:-1] ** 2
 
 
 @dataclass(frozen=True)
@@ -162,21 +175,56 @@ def godunov_cell_update(u_c, f_c, f_star, alpha, dt, dx):
     the zero-speed fluxes f_star of its two bounding interfaces; each half
     cell carries its interface's frozen metric factor alpha = sqrt(AB)."""
     al, ar, r = alpha[:-1], alpha[1:], dt / dx
-    return tuple(u - r * ((al * f - al * fs[:-1]) + (ar * fs[1:] - ar * f))
-                 for u, f, fs in zip(u_c, f_c, f_star))
+    out, w, z = [], None, None
+    for u, f, fs in zip(u_c, f_c, f_star):
+        d = al * f             # u - r*((al*f - al*fs[:-1]) + (ar*fs[1:] - ar*f))
+        w = np.multiply(al, fs[:-1], out=w)
+        d -= w
+        w = np.multiply(ar, fs[1:], out=w)
+        z = np.multiply(ar, f, out=z)
+        w -= z
+        d += w
+        d *= r
+        out.append(np.subtract(u, d, out=d))
+    return tuple(out)
 
 
 def source_G(A, B, rho, v, x, eos: EosParams):
     """Source of the ODE stage: undifferentiated geometric terms plus the
     flux correction for the metric jump at the cell center."""
+    # pref = -0.5*sqrt(A*B)*(1+sig)/(1-vv)*rho/x and kx2 = KAPPA/A*rho*x*x;
+    # g0 = pref*v*(2*(1/A + 1) - kx2*(1-sig));
+    # g1 = pref*(4*vv + (1/A - 1)*(1 + vv) + kx2*(sig - vv))
     sig = eos.sigma
-    alpha = np.sqrt(A * B)
+    pref = A * B
+    pref = np.sqrt(pref, out=_into(pref))
+    pref *= -0.5
+    pref *= 1.0 + sig
     vv = v * v
+    w = 1.0 - vv
+    pref /= w
+    pref *= rho
+    pref /= x
+    kx2 = np.divide(KAPPA, A, out=_into(w))
+    kx2 *= rho
+    kx2 *= x
+    kx2 *= x
     inv_a = 1.0 / A
-    pref = -0.5 * alpha * (1.0 + sig) / (1.0 - vv) * rho / x
-    kx2 = KAPPA / A * rho * x * x
-    g0 = pref * v * (2.0 * (inv_a + 1.0) - kx2 * (1.0 - sig))
-    g1 = pref * (4.0 * vv + (inv_a - 1.0) * (1.0 + vv) + kx2 * (sig - vv))
+    g0 = inv_a + 1.0
+    g0 *= 2.0
+    g1 = kx2 * (1.0 - sig)
+    g0 -= g1
+    g1 = np.multiply(pref, v, out=_into(g1))
+    g0 *= g1
+    g1 = np.subtract(sig, vv, out=_into(g1))
+    kx2 *= g1
+    g1 = np.multiply(vv, 4.0, out=_into(g1))
+    inv_a -= 1.0
+    vv += 1.0
+    inv_a *= vv
+    g1 += inv_a
+    g1 += kx2
+    g1 *= pref
     return g0, g1
 
 
@@ -188,7 +236,11 @@ def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
     rho, v = fluid.fluid_arrays(ubar0, ubar1, eos)
     fluid.check_fluid(rho, v)
     g0, g1 = source_G(A_avg, B_avg, rho, v, x, eos)
-    return ubar0 + g0 * dt, ubar1 + g1 * dt
+    g0 *= dt                   # ubar + g*dt, in g's buffer
+    g0 += ubar0
+    g1 *= dt
+    g1 += ubar1
+    return g0, g1
 
 
 class _naming_cells:
@@ -241,11 +293,20 @@ def update_mass_metric(state: SimState, t_new: float, left, right):
     eos = state.eos
     xe = state.xe
     a0, b0, m0 = left
-    u0mid = 0.5 * (state.u0[:-2] + state.u0[1:-1])   # at xe[0..n-1]
-    u1mid = 0.5 * (state.u1[:-2] + state.u1[1:-1])
-    terms_m = 0.5 * KAPPA * u0mid * xe[:-1] ** 2 * state.dx
-    M = m0 + np.concatenate(([0.0], np.cumsum(terms_m)))
-    A = 1.0 - 2.0 * M / xe
+    u0mid = state.u0[:-2] + state.u0[1:-1]   # 0.5*(...), at xe[0..n-1]
+    u0mid *= 0.5
+    u1mid = state.u1[:-2] + state.u1[1:-1]
+    u1mid *= 0.5
+    terms = 0.5 * KAPPA * u0mid                # 0.5*KAPPA*u0mid*xe[:-1]**2*dx
+    terms *= state.xe_sq
+    terms *= state.dx
+    M = np.empty(xe.size)                      # m0 + [0, cumsum(terms)]
+    M[0] = 0.0
+    np.cumsum(terms, out=M[1:])
+    M += m0
+    A = 2.0 * M                                # 1 - 2*M/xe
+    A /= xe
+    np.subtract(1.0, A, out=A)
     A[0] = a0
     if np.count_nonzero(A <= HORIZON_FLOOR):
         raise HorizonEncountered(
@@ -253,9 +314,20 @@ def update_mass_metric(state: SimState, t_new: float, left, right):
         )
     rho_mid, v_mid = fluid.fluid_arrays(u0mid, u1mid, eos)
     t11_mid = fluid.t11_arrays(u1mid, rho_mid, v_mid, eos)
-    terms_b = ((1.0 / A[:-1] - 1.0) / xe[:-1]
-               + KAPPA * xe[:-1] / A[:-1] * t11_mid) * state.dx
-    B = b0 * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
+    # ((1/A - 1)/xe + KAPPA*xe/A*t11)*dx at xe[:-1]
+    np.divide(1.0, A[:-1], out=terms)
+    terms -= 1.0
+    terms /= xe[:-1]
+    w = KAPPA * xe[:-1]
+    w /= A[:-1]
+    w *= t11_mid
+    terms += w
+    terms *= state.dx
+    B = np.empty(xe.size)                      # b0*exp([0, cumsum(terms)])
+    B[0] = 0.0
+    np.cumsum(terms, out=B[1:])
+    np.exp(B, out=B)
+    B *= b0
     A[-1], B[-1] = right
     state.M, state.A, state.B = M, A, B
 
@@ -315,8 +387,10 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     )
 
     # ODE step with the neighbor-averaged metric, checked before it is stored.
-    a_avg = 0.5 * (state.A[:-1] + state.A[1:])
-    b_avg = 0.5 * (state.B[:-1] + state.B[1:])
+    a_avg = state.A[:-1] + state.A[1:]       # 0.5*(...) each
+    a_avg *= 0.5
+    b_avg = state.B[:-1] + state.B[1:]
+    b_avg *= 0.5
     with _naming_cells(t_new, 1):
         u0_new, u1_new = ode_step(ubar0, ubar1, a_avg, b_avg, state.x[1:-1], dt, eos)
         rho_new, v_new = fluid.fluid_arrays(u0_new, u1_new, eos)
@@ -356,6 +430,7 @@ def chop_right(state: SimState, min_cells: int = 16) -> SimState:
         raise GridExhausted(f"only {state.n} cells left (minimum {min_cells})")
     for name in ("x", "rho", "v", "u0", "u1", "xe", "A", "B", "M"):
         setattr(state, name, getattr(state, name)[:-1].copy())
+    vars(state).pop("xe_sq", None)
     state.right_frozen = True
     return state
 

@@ -1,0 +1,112 @@
+"""Expression-form references of the in-place kernels.
+
+Each function is the plain numpy expression the kernel of the same name in
+`relshock.fluid`, `relshock.scheme` or `relshock.riemann` evaluates in its
+own buffers: one fresh temporary per operation, in the same left-to-right
+order, and guards built from full-width masks.  The tests require the
+kernels to equal these bit for bit and to raise the same messages.
+"""
+
+import numpy as np
+
+from relshock import fluid
+from relshock.errors import HorizonEncountered
+from relshock.models import KAPPA
+
+
+def rapidity(v):
+    return 0.5 * np.log((1.0 + v) / (1.0 - v))
+
+
+def conserved_arrays(rho, v, eos):
+    sig = eos.sigma
+    h = rho * (sig + 1.0) / ((1.0 - v) * (1.0 + v))
+    return h - sig * rho, h * v
+
+
+def invariant_arrays(rho, v, eos):
+    phi = rapidity(v)
+    lr = eos.sqrt_K_half * np.log(rho)
+    return phi - lr, phi + lr
+
+
+def fluid_arrays(u0, u1, eos):
+    sig = eos.sigma
+    disc = (sig + 1.0) ** 2 * u0 * u0 - 4.0 * sig * u1 * u1
+    ok = (disc >= 0.0) & (u0 > 0.0)
+    if np.count_nonzero(ok) != np.size(ok):
+        fluid._require(disc >= 0.0, "conserved pair outside the physical region (disc < 0)",
+                       u0=u0, u1=u1)
+        fluid._require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
+    denom = (sig + 1.0) * u0 + np.sqrt(disc)
+    v = 2.0 * u1 / denom
+    rho = (1.0 - v) * (1.0 + v) * denom / (2.0 * (sig + 1.0))
+    return rho, v
+
+
+def check_fluid(rho, v):
+    ok = (rho > 0.0) & (np.abs(v) < 1.0)
+    if np.count_nonzero(ok) != np.size(ok):
+        fluid._require(rho > 0.0, "rho must be positive", rho=rho)
+        fluid._require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
+
+
+def check_interfaces(rho_l, v_l, rho_r, v_r):
+    """The physicality guard of `riemann.solve_interfaces`."""
+    ok = (np.minimum(rho_l, rho_r) > 0.0) & (np.maximum(np.abs(v_l), np.abs(v_r)) < 1.0)
+    if np.count_nonzero(ok) != ok.size:
+        fluid._require((rho_l > 0.0) & (rho_r > 0.0), "rho must be positive",
+                       rho_l=rho_l, rho_r=rho_r)
+        fluid._require((np.abs(v_l) < 1.0) & (np.abs(v_r) < 1.0),
+                       "|v| must be < 1", v_l=v_l, v_r=v_r)
+
+
+def light_speed(A, B):
+    return np.sqrt(A * B)
+
+
+def godunov_cell_update(u_c, f_c, f_star, alpha, dt, dx):
+    al, ar, r = alpha[:-1], alpha[1:], dt / dx
+    return tuple(u - r * ((al * f - al * fs[:-1]) + (ar * fs[1:] - ar * f))
+                 for u, f, fs in zip(u_c, f_c, f_star))
+
+
+def source_G(A, B, rho, v, x, eos):
+    sig = eos.sigma
+    alpha = np.sqrt(A * B)
+    vv = v * v
+    inv_a = 1.0 / A
+    pref = -0.5 * alpha * (1.0 + sig) / (1.0 - vv) * rho / x
+    kx2 = KAPPA / A * rho * x * x
+    g0 = pref * v * (2.0 * (inv_a + 1.0) - kx2 * (1.0 - sig))
+    g1 = pref * (4.0 * vv + (inv_a - 1.0) * (1.0 + vv) + kx2 * (sig - vv))
+    return g0, g1
+
+
+def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos):
+    rho, v = fluid_arrays(ubar0, ubar1, eos)
+    check_fluid(rho, v)
+    g0, g1 = source_G(A_avg, B_avg, rho, v, x, eos)
+    return ubar0 + g0 * dt, ubar1 + g1 * dt
+
+
+def update_mass_metric(state, t_new, left, right, horizon_floor):
+    """(M, A, B) the update stores; the state is not touched."""
+    eos = state.eos
+    xe = state.xe
+    a0, b0, m0 = left
+    u0mid = 0.5 * (state.u0[:-2] + state.u0[1:-1])
+    u1mid = 0.5 * (state.u1[:-2] + state.u1[1:-1])
+    terms_m = 0.5 * KAPPA * u0mid * xe[:-1] ** 2 * state.dx
+    M = m0 + np.concatenate(([0.0], np.cumsum(terms_m)))
+    A = 1.0 - 2.0 * M / xe
+    A[0] = a0
+    if np.count_nonzero(A <= horizon_floor):
+        raise HorizonEncountered(f"radial metric component reached {A.min():.3e}")
+    rho_mid, v_mid = fluid_arrays(u0mid, u1mid, eos)
+    t11_mid = fluid.t11_arrays(u1mid, rho_mid, v_mid, eos)
+    terms_b = ((1.0 / A[:-1] - 1.0) / xe[:-1]
+               + KAPPA * xe[:-1] / A[:-1] * t11_mid) * state.dx
+    B = b0 * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
+    A[-1], B[-1] = right
+    return M, A, B

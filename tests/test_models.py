@@ -230,6 +230,21 @@ def test_match_reversed_flips_signs(eos):
     assert data.b0 == pytest.approx(0.35, rel=1e-12)
 
 
+def test_make_model_passes_reversed_time_to_the_matching(eos):
+    """make_model hands reversed_time to both matched variants, so the
+    forward-only FRW-2 matching refuses it; a pure model refuses it too."""
+    reversed_frw1 = make_model("frw1_tov", eos, r0=5.0, reversed_time=True)
+    assert reversed_frw1.data == match("frw1", 5.0, eos, reversed_time=True)
+    assert make_model("frw2_tov", eos, r0=5.0).data == match("frw2", 5.0, eos)
+    with pytest.raises(NonPhysicalState, match="forward-time only"):
+        make_model("frw2_tov", eos, r0=5.0, reversed_time=True)
+    for variant in ("frw1", "frw2", "tov"):
+        with pytest.raises(ValueError, match=f"not '{variant}'"):
+            make_model(variant, eos, reversed_time=True)
+    with pytest.raises(ValueError, match="unknown model variant"):
+        make_model("frw3", eos, reversed_time=True)
+
+
 def test_match_v0_independent_of_radius(eos):
     assert match("frw1", 2.0, eos).v0 == match("frw1", 80.0, eos).v0
 
