@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, experiments, models, output, riemann, scheme
 from .config import RunConfig, config_from_dict, read_config
-from .errors import BorderNotFound, ConfigError, HorizonEncountered, RelshockError
+from .errors import ConfigError, HorizonEncountered, RelshockError
 from .fluid import EosParams
 
 EXIT_OK = 0
@@ -57,6 +57,9 @@ def _make_model(cfg: RunConfig):
 
 
 def cmd_riemann(args) -> int:
+    RunConfig(sigma=args.sigma, eps=args.eps).validate()  # a run's sigma and eps rules
+    if args.xi_count < 0:
+        raise ConfigError(f"--xi-count must be non-negative, got {args.xi_count}")
     eos = EosParams(args.sigma)
     sol = riemann.solve_interfaces(args.rho_l, args.v_l, args.rho_r, args.v_r,
                                    eos, args.eps)
@@ -73,6 +76,8 @@ def cmd_riemann(args) -> int:
 
 def cmd_emit_model(args) -> int:
     cfg = _load_config(args)
+    if args.count < 0:
+        raise ConfigError(f"--count must be non-negative, got {args.count}")
     model, _ = _make_model(cfg)
     r = np.linspace(cfg.r_min, cfg.r_max, args.count)
     t = model.t_start + args.at
@@ -106,10 +111,9 @@ def _manifest_payload(cfg: RunConfig, arts) -> dict:
         payload["tv_alarmed"] = arts.tv.alarmed
     for key, detect in (("frw_border", diagnostics.detect_frw_border),
                         ("tov_border", diagnostics.detect_tov_border)):
-        try:
-            payload[key], _ = detect(arts.state)
-        except BorderNotFound:
-            pass
+        border = detect(arts.state)
+        if border is not None:
+            payload[key] = border[0]
     return payload
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluid
-from .errors import BorderNotFound, RelshockError
+from .errors import RelshockError
 from .models import KAPPA
 
 __all__ = [
@@ -114,13 +114,13 @@ def detect_frw_border(state):
     """First radius (scanning up from r_min) where the velocity derivative
     changes sign: the onset of numerical diffusion on the expanding side.
 
-    Returns (radius, cell index in ghost-inclusive numbering).
+    Returns (radius, cell index in ghost-inclusive numbering) or None.
     """
     v = state.v[1:-1]
     d = three_point_derivative(v, state.dx)
     flips = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
     if flips.size == 0:
-        raise BorderNotFound("velocity derivative never changes sign")
+        return None
     k = int(flips[0])
     return float(state.x[1 + k]), 1 + k
 
@@ -128,12 +128,12 @@ def detect_frw_border(state):
 def detect_tov_border(state):
     """First radius (scanning down from r_max) where |dv/dr| exceeds
     TOV_BORDER_THRESHOLD: the outer edge of the diffused wave on the
-    static side."""
+    static side.  Returns (radius, cell index) or None."""
     v = state.v[1:-1]
     d = three_point_derivative(v, state.dx)
     big = np.nonzero(np.abs(d) > TOV_BORDER_THRESHOLD)[0]
     if big.size == 0:
-        raise BorderNotFound("velocity derivative never exceeds the threshold")
+        return None
     k = int(big[-1])
     return float(state.x[1 + k]), 1 + k
 

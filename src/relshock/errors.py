@@ -2,8 +2,8 @@
 
 Each class is one distinction some caller acts on: the command line maps
 ConfigError to exit 2, HorizonEncountered to exit 3 and every other
-RelshockError to exit 4; the stepper catches HorizonEncountered,
-BorderNotFound and GridExhausted.
+RelshockError to exit 4; the stepper catches HorizonEncountered and
+GridExhausted.
 """
 
 
@@ -34,10 +34,6 @@ class NonPhysicalState(RelshockError):
 class HorizonEncountered(RelshockError):
     """The radial metric component dropped to ~0; the coordinate system
     cannot represent the solution past this point."""
-
-
-class BorderNotFound(RelshockError):
-    pass
 
 
 class GridExhausted(RelshockError):

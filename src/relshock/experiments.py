@@ -1,27 +1,29 @@
 """Experiment orchestration: model runs, error tables and comparisons.
 
 This layer glues the stepper to the diagnostics: it runs a model on a
-grid, evaluates errors against closed forms (or against a finer run), and
-assembles the mesh-doubling tables.  The command line is a thin client of
-these functions, and the acceptance suite drives them directly.
+grid, measures every error through :func:`slice_errors` (against a closed
+form, one chart of the matched model, or the :func:`interpolant` of a
+finer run), and assembles the mesh-doubling tables.  The command line is a
+thin client of these functions, and the acceptance suite drives them
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import diagnostics, models, scheme
-from .errors import BorderNotFound, ConfigError
+from .errors import ConfigError
 from .fluid import EosParams
 
 __all__ = [
     "ProfileSlice",
     "RunArtifacts",
     "simulate_model",
-    "model_reference",
-    "field_errors",
+    "slice_errors",
+    "interpolant",
     "ladder",
     "matched_run",
     "cross_model_comparison",
@@ -53,12 +55,6 @@ class ProfileSlice:
             rho=state.rho[1:-1].copy(), v=state.v[1:-1].copy(),
             A=state.A.copy(), B=state.B.copy(), M=state.M.copy(),
         )
-
-    def get(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-    def positions(self, name: str) -> np.ndarray:
-        return self.x if name in ("rho", "v") else self.xe
 
 
 class SnapshotHook:
@@ -131,51 +127,29 @@ def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
     return arts
 
 
-def model_reference(model, t: float, prof: ProfileSlice):
-    """Exact-solution values at the slice's own sample positions (pure
-    models, whose chart covers the whole grid)."""
-    rho, v, _, _, _ = model.evaluate(t, prof.x)
-    _, _, A, B, _ = model.evaluate(t, prof.xe)
-    return {"rho": rho, "v": v, "A": A, "B": B}
+def slice_errors(prof: ProfileSlice, exact, dx: float, keep=None) -> dict:
+    """1-norm error of each field of a slice against the reference
+    `exact(t, r) -> (rho, v, A, B, M)`: rho and v at the cell centers, A and
+    B at the edges, each over the positions `keep(r)` selects (all of them
+    when keep is None)."""
+    errors = {}
+    for pos, names in ((prof.x, ("rho", "v")), (prof.xe, ("A", "B"))):
+        sel = slice(None) if keep is None else keep(pos)
+        ref = dict(zip(FIELDS, exact(prof.t, pos[sel])))  # zip drops M
+        for name in names:
+            errors[name] = diagnostics.one_norm_error(getattr(prof, name)[sel], ref[name], dx)
+    return errors
 
 
-def side_reference(model, t: float, prof: ProfileSlice, side: str,
-                   bound: float, bt: float | None = None):
-    """Exact values of one non-interaction side up to the border.
-
-    side='frw' covers positions <= bound via the expanding interior chart;
-    side='tov' covers positions >= bound via the static exterior carrying
-    the run's rematched time scale bt (the composite solution determines
-    the exterior clock only up to that factor).  Returns
-    {field: (mask, reference values on the mask)}.
-    """
-    out = {}
-    for name in FIELDS:
-        pos = prof.positions(name)
-        if side == "frw":
-            mask = pos <= bound + 1e-12
-            vals = model.evaluate_inner(t, pos[mask])
-        else:
-            mask = pos >= bound - 1e-12
-            vals = models.tov_state(
-                pos[mask], bt if bt is not None else model.data.b0, model.eos
-            )
-        ref = dict(zip(("rho", "v", "A", "B", "M"), vals))
-        out[name] = (mask, ref[name])
-    return out
-
-
-def masked_side_errors(prof: ProfileSlice, refs: dict, dx: float) -> dict:
-    return {
-        name: diagnostics.one_norm_error(prof.get(name)[mask], vals, dx)
-        for name, (mask, vals) in refs.items()
-    }
-
-
-def field_errors(prof: ProfileSlice, ref: dict, dx: float) -> dict:
-    """1-norm errors per field over the whole slice."""
-    return {name: diagnostics.one_norm_error(prof.get(name), ref[name], dx)
-            for name in FIELDS}
+def interpolant(prof: ProfileSlice):
+    """The `exact` of a finer run: each field linearly interpolated at r
+    from the slice's own positions (centers for rho and v, edges for A, B
+    and M), whatever t."""
+    def exact(t, r):
+        return (np.interp(r, prof.x, prof.rho), np.interp(r, prof.x, prof.v),
+                np.interp(r, prof.xe, prof.A), np.interp(r, prof.xe, prof.B),
+                np.interp(r, prof.xe, prof.M))
+    return exact
 
 
 def ladder(make_model, ns, eos: EosParams, r_min: float, r_max: float,
@@ -195,23 +169,13 @@ def ladder(make_model, ns, eos: EosParams, r_min: float, r_max: float,
         grid = scheme.SimGrid(r_min, r_max, n)
         arts = simulate_model(model, grid, eos, duration, eps=eps)
         runs[n] = arts
-    table = {name: [] for name in FIELDS}
-    fine = ProfileSlice.from_state(runs[all_ns[-1]].state)
-    for n in ns:
-        prof = ProfileSlice.from_state(runs[n].state)
-        dx = scheme.SimGrid(r_min, r_max, n).dx
-        if reference == "model":
-            model = make_model()
-            ref = model_reference(model, prof.t, prof)
-        else:
-            ref = {
-                name: np.interp(prof.positions(name), fine.positions(name),
-                                fine.get(name))
-                for name in FIELDS
-            }
-        errs = field_errors(prof, ref, dx)
-        for name in FIELDS:
-            table[name].append(errs[name])
+    if reference == "model":
+        exact = make_model().evaluate
+    else:
+        exact = interpolant(ProfileSlice.from_state(runs[all_ns[-1]].state))
+    errs = [slice_errors(ProfileSlice.from_state(runs[n].state), exact, runs[n].state.dx)
+            for n in ns]
+    table = {name: [e[name] for e in errs] for name in FIELDS}
     rates = {
         name: diagnostics.convergence_rate(table[name]) for name in FIELDS
     }
@@ -244,18 +208,19 @@ def matched_run(variant: str, n: int, eos: EosParams, r_min: float = 3.0,
 
     frw_border = tov_border = None
     side_errors = {}
-    try:
-        frw_border, _ = diagnostics.detect_frw_border(state)
-        refs = side_reference(model, state.t, prof, "frw", frw_border)
-        side_errors["frw"] = masked_side_errors(prof, refs, state.dx)
-    except BorderNotFound:
-        pass
-    try:
-        tov_border, _ = diagnostics.detect_tov_border(state)
-        refs = side_reference(model, state.t, prof, "tov", tov_border, bt=state.bt)
-        side_errors["tov"] = masked_side_errors(prof, refs, state.dx)
-    except BorderNotFound:
-        pass
+    frw = diagnostics.detect_frw_border(state)
+    if frw is not None:
+        frw_border = frw[0]
+        side_errors["frw"] = slice_errors(prof, model.evaluate_inner, state.dx,
+                                          keep=lambda r: r <= frw_border + 1e-12)
+    tov = diagnostics.detect_tov_border(state)
+    if tov is not None:
+        tov_border = tov[0]
+        # the static exterior carries the run's rematched time scale bt: the
+        # composite solution fixes the exterior clock only up to that factor
+        side_errors["tov"] = slice_errors(
+            prof, lambda t, r: models.tov_state(r, state.bt, eos), state.dx,
+            keep=lambda r: r >= tov_border - 1e-12)
     return MatchedRunResult(
         arts=arts,
         frw_border=frw_border, tov_border=tov_border,
@@ -290,19 +255,13 @@ def cross_model_comparison(n: int, n_ref: int, eos: EosParams,
                           duration_frw2, eps=eps)
     prof = ProfileSlice.from_state(arts.state)
 
-    ref_interp = {
-        name: np.interp(prof.positions(name), ref.positions(name), ref.get(name))
-        for name in FIELDS
-    }
+    exact = interpolant(ref)
     # B is fixed only up to the scale of the time coordinate: map its range
     # onto the reference's before comparing
-    b_scale = diagnostics.affine_scale(prof.B, ref_interp["B"])
-    remapped_B = b_scale * (prof.B - prof.B.min()) + ref_interp["B"].min()
-    errors = {}
-    for name in FIELDS:
-        num = remapped_B if name == "B" else prof.get(name)
-        errors[name] = diagnostics.one_norm_error(num, ref_interp[name],
-                                                  scheme.SimGrid(r_min, r_max, n).dx)
+    _, _, _, ref_B, _ = exact(ref.t, prof.xe)
+    b_scale = diagnostics.affine_scale(prof.B, ref_B)
+    remapped = replace(prof, B=b_scale * (prof.B - prof.B.min()) + ref_B.min())
+    errors = slice_errors(remapped, exact, arts.state.dx)
     return {
         "errors": errors,
         "b_scale": b_scale,
@@ -330,6 +289,6 @@ def reversed_collapse_run(n: int, eos: EosParams, r_min: float = REVERSED_R_MIN,
         )
     return simulate_model(
         model, grid, eos, duration, track_mu=True, track_cones=True, eps=eps,
-        stop_on_boundary_hit=not continue_chop, chop_after_hit=continue_chop,
+        on_hit="chop" if continue_chop else "stop",
         min_cells=min_cells,
     )

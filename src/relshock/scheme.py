@@ -30,7 +30,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import diagnostics, fluid, models, riemann
-from .errors import BorderNotFound, GridExhausted, HorizonEncountered, NonPhysicalState
+from .errors import GridExhausted, HorizonEncountered, NonPhysicalState
 from .fluid import EosParams, _into
 from .models import KAPPA
 
@@ -336,12 +336,11 @@ def rematch_tov_timescale(state: SimState, border_index: int) -> float:
     """Time scale of the static exterior read off at the detected border.
 
     border_index is a cell index; the stored B at the cell's left half
-    gridpoint is used together with that gridpoint's radius.
+    gridpoint is used together with that gridpoint's radius.  A detected
+    border cell lies in 1..n, so its edge k = border_index - 1 exists.
     """
     q = models.tov_exponent(state.eos)
     k = border_index - 1          # edge k sits at x_{i-1/2}
-    if not 0 <= k < state.xe.size:
-        raise BorderNotFound(f"border cell {border_index} has no stored edge")
     return float(state.B[k] * state.xe[k] ** (-q))
 
 
@@ -349,11 +348,9 @@ def _rematch_exterior(state: SimState) -> None:
     """Matched right boundary: read the static exterior's time scale off the
     freshly integrated B at the detected border, and give the last edge the
     exterior's (A, B) at that scale."""
-    try:
-        _, idx = diagnostics.detect_tov_border(state)
-        state.bt = rematch_tov_timescale(state, idx)
-    except BorderNotFound:
-        pass  # exterior still uncontaminated: keep the current scale
+    border = diagnostics.detect_tov_border(state)
+    if border is not None:  # else the exterior is uncontaminated: keep the scale
+        state.bt = rematch_tov_timescale(state, border[1])
     _, _, a, b, _ = models.tov_state(state.xe[-1:], state.bt, state.eos)
     state.A[-1], state.B[-1] = a[0], b[0]
 
@@ -408,19 +405,12 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     boundary_hit = False
     if _is_matched(state.model) and not state.right_frozen:
         _rematch_exterior(state)
-        boundary_hit = _interaction_at_right_boundary(state)
+        border = diagnostics.detect_tov_border(state)
+        boundary_hit = border is not None and border[1] >= state.n
     return StepReport(
         dt=dt, max_light_speed=max_speed, regions=sol.region,
         boundary_hit=boundary_hit,
     )
-
-
-def _interaction_at_right_boundary(state: SimState) -> bool:
-    try:
-        _, idx = diagnostics.detect_tov_border(state)
-    except BorderNotFound:
-        return False
-    return idx >= state.n
 
 
 def chop_right(state: SimState, min_cells: int = 16) -> SimState:
@@ -437,16 +427,18 @@ def chop_right(state: SimState, min_cells: int = 16) -> SimState:
 
 def run(model, grid: SimGrid, eos: EosParams, t_end: float,
         hooks: Sequence[Hook] = (),
-        eps: float = 1e-10, stop_on_boundary_hit: bool = False,
-        chop_after_hit: bool = False, min_cells: int = 16):
+        eps: float = 1e-10, on_hit: str = "continue", min_cells: int = 16):
     """March from the model's start time to t_end, clamping the final step.
 
     Returns (state, RunLog).  A horizon stop is recorded, not raised; all
-    other errors propagate.  With chop_after_hit, one cell is discarded per
-    step once the interaction region reaches the right boundary, zooming in
-    until the grid floor or until the boundary meets the current maximum of
-    the black-hole ratio 2M/r.
+    other errors propagate.  Once the interaction region reaches the right
+    boundary, on_hit="continue" keeps stepping, "stop" ends the run after
+    that step and "chop" discards one cell per step, zooming in until the
+    grid floor or until the boundary meets the current maximum of the
+    black-hole ratio 2M/r.  Any other on_hit raises ValueError.
     """
+    if on_hit not in ("continue", "stop", "chop"):
+        raise ValueError(f"on_hit must be 'continue', 'stop' or 'chop', got {on_hit!r}")
     state = init(model, grid, eos, eps)
     log = RunLog()
     for hook in hooks:
@@ -457,7 +449,7 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float,
         if log.steps >= MAX_STEPS:
             log.stop_reason = "max_steps"
             break
-        if hit and chop_after_hit:
+        if hit and on_hit == "chop":
             try:
                 chop_right(state, min_cells)
                 log.chops += 1
@@ -475,12 +467,10 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float,
             break
         log.dt_history.append(report.dt)
         log.steps += 1
-        if report.boundary_hit and not hit:
-            hit = True
-            if stop_on_boundary_hit and not chop_after_hit:
-                log.stop_reason = "boundary_hit"
+        hit = hit or report.boundary_hit
         for hook in hooks:
             hook(state, report)
-        if log.stop_reason == "boundary_hit":
+        if hit and on_hit == "stop":
+            log.stop_reason = "boundary_hit"
             break
     return state, log

@@ -184,3 +184,24 @@ def test_reverse_with_reversed_false_exits_two(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "reversed = false" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+RIEMANN_FLAGS = ["--rho-l", "1", "--v-l", "0", "--rho-r", "2", "--v-r", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["riemann", *RIEMANN_FLAGS, "--xi-count", "-1"], "--xi-count must be non-negative, got -1"),
+    (["riemann", *RIEMANN_FLAGS, "--sigma", "2"], "sigma must lie in (0, 1), got 2.0"),
+    (["riemann", *RIEMANN_FLAGS, "--sigma", "0"], "sigma must lie in (0, 1), got 0.0"),
+    (["riemann", *RIEMANN_FLAGS, "--eps", "-1"], "eps must be positive"),
+    (["riemann", *RIEMANN_FLAGS, "--eps", "0"], "eps must be positive"),
+    (["emit-model", "--count", "-3"], "--count must be non-negative, got -3"),
+], ids=["riemann-xi-count", "riemann-sigma-2", "riemann-sigma-0", "riemann-eps-negative",
+        "riemann-eps-0", "emit-model-count"])
+def test_out_of_range_flags_of_riemann_and_emit_model_exit_two(argv, message, tmp_path, capsys):
+    """riemann and emit-model refuse a negative count, sigma outside (0, 1)
+    and eps <= 0 as every other command does, before anything is written."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()

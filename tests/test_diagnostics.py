@@ -154,7 +154,7 @@ def test_weak_residual_refuses_a_chopped_grid():
     with pytest.raises(RelshockError, match="does not support runs that chop the grid") as info:
         experiments.simulate_model(model, scheme.SimGrid(0.1, 20.0, 128), eos, 5.0,
                                    extra_hooks=(first_chop, before, covering),
-                                   chop_after_hit=True, min_cells=64)
+                                   on_hit="chop", min_cells=64)
     assert t0 + 1.05 + 1.0 < first_chop.t < t0 + 2.3 + 2.25
     assert f"step ending at t={first_chop.t:.9g}:" in str(info.value)
     assert before.value() > 0.0
@@ -194,3 +194,28 @@ def test_degenerate_inputs_raise_package_errors():
         diagnostics.convergence_rate([1.0])
     with pytest.raises(RelshockError, match="field has zero range"):
         diagnostics.affine_scale(np.ones(4), np.arange(4.0))
+
+
+def initial_state(variant, **kw):
+    eos = EosParams()
+    return scheme.init(models.make_model(variant, eos, **kw), scheme.SimGrid(3.0, 7.0, 128), eos)
+
+
+def test_borders_of_the_matched_initial_slice():
+    """The start slice's velocity kink at r0 is bracketed by the two
+    borders: the FRW one just inside, the TOV one just outside."""
+    state = initial_state("frw1_tov", r0=5.0)
+    r, k = diagnostics.detect_frw_border(state)
+    assert k == 63 and r == pytest.approx(4.953, abs=1e-3)
+    r, k = diagnostics.detect_tov_border(state)
+    assert k == 65 and r == pytest.approx(5.016, abs=1e-3)
+
+
+def test_detectors_return_none_without_a_border():
+    """A static sphere has no velocity structure at all, and the FRW
+    velocity rises with r throughout, so its derivative keeps its sign:
+    no border, reported as None."""
+    tov = initial_state("tov")
+    assert diagnostics.detect_frw_border(tov) is None
+    assert diagnostics.detect_tov_border(tov) is None
+    assert diagnostics.detect_frw_border(initial_state("frw1", t_start=15.0)) is None

@@ -1,6 +1,8 @@
 """Experiment functions called directly, without the command line."""
 
-from relshock import experiments
+import pytest
+
+from relshock import experiments, models, scheme
 
 
 def test_frw_images_agree_after_b_remap(eos):
@@ -31,3 +33,19 @@ def test_matched_run_side_errors_fall_and_cones_lie_between_borders(eos):
         for name in experiments.FIELDS:
             errors = [run.side_errors[side][name] for run in runs]
             assert all(a > b for a, b in zip(errors, errors[1:])), (side, name, errors)
+
+
+@pytest.mark.parametrize("variant", ["frw1", "frw2", "tov"])
+def test_slice_errors_vanish_on_the_sampled_initial_slice(variant, eos):
+    """The start slice samples the model at the slice's own positions (cell
+    centers for rho and v, edges for A and B), so slice_errors reads exactly
+    0.0 against the model, against the slice's own interpolant, and over a
+    keep that selects nothing."""
+    model = models.make_model(variant, eos)
+    state = scheme.init(model, scheme.SimGrid(3.0, 7.0, 128), eos)
+    prof = experiments.ProfileSlice.from_state(state)
+    zero = dict.fromkeys(experiments.FIELDS, 0.0)
+    assert experiments.slice_errors(prof, model.evaluate, state.dx) == zero
+    assert experiments.slice_errors(prof, experiments.interpolant(prof), state.dx) == zero
+    assert experiments.slice_errors(prof, model.evaluate, state.dx,
+                                    keep=lambda r: r > 7.5) == zero

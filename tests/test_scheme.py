@@ -512,9 +512,17 @@ def test_hooks_called_once_per_step_on_boundary_stop():
     model = models.make_model("frw1_tov", eos, r0=5.0)
     hooks = [CountingHook(), CountingHook()]
     state, log = scheme.run(model, SimGrid(3.0, 5.6, 64), eos, model.t_start + 1.0,
-                            hooks=hooks, stop_on_boundary_hit=True)
+                            hooks=hooks, on_hit="stop")
     assert log.stop_reason == "boundary_hit"
     assert log.steps > 1
     for hook in hooks:
         assert hook.starts == 1
         assert hook.calls == log.steps
+
+
+@pytest.mark.parametrize("on_hit", ["Stop", True])
+def test_run_refuses_an_unknown_boundary_hit_policy(on_hit):
+    eos = EosParams()
+    model = models.make_model("frw1_tov", eos, r0=5.0)
+    with pytest.raises(ValueError, match="on_hit must be"):
+        scheme.run(model, SimGrid(3.0, 7.0, 64), eos, model.t_start + 0.01, on_hit=on_hit)
