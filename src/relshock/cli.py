@@ -61,8 +61,8 @@ def cmd_riemann(args) -> int:
     if args.xi_count < 0:
         raise ConfigError(f"--xi-count must be non-negative, got {args.xi_count}")
     eos = EosParams(args.sigma)
-    sol = riemann.solve_interfaces(args.rho_l, args.v_l, args.rho_r, args.v_r,
-                                   eos, args.eps)
+    sol = riemann.solve_interfaces(np.array([args.rho_l, args.rho_r]),
+                                   np.array([args.v_l, args.v_r]), eos, args.eps)
     os.makedirs(args.outdir, exist_ok=True)
     output.emit_fan_json(sol, os.path.join(args.outdir, "fan.json"))
     xi = np.linspace(args.xi_min, args.xi_max, args.xi_count)
@@ -97,6 +97,8 @@ def _manifest_payload(cfg: RunConfig, arts) -> dict:
         "t_final": arts.state.t,
         "dt_history": arts.log.dt_history,
         "chops": arts.log.chops,
+        "boundary_hit_t": arts.log.boundary_hit_t,
+        "boundary_hit_step": arts.log.boundary_hit_step,
     }
     if arts.cones is not None:
         payload["cones"] = [
@@ -109,9 +111,10 @@ def _manifest_payload(cfg: RunConfig, arts) -> dict:
     if arts.tv is not None:
         payload["tv_history"] = [list(row) for row in arts.tv.history]
         payload["tv_alarmed"] = arts.tv.alarmed
+    # only a matched model has borders: on a pure one the detectors restate r_max
     for key, detect in (("frw_border", diagnostics.detect_frw_border),
                         ("tov_border", diagnostics.detect_tov_border)):
-        border = detect(arts.state)
+        border = detect(arts.state) if cfg.model.endswith("_tov") else None
         if border is not None:
             payload[key] = border[0]
     return payload

@@ -16,17 +16,17 @@ converges monotonically: on the pure curve (regions I and III) from
 u = -t/(a/2 + c), and for two shocks, where u1 - u2 = (ds - dr)/(2c) is
 fixed and the problem is one equation in u1, from u1 = delta/2 - m/a.
 
-Everything is vectorized: :func:`solve_interfaces` takes one array per
-side and returns a :class:`RiemannGridSolution` holding middle states,
-shock masks, strengths and speeds for all interfaces at once;
-:func:`edge_speeds` derives the four wave-edge speeds from it.
-:func:`sample_solution` evaluates it at any self-similar speed xi.  It
+Everything is vectorized: :func:`solve_interfaces` takes a row of k + 1
+cell states and returns a :class:`RiemannGridSolution` holding middle
+states, shock masks, strengths and speeds for the k interfaces between
+neighbours at once; each cell is guarded and mapped to (r, s) once.
+:func:`edge_speeds` derives the four wave-edge speeds from a solution, and
+:func:`sample_solution` evaluates it at any self-similar speed xi; it
 tests rarefaction edges by comparing velocities with the velocity whose
-eigenvalue is xi, so it needs no edge speed.  A single problem is a
-batch of one.  Each Newton solve runs only on the interfaces
-that have its wave, and each entry is frozen at its first iterate with
-|residual| < eps, so an interface solves to the same bits alone or in any
-batch.
+eigenvalue is xi, so it needs no edge speed.  A single problem is a row
+of two cells.  Each Newton solve runs only on the interfaces that have its
+wave, and each entry is frozen at its first iterate with |residual| < eps,
+so an interface solves to the same bits alone or in any row.
 """
 
 from __future__ import annotations
@@ -171,9 +171,10 @@ def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
 
 
 class RiemannGridSolution:
-    """Middle states and wave data for a batch of Riemann problems.
+    """Middle states and wave data for the interfaces of a row of cells.
 
-    Attributes are parallel arrays, one entry per interface.  shock1 and
+    Attributes are parallel arrays, one entry per interface; interface k
+    lies between cells k and k + 1 of the row (rho, v).  shock1 and
     shock2 mask the interfaces whose 1- and 2-wave is a shock (regions II
     and III, and I and II); shock_speed1 and shock_speed2 hold those shock
     speeds, NaN off the shocks.  Wave speeds are in the local Minkowski
@@ -202,15 +203,9 @@ class RiemannGridSolution:
         "shock_speed2",
     )
 
-    def __init__(self, eos, rho_l, v_l, rho_r, v_r):
+    def __init__(self, eos, rho, v):
         self.eos = eos
-        sides = (rho_l, v_l, rho_r, v_r)
-        # the stepper passes four 1-D float64 arrays of one shape: keep them
-        if not all(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
-                   and x.shape == rho_l.shape for x in sides):
-            sides = np.broadcast_arrays(
-                *(np.atleast_1d(np.asarray(x, dtype=float)) for x in sides))
-        self.rho_l, self.v_l, self.rho_r, self.v_r = sides
+        self.rho_l, self.v_l, self.rho_r, self.v_r = rho[:-1], v[:-1], rho[1:], v[1:]
 
 
 def edge_speeds(sol: RiemannGridSolution):
@@ -225,25 +220,28 @@ def edge_speeds(sol: RiemannGridSolution):
             np.where(on2, s2, fluid.lorentz_compose(sol.v_r, a)))
 
 
-def solve_interfaces(rho_l, v_l, rho_r, v_r, eos: EosParams, eps: float = 1e-10):
-    """Solve a batch of Riemann problems; see :class:`RiemannGridSolution`.
+def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
+    """Solve the Riemann problem between each pair of neighbours in a row of
+    cell states (rho, v); see :class:`RiemannGridSolution`.
 
     Raises NonPhysicalState naming the first interface without rho > 0 and
     |v| < 1 on both sides (NaN included), and RelshockError naming the
     first interface whose Newton solve does not converge.
     """
-    sol = RiemannGridSolution(eos, rho_l, v_l, rho_r, v_r)
-    least, most = fluid._least, fluid._most
-    if not (least(sol.rho_l) > 0.0 and least(sol.rho_r) > 0.0
-            and most(np.abs(sol.v_l)) < 1.0 and most(np.abs(sol.v_r)) < 1.0):
+    # the stepper passes two 1-D float64 arrays of one shape: keep them
+    if not all(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+               and x.shape == rho.shape for x in (rho, v)):
+        rho, v = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (rho, v)))
+    sol = RiemannGridSolution(eos, rho, v)
+    if not (fluid._least(rho) > 0.0 and fluid._most(np.abs(v)) < 1.0):
         fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",
                        rho_l=sol.rho_l, rho_r=sol.rho_r)
         fluid._require((np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0),
                        "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)
-    rL, sL = fluid.invariant_arrays(sol.rho_l, sol.v_l, eos)
-    rR, sR = fluid.invariant_arrays(sol.rho_r, sol.v_r, eos)
-    dr = rR - rL
-    ds = sR - sL
+    r, s = fluid.invariant_arrays(rho, v, eos)
+    rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
+    dr, ds = rR - rL, sR - sL
     region = _classify_arrays(dr, ds)
 
     # The (-,-) quadrant is a superset of the two-shock region: the slivers
@@ -343,7 +341,7 @@ def _shock_speeds(sol: RiemannGridSolution, w1, w2, beta_legs):
 
 
 def sample_solution(sol: RiemannGridSolution, xi):
-    """Self-similar state at speed(s) xi for every interface in the batch.
+    """Self-similar state at speed(s) xi for every interface of the solution.
 
     xi broadcasts against the interface arrays.  Both eigenvalue maps
     increase with v, so a rarefaction edge is tested in velocity space:
@@ -365,20 +363,23 @@ def sample_solution(sol: RiemannGridSolution, xi):
     w1, w2 = fluid.lorentz_compose(xc, a), fluid.lorentz_compose(xc, -a)
     on1, s1, on2, s2 = sol.shock1, sol.shock_speed1, sol.shock2, sol.shock_speed2
 
-    left_of_1 = np.where(on1, xi <= s1, sol.v_l >= w1)
+    # one edge test per family serves the side and (negated) the fan test
+    edge1 = sol.v_l >= w1
+    left_of_1 = np.where(on1, xi <= s1, edge1)
     rho = np.where(left_of_1, sol.rho_l, sol.rho_mid)
     v = np.where(left_of_1, sol.v_l, sol.v_mid)
 
-    in_fan1 = ~on1 & (w1 > sol.v_l) & (w1 < sol.v_mid)
+    in_fan1 = ~(on1 | edge1) & (w1 < sol.v_mid)
     if np.count_nonzero(in_fan1):
         v[in_fan1] = at(w1, in_fan1)
         rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
 
-    right_of_2 = np.where(on2, xi >= s2, sol.v_r <= w2)
-    rho = np.where(right_of_2, sol.rho_r, rho)
-    v = np.where(right_of_2, sol.v_r, v)
+    edge2 = sol.v_r <= w2
+    right_of_2 = np.where(on2, xi >= s2, edge2)
+    np.copyto(rho, sol.rho_r, where=right_of_2)
+    np.copyto(v, sol.v_r, where=right_of_2)
 
-    in_fan2 = ~on2 & (w2 > sol.v_mid) & (w2 < sol.v_r)
+    in_fan2 = ~(on2 | edge2) & (w2 > sol.v_mid)
     if np.count_nonzero(in_fan2):
         v[in_fan2] = at(w2, in_fan2)
         rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)

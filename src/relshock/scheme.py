@@ -128,6 +128,8 @@ class RunLog:
     steps: int = 0
     stop_reason: str = "t_end"
     chops: int = 0
+    boundary_hit_t: float | None = None    # t and steps after the first step that
+    boundary_hit_step: int | None = None   # reported a boundary hit
 
 
 class Hook(Protocol):
@@ -368,12 +370,12 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     # Riemann step: one exact solution per interface, frozen cell metric;
     # the Godunov step needs only the flux of its zero-speed state.
     with _naming_cells(state.t, None):
-        sol = riemann.solve_interfaces(
-            state.rho[:-1], state.v[:-1], state.rho[1:], state.v[1:], eos, state.eps
-        )
+        sol = riemann.solve_interfaces(state.rho, state.v, eos, state.eps)
     rho_star, v_star = riemann.sample_solution(sol, 0.0)
     t01_star = fluid.conserved_arrays(rho_star, v_star, eos)[1]
     f_star = (t01_star, fluid.t11_arrays(t01_star, rho_star, v_star, eos))
+    regions = sol.region
+    del sol, rho_star, v_star   # free them before the later stages allocate
 
     # Godunov step over interior cells.
     u1_c = state.u1[1:-1]
@@ -408,7 +410,7 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
         border = diagnostics.detect_tov_border(state)
         boundary_hit = border is not None and border[1] >= state.n
     return StepReport(
-        dt=dt, max_light_speed=max_speed, regions=sol.region,
+        dt=dt, max_light_speed=max_speed, regions=regions,
         boundary_hit=boundary_hit,
     )
 
@@ -443,13 +445,12 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float,
     log = RunLog()
     for hook in hooks:
         hook.on_start(state)
-    hit = False
     tiny = 1e-12 * max(1.0, abs(t_end))
     while state.t < t_end - tiny:
         if log.steps >= MAX_STEPS:
             log.stop_reason = "max_steps"
             break
-        if hit and on_hit == "chop":
+        if log.boundary_hit_step is not None and on_hit == "chop":
             try:
                 chop_right(state, min_cells)
                 log.chops += 1
@@ -467,10 +468,11 @@ def run(model, grid: SimGrid, eos: EosParams, t_end: float,
             break
         log.dt_history.append(report.dt)
         log.steps += 1
-        hit = hit or report.boundary_hit
+        if report.boundary_hit and log.boundary_hit_step is None:
+            log.boundary_hit_t, log.boundary_hit_step = state.t, log.steps
         for hook in hooks:
             hook(state, report)
-        if hit and on_hit == "stop":
+        if log.boundary_hit_step is not None and on_hit == "stop":
             log.stop_reason = "boundary_hit"
             break
     return state, log

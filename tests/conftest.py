@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relshock import riemann
 from relshock.fluid import EosParams
 
 
@@ -19,3 +20,27 @@ def random_states(rng, count, rho_lo=1e-6, rho_hi=1e12, v_max=0.999):
     rho = 10.0 ** rng.uniform(np.log10(rho_lo), np.log10(rho_hi), count)
     v = rng.uniform(-v_max, v_max, count)
     return rho, v
+
+
+def solve_one(left, right, eos, eps=1e-10):
+    """One Riemann problem, (rho, v) on each side, as a row of two cells."""
+    return riemann.solve_interfaces(np.array([left[0], right[0]]),
+                                    np.array([left[1], right[1]]), eos, eps)
+
+
+def pair_row(rho_l, v_l, rho_r, v_r):
+    """The row rho_l[0], rho_r[0], rho_l[1], rho_r[1], ... (and likewise v):
+    its even interfaces 2k are the independent problems (left k, right k)."""
+    return (np.column_stack((rho_l, rho_r)).ravel(),
+            np.column_stack((v_l, v_r)).ravel())
+
+
+def solve_pairs(rho_l, v_l, rho_r, v_r, eos, eps=1e-10):
+    """Independent Riemann problems solved in one row (see pair_row); the
+    result keeps the even interfaces only, so entry k is problem k."""
+    row = riemann.solve_interfaces(*pair_row(rho_l, v_l, rho_r, v_r), eos, eps)
+    sol = object.__new__(riemann.RiemannGridSolution)
+    sol.eos = eos
+    for name in riemann.RiemannGridSolution.__slots__[1:]:
+        setattr(sol, name, getattr(row, name)[::2])
+    return sol

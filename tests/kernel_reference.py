@@ -52,7 +52,8 @@ def check_fluid(rho, v):
 
 
 def check_interfaces(rho_l, v_l, rho_r, v_r):
-    """The physicality guard of `riemann.solve_interfaces`."""
+    """The per-interface physicality guard: `riemann.solve_interfaces` must
+    refuse a row exactly as this refuses its interfaces' two sides."""
     ok = (np.minimum(rho_l, rho_r) > 0.0) & (np.maximum(np.abs(v_l), np.abs(v_r)) < 1.0)
     if np.count_nonzero(ok) != ok.size:
         fluid._require((rho_l > 0.0) & (rho_r > 0.0), "rho must be positive",
@@ -110,3 +111,36 @@ def update_mass_metric(state, t_new, left, right, horizon_floor):
     B = b0 * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
     A[-1], B[-1] = right
     return M, A, B
+
+
+def sample_solution(sol, xi):
+    """`riemann.sample_solution` as np.where selections: the edge of each
+    family compared twice (side test, then fan test) and the 2-family
+    states selected into new arrays."""
+    eos = sol.eos
+    xi = np.asarray(xi, dtype=float)
+
+    def at(a, mask):
+        return np.broadcast_to(a, mask.shape)[mask]
+
+    xc = np.minimum(np.maximum(xi, -1.0), 1.0)
+    a = eos.sound_speed
+    w1, w2 = fluid.lorentz_compose(xc, a), fluid.lorentz_compose(xc, -a)
+    on1, s1, on2, s2 = sol.shock1, sol.shock_speed1, sol.shock2, sol.shock_speed2
+
+    left_of_1 = np.where(on1, xi <= s1, sol.v_l >= w1)
+    rho = np.where(left_of_1, sol.rho_l, sol.rho_mid)
+    v = np.where(left_of_1, sol.v_l, sol.v_mid)
+    in_fan1 = ~on1 & (w1 > sol.v_l) & (w1 < sol.v_mid)
+    if np.count_nonzero(in_fan1):
+        v[in_fan1] = at(w1, in_fan1)
+        rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
+
+    right_of_2 = np.where(on2, xi >= s2, sol.v_r <= w2)
+    rho = np.where(right_of_2, sol.rho_r, rho)
+    v = np.where(right_of_2, sol.v_r, v)
+    in_fan2 = ~on2 & (w2 > sol.v_mid) & (w2 < sol.v_r)
+    if np.count_nonzero(in_fan2):
+        v[in_fan2] = at(w2, in_fan2)
+        rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)
+    return rho, v

@@ -51,6 +51,24 @@ def test_simulate_small_grid_exits_zero(tmp_path):
     assert (tmp_path / "snapshot_000.csv").is_file()
 
 
+@pytest.mark.parametrize("model, borders", [
+    ("frw1", set()), ("frw2", set()), ("tov", set()),
+    ("frw1_tov", {"frw_border", "tov_border"}), ("frw2_tov", {"frw_border", "tov_border"}),
+])
+def test_manifest_records_borders_of_matched_models_only(model, borders, tmp_path):
+    """A pure model has no border between an FRW and a static side, so its
+    manifest names none (the detectors would restate r_max); a short run
+    that stays clear of the boundary records no hit."""
+    argv = ["simulate", "--model", model, "--n", "256", "--duration", "0.1",
+            "--outdir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert {"frw_border", "tov_border"} & set(manifest) == borders
+    if borders:
+        assert 3.0 < manifest["frw_border"] < manifest["tov_border"] < 7.0
+    assert manifest["boundary_hit_t"] is None and manifest["boundary_hit_step"] is None
+
+
 def simulate_snapshots(outdir, count):
     argv = ["simulate", "--model", "frw1_tov", "--n", "64", "--duration", "0.05",
             "--snapshots", str(count), "--outdir", str(outdir)]
@@ -171,6 +189,13 @@ def test_reverse_default_domain_runs(n, code, stop_reason, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["stop_reason"] == stop_reason
     assert manifest["config"]["reversed"] is True
+    # chopping starts at the first hit, and every later step follows a chop
+    hit_t, hit_step = manifest["boundary_hit_t"], manifest["boundary_hit_step"]
+    if stop_reason == "horizon":
+        assert hit_t is None and hit_step is None and manifest["chops"] == 0
+    else:
+        assert hit_t <= manifest["t_final"]
+        assert hit_step + manifest["chops"] == manifest["steps"]
     assert (manifest["config"]["r_min"], manifest["config"]["r_max"]) == (0.1, 20.0)
 
 

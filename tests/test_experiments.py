@@ -49,3 +49,21 @@ def test_slice_errors_vanish_on_the_sampled_initial_slice(variant, eos):
     assert experiments.slice_errors(prof, experiments.interpolant(prof), state.dx) == zero
     assert experiments.slice_errors(prof, model.evaluate, state.dx,
                                     keep=lambda r: r > 7.5) == zero
+
+
+def test_run_log_dates_the_first_boundary_hit(eos):
+    """A reversed run of the benchmark's size (n = 256 on [0.1, 20]) records
+    the end of the step that first reached the boundary, before the chops
+    that follow it; a short forward matched run records no hit."""
+    start = models.make_model("frw1_tov", eos, r0=5.0, reversed_time=True).t_start
+    for chop in (False, True):
+        log = experiments.reversed_collapse_run(256, eos, continue_chop=chop).log
+        t = start
+        for dt in log.dt_history[:log.boundary_hit_step]:
+            t += dt
+        assert start < log.boundary_hit_t == t < 0.0
+        assert log.boundary_hit_step + log.chops == log.steps
+        assert log.stop_reason == ("grid_exhausted" if chop else "boundary_hit")
+    log = experiments.matched_run("frw1", 256, eos, duration=0.1).arts.log
+    assert log.stop_reason == "t_end" and log.steps > 10
+    assert log.boundary_hit_t is None and log.boundary_hit_step is None

@@ -170,11 +170,12 @@ def test_fluid_refusals_name_the_same_entry(case):
     assert outcome(fluid.check_fluid, rho, v) == old
     assert outcome(fluid.check_fluid, rho[old[2]], v[old[2]])[:2] == \
         outcome(ref.check_fluid, rho[old[2]], v[old[2]])[:2]
-    # the same entry on the right of an interface batch
-    good = (np.ones_like(rho), np.zeros_like(v))
-    for sides in ((rho, v) + good, good + (rho, v)):
-        old = outcome(ref.check_interfaces, *sides)
-        assert outcome(riemann.solve_interfaces, *sides, EosParams()) == old
+    # the same entries in a row of cells, after and before a good cell: the
+    # row solve names the interface and sides the per-interface guard names
+    for row in ((np.r_[1.0, rho], np.r_[0.0, v]), (np.r_[rho, 1.0], np.r_[v, 0.0])):
+        old = outcome(ref.check_interfaces, row[0][:-1], row[1][:-1], row[0][1:], row[1][1:])
+        assert old[0] is NonPhysicalState
+        assert outcome(riemann.solve_interfaces, *row, EosParams()) == old
 
 
 def kernel_calls(state):
@@ -188,11 +189,12 @@ def kernel_calls(state):
     return [
         (fluid.conserved_arrays, (state.rho[1:], state.v[1:], eos)),
         (fluid.rapidity, (state.v[1:],)),
-        (fluid.invariant_arrays, (state.rho[:-1], state.v[:-1], eos)),
+        (fluid.invariant_arrays, (state.rho, state.v, eos)),
         (fluid.fluid_arrays, (u0c, u1c, eos)),
         (fluid.check_fluid, (rhoc, vc)),
-        (riemann.solve_interfaces, (state.rho[:-1], state.v[:-1], state.rho[1:],
-                                    state.v[1:], eos)),
+        (riemann.solve_interfaces, (state.rho, state.v, eos)),
+        # its sides are views of the row: the sampler writes only its own arrays
+        (riemann.sample_solution, (riemann.solve_interfaces(state.rho, state.v, eos), 0.0)),
         (scheme.source_G, (state.A[:-1], state.B[1:], rhoc, vc, state.x[1:-1], eos)),
         (scheme.ode_step, (u0c, u1c, state.A[:-1], state.B[1:], state.x[1:-1], dt, eos)),
         (scheme.godunov_cell_update, ((u0c, u1c), (u1c, state.u0[1:-1]), f_star,

@@ -3,7 +3,7 @@
 The solver is cross-checked two independent ways: frozen values computed
 with a scipy root find on the jump conditions plus invariant matching, and
 a direct Rankine-Hugoniot residual evaluated on every solved shock in the
-lab frame.  A single problem is solved as a batch of one; states are
+lab frame.  A single problem is solved as a row of two cells; states are
 (rho, v) pairs.
 """
 
@@ -25,7 +25,8 @@ from relshock.riemann import (
     solve_interfaces,
 )
 
-from conftest import random_states
+import kernel_reference
+from conftest import pair_row, random_states, solve_one, solve_pairs
 
 BETA_GRID = 10.0 ** np.linspace(-6, 6, 49)
 
@@ -77,10 +78,6 @@ def f_plus(beta):
 def u_of(beta):
     """Shock strength in the solver's parameter u = ln f(beta) = arccosh(1 + beta)."""
     return 2.0 * np.arcsinh(np.sqrt(0.5 * beta))
-
-
-def solve_one(left, right, eos, eps=1e-10):
-    return solve_interfaces(*left, *right, eos, eps)
 
 
 def middle(sol, k=0):
@@ -234,8 +231,8 @@ def test_shock_curves_mirror_images(eos, rng):
     """The 2-shock of a mirrored problem (sides swapped, v -> -v) retraces
     the 1-shock of the original with dr and ds exchanged."""
     rho, v = random_states(rng, 400, rho_lo=1e-2, rho_hi=1e2, v_max=0.9)
-    sol = solve_interfaces(rho[::2], v[::2], rho[1::2], v[1::2], eos)
-    mir = solve_interfaces(rho[1::2], -v[1::2], rho[::2], -v[::2], eos)
+    sol = solve_pairs(rho[::2], v[::2], rho[1::2], v[1::2], eos)
+    mir = solve_pairs(rho[1::2], -v[1::2], rho[::2], -v[::2], eos)
     one = sol.region == REGION_III
     assert one.sum() > 10
     assert np.all(mir.region[one] == REGION_I)
@@ -264,8 +261,8 @@ def test_region_mirror_symmetry(eos, rng):
     swap = {REGION_I: REGION_III, REGION_III: REGION_I,
             REGION_II: REGION_II, REGION_IV: REGION_IV}
     rho, v = random_states(rng, 80, rho_lo=1e-2, rho_hi=1e2, v_max=0.9)
-    sol = solve_interfaces(rho[::2], v[::2], rho[1::2], v[1::2], eos)
-    mir = solve_interfaces(rho[1::2], -v[1::2], rho[::2], -v[::2], eos)
+    sol = solve_pairs(rho[::2], v[::2], rho[1::2], v[1::2], eos)
+    mir = solve_pairs(rho[1::2], -v[1::2], rho[::2], -v[::2], eos)
     for k in range(sol.region.size):
         assert mir.region[k] == swap[sol.region[k]]
         assert mir.rho_mid[k] == pytest.approx(sol.rho_mid[k], rel=1e-6)
@@ -357,7 +354,7 @@ def test_weak_shock_moves_at_sound_speed(eos):
 
 def test_all_speeds_subluminal(eos, rng):
     rho, v = random_states(rng, 400, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
-    sol = solve_interfaces(rho[:-1], v[:-1], rho[1:], v[1:], eos)
+    sol = solve_interfaces(rho, v, eos)
     head1, tail1, head2, tail2 = edge_speeds(sol)
     for arr in (head1, tail1, head2, tail2):
         assert np.all(np.abs(arr) < 1.0)
@@ -366,7 +363,7 @@ def test_all_speeds_subluminal(eos, rng):
 
 def test_entropy_ordering_across_shocks(eos, rng):
     rho, v = random_states(rng, 400, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
-    sol = solve_interfaces(rho[:-1], v[:-1], rho[1:], v[1:], eos)
+    sol = solve_interfaces(rho, v, eos)
     s1 = sol.shock1
     s2 = sol.shock2
     assert np.all(sol.rho_mid[s1] > sol.rho_l[s1])
@@ -378,9 +375,9 @@ def test_fan_recomposition(eos, rng):
     state in the invariant plane, within ten solver tolerances."""
     eps = 1e-10
     rho, v = random_states(rng, 2000, rho_lo=1e-4, rho_hi=1e4, v_max=0.97)
-    rl, vl = rho[::2], v[::2]
-    rr, vr = rho[1::2], v[1::2]
-    sol = solve_interfaces(rl, vl, rr, vr, eos, eps)
+    rl, vl = rho[:-1], v[:-1]
+    rr, vr = rho[1:], v[1:]
+    sol = solve_interfaces(rho, v, eos, eps)
     r_l, s_l = fluid.invariant_arrays(rl, vl, eos)
     r_r, s_r = fluid.invariant_arrays(rr, vr, eos)
     dr1, ds1 = s1_curve(u_of(sol.beta1), eos)
@@ -400,24 +397,25 @@ SOLUTION_FIELDS = ("region", "beta1", "beta2", "r_mid", "s_mid", "rho_mid", "v_m
 
 def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     """Each root find runs only on the interfaces that have its wave, so a
-    batch mixing every case solves each interface exactly as it is solved
-    alone."""
-    # (dr, ds) displacements in the invariant plane from one left state;
-    # a pure shock of size 0.5 moves the other invariant by -2*sliver
+    row mixing every case solves each interface exactly as it is solved
+    alone, as a row of two cells."""
+    # (dr, ds) displacements in the invariant plane, each from the previous
+    # cell; a pure shock of size 0.5 moves the other invariant by -2*sliver
     u_half = riemann._solve_pure(np.array([-0.5]), eos, 1e-10)
     sliver = -0.5 * s1_curve(u_half, eos)[1][0]
     steps = [(0.5, 0.3), (-0.5, 0.3), (0.3, -0.5), (-0.5, -0.5), (-0.2, -0.05),
              (-sliver, -0.5), (-0.5, -sliver), (-1e-11, 0.3), (-1e-11, -0.5),
              (-1.05e-10, -1.05e-10), (0.0, 0.0), (1e-12, -1e-12)]
     r0, s0 = fluid.invariant_arrays(1.0, 0.1, eos)
-    rho_r, v_r = fluid.fluid_from_invariant_arrays(
-        r0 + np.array([d[0] for d in steps]), s0 + np.array([d[1] for d in steps]), eos)
-    rho_l = np.r_[np.full(len(steps), 1.0), TWO_SHOCK_LEFT[0]]
-    v_l = np.r_[np.full(len(steps), 0.1), TWO_SHOCK_LEFT[1]]
-    rho_r, v_r = np.r_[rho_r, TWO_SHOCK_RIGHT[0]], np.r_[v_r, TWO_SHOCK_RIGHT[1]]
-    r_l, s_l = fluid.invariant_arrays(rho_l, v_l, eos)
-    r_r, s_r = fluid.invariant_arrays(rho_r, v_r, eos)
-    dr, ds = r_r - r_l, s_r - s_l
+    rho_c, v_c = fluid.fluid_from_invariant_arrays(
+        r0 + np.cumsum([0.0] + [d[0] for d in steps]),
+        s0 + np.cumsum([0.0] + [d[1] for d in steps]), eos)
+    # the two-shock problem leads the row; its right state meets the first
+    # stepped cell, (1.0, 0.1), in a pair of rarefactions
+    rho = np.r_[TWO_SHOCK_LEFT[0], TWO_SHOCK_RIGHT[0], rho_c]
+    v = np.r_[TWO_SHOCK_LEFT[1], TWO_SHOCK_RIGHT[1], v_c]
+    r, s = fluid.invariant_arrays(rho, v, eos)
+    dr, ds = np.diff(r), np.diff(s)
 
     calls = {"pure": [], "two_shock": []}
 
@@ -429,7 +427,7 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
 
     spy("pure", riemann._solve_pure)
     spy("two_shock", riemann._solve_two_shock)
-    batch = solve_interfaces(rho_l, v_l, rho_r, v_r, eos)
+    batch = solve_interfaces(rho, v, eos)
 
     quadrant = riemann._classify_arrays(dr, ds)
     genuine = batch.region == REGION_II
@@ -452,12 +450,30 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     assert np.array_equal(two_dr, dr[genuine]) and np.array_equal(two_ds, ds[genuine])
 
     for k in range(dr.size):
-        one = solve_interfaces(rho_l[k], v_l[k], rho_r[k], v_r[k], eos)
+        one = solve_interfaces(rho[k:k + 2], v[k:k + 2], eos)
         for name in SOLUTION_FIELDS:
             got = getattr(batch, name)[k:k + 1]
             assert getattr(one, name).tobytes() == got.tobytes(), (k, name)
         for j, (alone, batched) in enumerate(zip(edge_speeds(one), edge_speeds(batch))):
             assert alone.tobytes() == batched[k:k + 1].tobytes(), (k, j)
+
+
+ROW_FIELDS = ("rho_l", "v_l", "rho_r", "v_r", "r_right", "s_left") + SOLUTION_FIELDS
+
+
+def test_row_solve_matches_each_interface_alone_bit_for_bit(eos, rng):
+    """The row is guarded and mapped to (r, s) once per cell; each interface
+    still gets, field by field, the bytes of its own two-cell row."""
+    rho, v = random_states(rng, 400, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
+    row = solve_interfaces(rho, v, eos)
+    assert set(row.region) == {REGION_I, REGION_II, REGION_III, REGION_IV}
+    for k in range(row.region.size):
+        one = solve_interfaces(rho[k:k + 2], v[k:k + 2], eos)
+        for name in ROW_FIELDS:
+            assert getattr(one, name).tobytes() == getattr(row, name)[k:k + 1].tobytes(), \
+                (k, name)
+        for j, (alone, in_row) in enumerate(zip(edge_speeds(one), edge_speeds(row))):
+            assert alone.tobytes() == in_row[k:k + 1].tobytes(), (k, j)
 
 
 def test_newton_batch_converging_at_different_iterations_matches_single_solves(eos):
@@ -499,18 +515,18 @@ def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
     spy(riemann, "_f_big")
     spy(riemann, "_rest_frame_shock_speed")
     spy(fluid, "lorentz_compose")
-    rho = np.array([1.0, 2.0, 0.5, 3.0])
-    v = np.array([-0.2, 0.0, 0.3, 0.5])
-    sol = solve_interfaces(rho, v, rho, v + 0.1, eos)
+    rho = np.full(5, 2.0)
+    v = np.array([-0.2, -0.1, 0.0, 0.3, 0.5])
+    sol = solve_interfaces(rho, v, eos)
     assert set(sol.region) == {REGION_IV}
     assert sizes and all(size == 0 for _, size in sizes), sizes
 
 
 def test_nonphysical_input_names_first_bad_interface(eos):
     with pytest.raises(NonPhysicalState, match=r"rho must be positive at index 0 .*rho_r=nan"):
-        solve_interfaces([1, np.nan], [0.1, 0.1], [np.nan, 1], [0.1, 0.2], eos)
+        solve_interfaces([1, np.nan, 1], [0.1, 0.1, 0.2], eos)
     with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at index 1 "):
-        solve_interfaces([1, 1], [0.1, np.nan], [2, 1], [0.1, 0.2], eos)
+        solve_interfaces([1, 2, 1], [0.1, 0.1, np.nan], eos)
 
 
 def test_newton_failure_names_interface_and_states(eos, monkeypatch):
@@ -524,7 +540,7 @@ def test_newton_failure_names_interface_and_states(eos, monkeypatch):
                 f"left (rho, v) = ({rho_l:.6e}, {v_l:.6e}), "
                 f"right (rho, v) = ({rho_r:.6e}, {v_r:.6e})")
     with pytest.raises(RelshockError, match="did not converge") as info:
-        solve_interfaces([1.0, rho_l], [0.0, v_l], [1.0, rho_r], [0.0, v_r], eos)
+        solve_interfaces([rho_l, rho_l, rho_r], [v_l, v_l, v_r], eos)
     assert expected in str(info.value)
 
 
@@ -576,8 +592,9 @@ def reference_sample(sol, xi):
 
 
 def sampling_batch(eos, rng):
-    """Random interfaces plus transonic 1- and 2-rarefactions (a fan that
-    straddles xi = 0), with 1- and 2-shocks moving both ways."""
+    """A row of random cells, then of pairs whose interfaces are transonic
+    1- and 2-rarefactions (a fan that straddles xi = 0), with 1- and
+    2-shocks moving both ways."""
     rho, v = random_states(rng, 4000, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
     a = eos.sound_speed
     v_sonic = np.r_[rng.uniform(a - 0.3, a - 0.01, 50), rng.uniform(-0.95, -a - 0.01, 50)]
@@ -585,14 +602,31 @@ def sampling_batch(eos, rng):
     d = rng.uniform(0.5, 2.0, 100)
     rho_r, v_r = fluid.fluid_from_invariant_arrays(r + np.r_[d[:50], np.zeros(50)],
                                                    s + np.r_[np.zeros(50), d[50:]], eos)
-    sol = solve_interfaces(np.r_[rho[::2], np.ones(100)], np.r_[v[::2], v_sonic],
-                           np.r_[rho[1::2], rho_r], np.r_[v[1::2], v_r], eos)
+    sol = solve_interfaces(*pair_row(np.r_[rho[::2], np.ones(100)], np.r_[v[::2], v_sonic],
+                                     np.r_[rho[1::2], rho_r], np.r_[v[1::2], v_r]), eos)
     head1, tail1, head2, tail2 = reference_edge_speeds(sol)
     on1, on2 = sol.shock1, sol.shock2
     assert np.any(~on1 & (head1 < 0) & (tail1 > 0)) and np.any(~on2 & (head2 < 0) & (tail2 > 0))
     for on, speed in ((on1, head1), (on2, head2)):
         assert np.any(on & (speed < 0)) and np.any(on & (speed > 0))
     return sol
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0 / 3.0, 0.6])
+def test_sampler_equals_the_where_sampler_bit_for_bit(sigma, rng):
+    """Sharing each family's edge comparison between the side and fan tests
+    and writing the 2-family states in place keep the bytes of the np.where
+    sampler, for scalar, per-interface and broadcast xi, on edges, outside
+    the light cone and at NaN."""
+    eos = EosParams(sigma)
+    sol = sampling_batch(eos, rng)
+    m = sol.rho_mid.size
+    cases = [0.0, -0.3, 0.7, 1.5, np.float64(-2.0), np.nan, np.zeros(m),
+             rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, (7, 1)),
+             np.array([-3.0, -1.0, 1.0, 3.0])[:, None], *edge_speeds(sol)]
+    for xi in cases:
+        for new, old in zip(sample_solution(sol, xi), kernel_reference.sample_solution(sol, xi)):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
 def test_lazy_edge_speeds_equal_the_stored_ones(eos, rng):
@@ -668,7 +702,7 @@ def test_random_fans_satisfy_jump_and_invariant_conditions(eos, rng):
     """Strong oracle: every solved shock satisfies the lab-frame jump
     conditions; every rarefaction edge pair matches the eigenvalues."""
     rho, v = random_states(rng, 300, rho_lo=1e-2, rho_hi=1e2, v_max=0.9)
-    sol = solve_interfaces(rho[::2], v[::2], rho[1::2], v[1::2], eos)
+    sol = solve_interfaces(rho, v, eos)
     shock1, shock2 = sol.shock1, sol.shock2
     head1, _, head2, tail2 = edge_speeds(sol)
     checked_shocks = 0

@@ -12,6 +12,8 @@ from relshock.errors import GridExhausted, HorizonEncountered, NonPhysicalState
 from relshock.fluid import EosParams
 from relshock.scheme import SimGrid, advance, cfl_dt, chop_right, godunov_cell_update
 
+from conftest import solve_one
+
 
 def make_state(variant="frw1", n=64, r_min=3.0, r_max=7.0, **kw):
     eos = EosParams()
@@ -41,6 +43,25 @@ def test_advance_calls_each_stage_entry_point_once(variant, kw, monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     advance(state)
     assert calls == {name: 1 for _, name in STAGE_ENTRY_POINTS}
+
+
+@pytest.mark.parametrize("variant, kw", [("frw1", {"t_start": 15.0}), ("frw1_tov", {"r0": 5.0})])
+def test_advance_solves_the_whole_cell_row_once(variant, kw, monkeypatch):
+    """Each step makes one riemann.solve_interfaces call, on the state's own
+    n + 2 cells (ghosts included), so the traced Riemann layer covers the
+    whole interface stage."""
+    state, _ = make_state(variant, n=32, **kw)
+    rows = []
+    solve = riemann.solve_interfaces
+
+    def spied(rho, v, *args):
+        rows.append((rho is state.rho, v is state.v, rho.size, v.size))
+        return solve(rho, v, *args)
+
+    monkeypatch.setattr(riemann, "solve_interfaces", spied)
+    for step in range(1, 4):
+        advance(state)
+        assert rows == [(True, True, state.n + 2, state.n + 2)] * step
 
 
 def test_grid_staggering():
@@ -197,8 +218,7 @@ def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
     def spied_compose(*args):
         composed.append(args)
         return compose(*args)
-    sol = riemann.solve_interfaces(state.rho[:-1], state.v[:-1], state.rho[1:],
-                                   state.v[1:], eos)
+    sol = riemann.solve_interfaces(state.rho, state.v, eos)
     monkeypatch.setattr(fluid, "lorentz_compose", spied_compose)
     head1, tail1, head2, tail2 = riemann.edge_speeds(sol)     # computes all four edges
     assert np.all(head1 <= tail2)
@@ -209,7 +229,7 @@ def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
 def _half_cell_average_by_quadrature(left, right, alpha, dt, dx, eos):
     """Exact average of the evolved Riemann solution over the right half
     cell of the interface (the cell-center state is `right`)."""
-    sol = riemann.solve_interfaces(*left, *right, eos)
+    sol = solve_one(left, right, eos)
 
     def component(which):
         def f(x):
@@ -242,7 +262,7 @@ def test_time_dilation_affine_relation(seed, eos):
     dt = lam * dt_full
 
     u_c = fluid.conserved_arrays(*right, eos)
-    sol = riemann.solve_interfaces(*left, *right, eos)
+    sol = solve_one(left, right, eos)
     rho_s, v_s = riemann.sample_solution(sol, 0.0)
     u_star = fluid.conserved_arrays(rho_s[0], v_s[0], eos)
 
