@@ -5,7 +5,7 @@ a convergence and diagnostics harness."""
 
 from .fluid import EosParams, conserved_arrays, fluid_arrays, invariant_arrays, t11_arrays
 from .riemann import RiemannGridSolution, sample_solution, solve_interfaces
-from .scheme import SimGrid, advance, init, run
+from .scheme import SimGrid, advance, init
 
 __all__ = [
     "EosParams",
@@ -19,7 +19,6 @@ __all__ = [
     "SimGrid",
     "init",
     "advance",
-    "run",
 ]
 
 __version__ = "0.1.0"

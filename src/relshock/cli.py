@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, experiments, models, output, riemann, scheme
 from .config import RunConfig, config_from_dict, read_config
-from .errors import ConfigError, HorizonEncountered, RelshockError
+from .errors import ConfigError, RelshockError
 from .fluid import EosParams
 
 EXIT_OK = 0
@@ -124,12 +124,15 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     model, eos = _make_model(cfg)
     grid = scheme.SimGrid(cfg.r_min, cfg.r_max, cfg.n)
+    cones = (diagnostics.ConeTracker(model.r0)
+             if cfg.track_cones and cfg.model.endswith("_tov") else None)
+    mu = diagnostics.MuMonitor() if cfg.reversed else None
+    tv = diagnostics.TVMonitor()
     arts = experiments.simulate_model(
-        model, grid, eos, cfg.duration,
-        snapshots=cfg.snapshots,
-        track_cones=cfg.track_cones and cfg.model.endswith("_tov"),
-        track_mu=cfg.reversed, track_tv=True, eps=cfg.eps,
+        model, grid, eos, cfg.duration, snapshots=cfg.snapshots, eps=cfg.eps,
+        extra_hooks=[hook for hook in (cones, mu, tv) if hook is not None],
     )
+    arts.cones, arts.mu, arts.tv = cones, mu, tv
     os.makedirs(cfg.outdir, exist_ok=True)
     for k, prof in enumerate(arts.snapshots):
         output.emit_plotdata(prof, os.path.join(cfg.outdir, f"snapshot_{k:03d}.csv"))
@@ -252,9 +255,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except HorizonEncountered as exc:
-        print(f"stopped at a coordinate singularity: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
     except RelshockError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

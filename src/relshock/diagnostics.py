@@ -26,11 +26,8 @@ __all__ = [
     "detect_frw_border",
     "detect_tov_border",
     "black_hole_number",
-    "total_variation",
     "one_norm_error",
     "convergence_rate",
-    "affine_scale",
-    "coordinate_time_map",
     "BumpTestFunction",
     "WeakResidualMonitor",
     "MuMonitor",
@@ -160,8 +157,7 @@ class TVMonitor:
         self.alarmed = False
 
     def _record(self, state):
-        tv0 = total_variation(state.u0[1:-1])
-        tv1 = total_variation(state.u1[1:-1])
+        tv0, tv1 = (float(np.abs(np.diff(u[1:-1])).sum()) for u in (state.u0, state.u1))
         self.history.append((state.t, tv0, tv1))
         if self._initial is None:
             self._initial = max(tv0 + tv1, 1e-300)
@@ -188,11 +184,6 @@ class MuMonitor:
         self.history.append((state.t,) + black_hole_number(state))
 
 
-def total_variation(values) -> float:
-    values = np.asarray(values, dtype=float)
-    return float(np.abs(np.diff(values)).sum())
-
-
 def one_norm_error(num, ref, dx: float) -> float:
     """dx * sum |num - ref| over the grid."""
     num = np.asarray(num, dtype=float)
@@ -208,24 +199,6 @@ def convergence_rate(errors):
     if errors.size < 2:
         raise RelshockError("need at least two errors for a rate")
     return np.log2(errors[:-1] / errors[1:])
-
-
-def affine_scale(b1, b2) -> float:
-    """Ratio of the ranges of b2 and b1: the scale of the affine map sending
-    the range of b1 onto the range of b2."""
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    d1 = b1.max() - b1.min()
-    d2 = b2.max() - b2.min()
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise RelshockError("field has zero range")
-    return float(d2 / d1)
-
-
-def coordinate_time_map(t_bar_1, psi0: float):
-    """Time of the dynamical-integrating-factor chart matching a given time
-    of the unit-light-speed chart."""
-    return psi0 * np.sqrt(t_bar_1)
 
 
 class BumpTestFunction:

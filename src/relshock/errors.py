@@ -1,14 +1,20 @@
 """Exception types shared across the package.
 
 Each class is one distinction some caller acts on: the command line maps
-ConfigError to exit 2, HorizonEncountered to exit 3 and every other
-RelshockError to exit 4; the stepper catches HorizonEncountered and
-GridExhausted.
+ConfigError to exit 2 and every other RelshockError to exit 4.  The time
+march (:func:`relshock.experiments.simulate_model`) catches
+GridExhausted, and HorizonEncountered, which it records as the stop
+reason "horizon"; the command line exits 3 on that stop reason.
 """
 
 
 class RelshockError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  An error about one entry of an
+    array sets `index` to that entry."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConfigError(RelshockError):
@@ -25,10 +31,6 @@ class NonPhysicalState(RelshockError):
     """A state, parameter or requested point lies outside the physical
     region or a model's domain (time step too large, corrupted data, NaN,
     or out-of-range input).  Array checks set `index` to the first bad entry."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class HorizonEncountered(RelshockError):

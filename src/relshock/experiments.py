@@ -1,11 +1,13 @@
-"""Experiment orchestration: model runs, error tables and comparisons.
+"""Experiment orchestration: the time march, error tables and comparisons.
 
-This layer glues the stepper to the diagnostics: it runs a model on a
-grid, measures every error through :func:`slice_errors` (against a closed
-form, one chart of the matched model, or the :func:`interpolant` of a
-finer run), and assembles the mesh-doubling tables.  The command line is a
-thin client of these functions, and the acceptance suite drives them
-directly.
+:func:`simulate_model` is the one function that marches a model in time:
+it owns how a run is stepped, stopped and recorded, and attaches every
+observer as a hook.  The rest of this layer glues runs to the
+diagnostics: it measures every error through :func:`slice_errors`
+(against a closed form, one chart of the matched model, or the
+:func:`interpolant` of a finer run), and assembles the mesh-doubling
+tables.  The command line is a thin client of these functions, and the
+acceptance suite drives them directly.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics, models, scheme
-from .errors import ConfigError
+from .errors import ConfigError, GridExhausted, HorizonEncountered
 from .fluid import EosParams
 
 __all__ = [
     "ProfileSlice",
+    "RunLog",
     "RunArtifacts",
     "simulate_model",
     "slice_errors",
@@ -32,6 +35,8 @@ __all__ = [
 
 FIELDS = ("rho", "v", "A", "B")
 REVERSED_R_MIN, REVERSED_R_MAX = 0.1, 20.0  # room before t = 0: r_min < |t_start|/2
+# a run that has not reached its end time after this many steps stops ("max_steps")
+MAX_STEPS = 2_000_000
 
 
 @dataclass
@@ -81,9 +86,21 @@ class SnapshotHook:
 
 
 @dataclass
+class RunLog:
+    """Per-run bookkeeping filled in by :func:`simulate_model`."""
+
+    dt_history: list = field(default_factory=list)
+    steps: int = 0
+    stop_reason: str = "t_end"
+    chops: int = 0
+    boundary_hit_t: float | None = None    # t and steps after the first step that
+    boundary_hit_step: int | None = None   # reported a boundary hit
+
+
+@dataclass
 class RunArtifacts:
     state: object
-    log: scheme.RunLog
+    log: RunLog
     snapshots: list = field(default_factory=list)
     cones: object = None
     mu: object = None
@@ -91,35 +108,68 @@ class RunArtifacts:
 
 
 def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
-                   snapshots: int = 0, track_cones: bool = False,
-                   track_mu: bool = False, track_tv: bool = False,
-                   eps: float = 1e-10, extra_hooks=(), **run_kw) -> RunArtifacts:
-    """Run a model for `duration` time units with optional trackers.
+                   snapshots: int = 0, eps: float = 1e-10, extra_hooks=(),
+                   on_hit: str = "continue", min_cells: int = 64) -> RunArtifacts:
+    """March the model from its start time for `duration` time units,
+    clamping the final step.
+
+    Each hook of `extra_hooks` observes the run: `hook.on_start(state)` is
+    called once with the initial state, then `hook(state, report)` once
+    after every step.  A horizon stop is recorded, not raised; all other
+    errors propagate.  Once the interaction region reaches the right
+    boundary, on_hit="continue" keeps stepping, "stop" ends the run after
+    that step and "chop" discards one cell per step, zooming in until
+    `min_cells` cells are left or until the boundary meets the current
+    maximum of the black-hole ratio 2M/r.  Any other on_hit raises
+    ValueError.
 
     `snapshots` slices are kept by `RunConfig.snapshots`' rule (see
     SnapshotHook); a run that stops before its end time ends them with its
     last state instead.  With snapshots = 0 the list is empty.
     """
+    if on_hit not in ("continue", "stop", "chop"):
+        raise ValueError(f"on_hit must be 'continue', 'stop' or 'chop', got {on_hit!r}")
     t_end = model.t_start + duration
     hooks = list(extra_hooks)
     snap = None
     if snapshots:
         snap = SnapshotHook(model.t_start, t_end, snapshots)
         hooks.append(snap)
-    cones = None
-    if track_cones:
-        cones = diagnostics.ConeTracker(model.r0)
-        hooks.append(cones)
-    mu = None
-    if track_mu:
-        mu = diagnostics.MuMonitor()
-        hooks.append(mu)
-    tv = None
-    if track_tv:
-        tv = diagnostics.TVMonitor()
-        hooks.append(tv)
-    state, log = scheme.run(model, grid, eos, t_end, hooks=hooks, eps=eps, **run_kw)
-    arts = RunArtifacts(state=state, log=log, cones=cones, mu=mu, tv=tv)
+    state = scheme.init(model, grid, eos, eps)
+    log = RunLog()
+    for hook in hooks:
+        hook.on_start(state)
+    tiny = 1e-12 * max(1.0, abs(t_end))
+    while state.t < t_end - tiny:
+        if log.steps >= MAX_STEPS:
+            log.stop_reason = "max_steps"
+            break
+        if log.boundary_hit_step is not None and on_hit == "chop":
+            try:
+                scheme.chop_right(state, min_cells)
+                log.chops += 1
+            except GridExhausted:
+                log.stop_reason = "grid_exhausted"
+                break
+            mu_max, mu_radius = diagnostics.black_hole_number(state)
+            if state.xe[-1] <= mu_radius:
+                log.stop_reason = "reached_mu_peak"
+                break
+        try:
+            report = scheme.advance(state, dt_cap=t_end - state.t)
+        except HorizonEncountered:
+            log.stop_reason = "horizon"
+            break
+        log.dt_history.append(report.dt)
+        log.steps += 1
+        if report.boundary_hit and log.boundary_hit_step is None:
+            log.boundary_hit_t, log.boundary_hit_step = state.t, log.steps
+        for hook in hooks:
+            hook(state, report)
+        if log.boundary_hit_step is not None and on_hit == "stop":
+            log.stop_reason = "boundary_hit"
+            break
+    arts = RunArtifacts(state=state, log=log)
     if snap is not None:
         if not snap.slices or snap.slices[-1].t < state.t - 1e-12:
             snap.slices.append(ProfileSlice.from_state(state))
@@ -195,16 +245,18 @@ class MatchedRunResult:
 def matched_run(variant: str, n: int, eos: EosParams, r_min: float = 3.0,
                 r_max: float = 7.0, r0: float = 5.0, duration: float = 1.0,
                 eps: float = 1e-10, snapshots: int = 0,
-                **run_kw) -> MatchedRunResult:
+                extra_hooks=()) -> MatchedRunResult:
     """One matched-model run with cone tracking, border detection and
-    masked errors of the non-interaction regions against the exact sides."""
+    masked errors of the non-interaction regions against the exact sides;
+    `extra_hooks` observe the run next to the cone tracker."""
     model = models.make_model(f"{variant}_tov", eos, r0=r0)
     grid = scheme.SimGrid(r_min, r_max, n)
-    arts = simulate_model(model, grid, eos, duration, track_cones=True,
-                          snapshots=snapshots, eps=eps, **run_kw)
+    tracker = diagnostics.ConeTracker(model.r0)
+    arts = simulate_model(model, grid, eos, duration, snapshots=snapshots, eps=eps,
+                          extra_hooks=(*extra_hooks, tracker))
+    arts.cones = tracker
     state = arts.state
     prof = ProfileSlice.from_state(state)
-    cones = arts.cones.cones
 
     frw_border = tov_border = None
     side_errors = {}
@@ -224,7 +276,7 @@ def matched_run(variant: str, n: int, eos: EosParams, r_min: float = 3.0,
     return MatchedRunResult(
         arts=arts,
         frw_border=frw_border, tov_border=tov_border,
-        sound_left=cones.sound_left, sound_right=cones.sound_right,
+        sound_left=tracker.cones.sound_left, sound_right=tracker.cones.sound_right,
         side_errors=side_errors,
     )
 
@@ -245,7 +297,7 @@ def cross_model_comparison(n: int, n_ref: int, eos: EosParams,
     m1 = models.make_model("frw1_tov", eos, r0=r0)
     m2 = models.make_model("frw2_tov", eos, r0=r0)
     t1_end = m1.t_start + duration_frw1
-    t2_end = float(diagnostics.coordinate_time_map(t1_end, m2.data.psi0))
+    t2_end = float(m2.data.psi0 * np.sqrt(t1_end))  # the FRW-2 time of t1_end
     duration_frw2 = t2_end - m2.t_start
 
     ref_arts = simulate_model(m1, scheme.SimGrid(r_min, r_max, n_ref), eos,
@@ -259,7 +311,7 @@ def cross_model_comparison(n: int, n_ref: int, eos: EosParams,
     # B is fixed only up to the scale of the time coordinate: map its range
     # onto the reference's before comparing
     _, _, _, ref_B, _ = exact(ref.t, prof.xe)
-    b_scale = diagnostics.affine_scale(prof.B, ref_B)
+    b_scale = float(np.ptp(ref_B) / np.ptp(prof.B))
     remapped = replace(prof, B=b_scale * (prof.B - prof.B.min()) + ref_B.min())
     errors = slice_errors(remapped, exact, arts.state.dx)
     return {
@@ -287,8 +339,8 @@ def reversed_collapse_run(n: int, eos: EosParams, r_min: float = REVERSED_R_MIN,
             f"reversed run needs |t_start| > 2*r_min, got t_start = "
             f"{model.t_start:.6g} and r_min = {r_min:g}"
         )
-    return simulate_model(
-        model, grid, eos, duration, track_mu=True, track_cones=True, eps=eps,
-        on_hit="chop" if continue_chop else "stop",
-        min_cells=min_cells,
-    )
+    cones, mu = diagnostics.ConeTracker(model.r0), diagnostics.MuMonitor()
+    arts = simulate_model(model, grid, eos, duration, eps=eps, extra_hooks=(cones, mu),
+                          on_hit="chop" if continue_chop else "stop", min_cells=min_cells)
+    arts.cones, arts.mu = cones, mu
+    return arts

@@ -276,13 +276,12 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     u_legs = np.concatenate((u[:n3], u1_ii, u[n3:], u2_ii))
     failed = np.isnan(u_legs)
     if np.count_nonzero(failed):
-        k = np.concatenate((w1, w2))[failed].min()
+        k = int(np.concatenate((w1, w2))[failed].min())
         raise RelshockError(
             f"Riemann Newton solve did not converge at interface {k}: "
             f"(dr, ds) = ({dr[k]:.6e}, {ds[k]:.6e}), left (rho, v) = "
             f"({sol.rho_l[k]:.6e}, {sol.v_l[k]:.6e}), right (rho, v) = "
-            f"({sol.rho_r[k]:.6e}, {sol.v_r[k]:.6e})"
-        )
+            f"({sol.rho_r[k]:.6e}, {sol.v_r[k]:.6e})", index=k)
 
     # Middle state: rarefaction legs keep the invariant they carry (r from
     # the right, s from the left); shock legs add their curve displacement

@@ -14,6 +14,10 @@ evaluation: both ghost cells, the update's left anchors and the last
 edge's (A, B).  A matched model's static exterior is rematched after the
 update, from the integrated B.
 
+This module is the stepper only: the grid, the state, the stage kernels,
+:func:`init`, :func:`advance` and :func:`chop_right`.  How a run is
+marched, stopped and recorded belongs to :func:`relshock.experiments.simulate_model`.
+
 The stage kernels keep the contract of :mod:`relshock.fluid`: they
 allocate their outputs, finish each formula in them bit for bit, and never
 write into an input (the stepper passes views of its state).  The update
@@ -23,25 +27,21 @@ they were.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import diagnostics, fluid, models, riemann
-from .errors import GridExhausted, HorizonEncountered, NonPhysicalState
+from .errors import GridExhausted, HorizonEncountered, RelshockError
 from .fluid import EosParams, _into
 from .models import KAPPA
 
-__all__ = ["SimGrid", "SimState", "StepReport", "RunLog", "Hook", "init", "cfl_dt",
-           "godunov_cell_update", "source_G", "ode_step", "advance",
-           "chop_right", "run"]
+__all__ = ["SimGrid", "SimState", "StepReport", "init", "cfl_dt",
+           "godunov_cell_update", "source_G", "ode_step", "advance", "chop_right"]
 
 # stop before a literal coordinate singularity; A hits 0 only at a horizon
 HORIZON_FLOOR = 1e-6
-# a run that has not reached t_end after this many steps stops ("max_steps")
-MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -118,27 +118,6 @@ class StepReport:
     max_light_speed: float
     regions: np.ndarray
     boundary_hit: bool
-
-
-@dataclass
-class RunLog:
-    """Per-run bookkeeping filled in by :func:`run`."""
-
-    dt_history: list = field(default_factory=list)
-    steps: int = 0
-    stop_reason: str = "t_end"
-    chops: int = 0
-    boundary_hit_t: float | None = None    # t and steps after the first step that
-    boundary_hit_step: int | None = None   # reported a boundary hit
-
-
-class Hook(Protocol):
-    """Per-run observer: :func:`run` calls on_start once with the initial
-    state, then the hook itself once after every step."""
-
-    def on_start(self, state: SimState) -> None: ...
-
-    def __call__(self, state: SimState, report: StepReport) -> None: ...
 
 
 def _is_matched(model) -> bool:
@@ -246,9 +225,9 @@ def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
 
 
 class _naming_cells:
-    """Context that restates a kernel's NonPhysicalState at entry k as one at
-    cell first + k, ghosts counted (interfaces, first=None: cells k and
-    k + 1), and time t."""
+    """Context that restates a kernel's error at entry k (any RelshockError
+    with an `index`) as one at cell first + k, ghosts counted (interfaces,
+    first=None: cells k and k + 1), and time t."""
 
     __slots__ = ("t", "first")
 
@@ -259,12 +238,13 @@ class _naming_cells:
         return self
 
     def __exit__(self, kind, err, tb):
-        if not isinstance(err, NonPhysicalState) or err.index is None:
+        if not isinstance(err, RelshockError) or err.index is None:
             return False
         k, first = err.index, self.first
         where = f"cells {k} and {k + 1}" if first is None else f"cell {first + k}"
-        raise NonPhysicalState(
-            str(err).replace(f"at index {k}", f"at {where}, t={self.t:.9g}")) from err
+        at = f"at {where}, t={self.t:.9g}"
+        raise type(err)(
+            str(err).replace(f"at index {k}", at).replace(f"at interface {k}", at)) from err
 
 
 def _refresh_boundaries(state: SimState, t_new: float):
@@ -425,54 +405,3 @@ def chop_right(state: SimState, min_cells: int = 16) -> SimState:
     vars(state).pop("xe_sq", None)
     state.right_frozen = True
     return state
-
-
-def run(model, grid: SimGrid, eos: EosParams, t_end: float,
-        hooks: Sequence[Hook] = (),
-        eps: float = 1e-10, on_hit: str = "continue", min_cells: int = 16):
-    """March from the model's start time to t_end, clamping the final step.
-
-    Returns (state, RunLog).  A horizon stop is recorded, not raised; all
-    other errors propagate.  Once the interaction region reaches the right
-    boundary, on_hit="continue" keeps stepping, "stop" ends the run after
-    that step and "chop" discards one cell per step, zooming in until the
-    grid floor or until the boundary meets the current maximum of the
-    black-hole ratio 2M/r.  Any other on_hit raises ValueError.
-    """
-    if on_hit not in ("continue", "stop", "chop"):
-        raise ValueError(f"on_hit must be 'continue', 'stop' or 'chop', got {on_hit!r}")
-    state = init(model, grid, eos, eps)
-    log = RunLog()
-    for hook in hooks:
-        hook.on_start(state)
-    tiny = 1e-12 * max(1.0, abs(t_end))
-    while state.t < t_end - tiny:
-        if log.steps >= MAX_STEPS:
-            log.stop_reason = "max_steps"
-            break
-        if log.boundary_hit_step is not None and on_hit == "chop":
-            try:
-                chop_right(state, min_cells)
-                log.chops += 1
-            except GridExhausted:
-                log.stop_reason = "grid_exhausted"
-                break
-            mu_max, mu_radius = diagnostics.black_hole_number(state)
-            if state.xe[-1] <= mu_radius:
-                log.stop_reason = "reached_mu_peak"
-                break
-        try:
-            report = advance(state, dt_cap=t_end - state.t)
-        except HorizonEncountered:
-            log.stop_reason = "horizon"
-            break
-        log.dt_history.append(report.dt)
-        log.steps += 1
-        if report.boundary_hit and log.boundary_hit_step is None:
-            log.boundary_hit_t, log.boundary_hit_step = state.t, log.steps
-        for hook in hooks:
-            hook(state, report)
-        if log.boundary_hit_step is not None and on_hit == "stop":
-            log.stop_reason = "boundary_hit"
-            break
-    return state, log

@@ -230,3 +230,26 @@ def test_out_of_range_flags_of_riemann_and_emit_model_exit_two(argv, message, tm
     assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+OBSERVERS = {"cones", "mu_history", "tv_history"}
+SHORT_MATCHED = ["simulate", "--model", "frw1_tov", "--duration", "0.05", "--track-cones", "true"]
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (SHORT_MATCHED, {"cones", "tv_history"}),
+    (SHORT_MATCHED + ["--reversed", "true"], OBSERVERS),
+    (["simulate", "--model", "frw1", "--duration", "0.05", "--track-cones", "true"],
+     {"tv_history"}),
+    (["reverse"], {"cones", "mu_history"}),
+], ids=["matched", "reversed", "pure", "reverse"])
+def test_manifest_records_the_observers_of_each_command(argv, recorded, tmp_path):
+    """`simulate` always watches the total variation, tracks cones on a
+    matched model when asked and 2M/r when reversed; `reverse` tracks
+    cones and 2M/r.  Each history has one entry per step plus the start."""
+    assert cli.main(argv + ["--n", "128", "--outdir", str(tmp_path)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert OBSERVERS & set(manifest) == recorded
+    assert ("tv_alarmed" in manifest) == ("tv_history" in manifest)
+    for key in recorded:
+        assert len(manifest[key]) == manifest["steps"] + 1, key

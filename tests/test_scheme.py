@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from relshock import diagnostics, fluid, models, riemann, scheme
-from relshock.errors import GridExhausted, HorizonEncountered, NonPhysicalState
+from relshock import diagnostics, experiments, fluid, models, riemann, scheme
+from relshock.errors import GridExhausted, HorizonEncountered, NonPhysicalState, RelshockError
 from relshock.fluid import EosParams
 from relshock.scheme import SimGrid, advance, cfl_dt, chop_right, godunov_cell_update
 
@@ -460,7 +460,8 @@ def test_rematch_drifts_smoothly_on_forward_run():
 def test_run_zero_duration_returns_initial():
     eos = EosParams()
     model = models.make_model("frw1", eos, t_start=15.0)
-    state, log = scheme.run(model, SimGrid(3.0, 7.0, 64), eos, 15.0)
+    arts = experiments.simulate_model(model, SimGrid(3.0, 7.0, 64), eos, 0.0)
+    state, log = arts.state, arts.log
     assert log.steps == 0
     assert state.t == 15.0
 
@@ -468,7 +469,8 @@ def test_run_zero_duration_returns_initial():
 def test_run_clamps_final_step():
     eos = EosParams()
     model = models.make_model("frw1", eos, t_start=15.0)
-    state, log = scheme.run(model, SimGrid(3.0, 7.0, 64), eos, 15.1)
+    arts = experiments.simulate_model(model, SimGrid(3.0, 7.0, 64), eos, 0.1)
+    state, log = arts.state, arts.log
     assert state.t == pytest.approx(15.1, abs=1e-12)
     assert log.dt_history[-1] <= log.dt_history[0] + 1e-15
 
@@ -515,6 +517,18 @@ def test_report_regions():
     assert report.regions.size == state.n + 1
 
 
+def test_newton_failure_in_a_step_names_its_cells_and_time(monkeypatch):
+    """A Riemann Newton failure inside a matched step names the two cells
+    of its interface and the time, as the guard failures of a step do."""
+    state, eos = make_state("frw1_tov", n=64, r0=5.0)
+    monkeypatch.setattr(riemann, "_MAX_NEWTON", 1)
+    with pytest.raises(RelshockError) as info:
+        advance(state)
+    assert type(info.value) is RelshockError
+    assert str(info.value).startswith(
+        f"Riemann Newton solve did not converge at cells 32 and 33, t={state.t:.9g}: (dr, ds) = (")
+
+
 class CountingHook:
     def __init__(self):
         self.starts = 0
@@ -531,8 +545,8 @@ def test_hooks_called_once_per_step_on_boundary_stop():
     eos = EosParams()
     model = models.make_model("frw1_tov", eos, r0=5.0)
     hooks = [CountingHook(), CountingHook()]
-    state, log = scheme.run(model, SimGrid(3.0, 5.6, 64), eos, model.t_start + 1.0,
-                            hooks=hooks, on_hit="stop")
+    log = experiments.simulate_model(model, SimGrid(3.0, 5.6, 64), eos, 1.0,
+                                     extra_hooks=hooks, on_hit="stop").log
     assert log.stop_reason == "boundary_hit"
     assert log.steps > 1
     for hook in hooks:
@@ -545,4 +559,4 @@ def test_run_refuses_an_unknown_boundary_hit_policy(on_hit):
     eos = EosParams()
     model = models.make_model("frw1_tov", eos, r0=5.0)
     with pytest.raises(ValueError, match="on_hit must be"):
-        scheme.run(model, SimGrid(3.0, 7.0, 64), eos, model.t_start + 0.01, on_hit=on_hit)
+        experiments.simulate_model(model, SimGrid(3.0, 7.0, 64), eos, 0.01, on_hit=on_hit)
