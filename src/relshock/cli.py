@@ -36,8 +36,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, **defaults: str):
     parser.set_defaults(config_defaults=defaults)
 
 
-def _load_config(args) -> RunConfig:
-    """Command defaults, config file and flags, each over the last; validated once."""
+def _load_config(args, unread=()) -> RunConfig:
+    """Command defaults, config file and flags, each over the last; validated
+    once.  A key of `unread`, which the command does not read, is refused."""
     values, lines = read_config(args.config) if args.config else ({}, {})
     values = {**args.config_defaults, **values}
     for f in fields(RunConfig):
@@ -45,6 +46,9 @@ def _load_config(args) -> RunConfig:
         if raw is not None:
             values[f.name] = raw
             lines.pop(f.name, None)
+    for key in unread:
+        if key in values:
+            raise ConfigError(f"{args.command} does not read {key}", line=lines.get(key))
     return config_from_dict(values, lines)
 
 
@@ -185,7 +189,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_reverse(args) -> int:
-    cfg = _load_config(args)
+    # the run marches until its boundary stop, so no duration is read
+    cfg = _load_config(args, unread=("duration",))
     if not cfg.reversed:
         raise ConfigError("reverse runs the time-reversed model; reversed = false "
                           "belongs to simulate")
@@ -194,6 +199,7 @@ def cmd_reverse(args) -> int:
         cfg.n, eos, r_min=cfg.r_min, r_max=cfg.r_max, r0=cfg.r0,
         continue_chop=args.continue_chop, min_cells=cfg.min_cells, eps=cfg.eps,
     )
+    cfg.duration = arts.state.t - arts.state.model.t_start   # the span it marched
     os.makedirs(cfg.outdir, exist_ok=True)
     output.emit_plotdata(experiments.ProfileSlice.from_state(arts.state),
                          os.path.join(cfg.outdir, "final.csv"))

@@ -17,16 +17,21 @@ u = -t/(a/2 + c), and for two shocks, where u1 - u2 = (ds - dr)/(2c) is
 fixed and the problem is one equation in u1, from u1 = delta/2 - m/a.
 
 Everything is vectorized: :func:`solve_interfaces` takes a row of k + 1
-cell states and returns a :class:`RiemannGridSolution` holding middle
-states, shock masks, strengths and speeds for the k interfaces between
-neighbours at once; each cell is guarded and mapped to (r, s) once.
-:func:`edge_speeds` derives the four wave-edge speeds from a solution, and
-:func:`sample_solution` evaluates it at any self-similar speed xi; it
-tests rarefaction edges by comparing velocities with the velocity whose
-eigenvalue is xi, so it needs no edge speed.  A single problem is a row
-of two cells.  Each Newton solve runs only on the interfaces that have its
-wave, and each entry is frozen at its first iterate with |residual| < eps,
-so an interface solves to the same bits alone or in any row.
+cell states and returns a :class:`RiemannGridSolution` holding the middle
+states of the k interfaces between neighbours and the strength and speed
+of each shock leg; each cell is guarded and mapped to (r, s) once.  The
+full-width shock masks, speeds and strengths are views built from the legs
+when read.  A smooth row, every interface a pair of rarefactions, stops
+after the classification: it has no leg to solve and its middle states are
+the invariants it carries.  :func:`edge_speeds` derives the four wave-edge
+speeds from a solution, and :func:`sample_solution` evaluates it at any
+self-similar speed xi; it tests rarefaction edges by comparing velocities
+with the velocity whose eigenvalue is xi, so it needs no edge speed, and it
+skips the shock test of a family with no shock on the row.  A single
+problem is a row of two cells.  Each Newton solve runs only on the
+interfaces that have its wave, and each entry is frozen at its first
+iterate with |residual| < eps, so an interface solves to the same bits
+alone or in any row.
 """
 
 from __future__ import annotations
@@ -170,38 +175,43 @@ def _solve_two_shock(dr, ds, eos: EosParams, eps: float):
     return u1, u1 - delta
 
 
+def _on_legs(family: int, leg_field: str | None, fill):
+    """Read-only full-width view of one family's leg data, built when read:
+    the leg values (True for a mask) on that family's shock interfaces and
+    `fill` elsewhere."""
+    def build(sol):
+        m = sol.w1.size
+        idx, part = (sol.w1, slice(None, m)) if family == 1 else (sol.w2, slice(m, None))
+        out = np.full(sol.region.shape, fill)
+        out[idx] = True if leg_field is None else getattr(sol, leg_field)[part]
+        out.flags.writeable = False
+        return out
+    return property(build)
+
+
 class RiemannGridSolution:
     """Middle states and wave data for the interfaces of a row of cells.
 
     Attributes are parallel arrays, one entry per interface; interface k
-    lies between cells k and k + 1 of the row (rho, v).  shock1 and
-    shock2 mask the interfaces whose 1- and 2-wave is a shock (regions II
-    and III, and I and II); shock_speed1 and shock_speed2 hold those shock
-    speeds, NaN off the shocks.  Wave speeds are in the local Minkowski
-    frame of the cell; the scheme scales them by the cell's coordinate
-    light speed when it needs coordinate speeds.
+    lies between cells k and k + 1 of the row (rho, v).  Shock data live
+    on the legs: w1 indexes the interfaces whose 1-wave is a shock (regions
+    III, then II), w2 those whose 2-wave is (I, then II), and leg_speed and
+    leg_beta hold each leg's speed and strength, the w1 legs first.  The
+    full-width views shock1 and shock2 (masks), shock_speed1 and
+    shock_speed2 (NaN off the shocks) and beta1 and beta2 (0 off them) are
+    built from the legs when read.  A smooth row has no legs, and its r_mid
+    and s_mid are r_right and s_left themselves.  Wave speeds are in the
+    local Minkowski frame of the cell; the scheme scales them by the cell's
+    coordinate light speed when it needs coordinate speeds.
     """
 
-    __slots__ = (
-        "eos",
-        "rho_l",
-        "v_l",
-        "rho_r",
-        "v_r",
-        "region",
-        "beta1",
-        "beta2",
-        "r_mid",
-        "s_mid",
-        "rho_mid",
-        "v_mid",
-        "r_right",
-        "s_left",
-        "shock1",
-        "shock_speed1",
-        "shock2",
-        "shock_speed2",
-    )
+    __slots__ = ("eos", "rho_l", "v_l", "rho_r", "v_r", "region", "r_mid", "s_mid",
+                 "rho_mid", "v_mid", "r_right", "s_left", "w1", "w2", "leg_speed", "leg_beta")
+
+    shock1, shock2 = _on_legs(1, None, False), _on_legs(2, None, False)
+    shock_speed1 = _on_legs(1, "leg_speed", np.nan)
+    shock_speed2 = _on_legs(2, "leg_speed", np.nan)
+    beta1, beta2 = _on_legs(1, "leg_beta", 0.0), _on_legs(2, "leg_beta", 0.0)
 
     def __init__(self, eos, rho, v):
         self.eos = eos
@@ -242,7 +252,16 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     r, s = fluid.invariant_arrays(rho, v, eos)
     rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
     dr, ds = rR - rL, sR - sL
-    region = _classify_arrays(dr, ds)
+    sol.region = region = _classify_arrays(dr, ds)
+    sol.r_right, sol.s_left = rR, sL
+    if not np.count_nonzero(region != REGION_IV):
+        # a smooth row: no shock legs, and each middle state carries r from
+        # the right and s from the left
+        sol.w1 = sol.w2 = np.zeros(0, dtype=np.intp)
+        sol.leg_speed = sol.leg_beta = np.zeros(0)
+        sol.r_mid, sol.s_mid = rR, sL
+        sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(rR, sL, eos)
+        return sol
 
     # The (-,-) quadrant is a superset of the two-shock region: the slivers
     # between each shock curve and the axes belong to regions I and III.  A
@@ -294,18 +313,10 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     s_mid[w1] += p_plus[:m]
     r_mid[i1] -= p_plus[m:m + n1]
     r_mid[i2] = rL[i2] + (p[n3:m] - cu[n3:m])
-    beta = 2.0 * h ** 2
-    beta1, beta2 = np.zeros(dr.shape), np.zeros(dr.shape)
-    beta1[w1] = beta[:m]
-    beta2[w2] = beta[m:]
-
-    sol.region = region
-    sol.beta1, sol.beta2 = beta1, beta2
+    sol.w1, sol.w2, sol.leg_beta = w1, w2, 2.0 * h ** 2
     sol.r_mid, sol.s_mid = r_mid, s_mid
     sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(r_mid, s_mid, eos)
-    sol.r_right, sol.s_left = rR, sL
-    sol.shock1, sol.shock_speed1, sol.shock2, sol.shock_speed2 = \
-        _shock_speeds(sol, w1, w2, beta)
+    sol.leg_speed = _shock_speeds(sol)
     return sol
 
 
@@ -314,29 +325,20 @@ def _rest_frame_shock_speed(f_value, eos: EosParams):
     return np.sqrt((f_value + sig) / (f_value + 1.0 / sig))
 
 
-def _shock_speeds(sol: RiemannGridSolution, w1, w2, beta_legs):
-    """(is_shock1, s1, is_shock2, s2): where each family is a shock, and its
-    speed there (NaN elsewhere), in one pass over the shock legs: indices
-    w1 of 1-shocks, then w2 of 2-shocks, with strengths beta_legs.
+def _shock_speeds(sol: RiemannGridSolution):
+    """Speed of every shock leg of the solution (w1 legs, then w2 legs), in
+    one pass over the legs' strengths.
 
     Each is the rest-frame shock speed composed with the pre-wave state's
     velocity by the relativistic addition law; the 1-family speed is
     negative in the rest frame, and a 2-shock's density ratio is 1/f.
     """
-    m = w1.size
-    f = _f_big(beta_legs)
+    m = sol.w1.size
+    f = _f_big(sol.leg_beta)
     f[m:] = 1.0 / f[m:]
     speed = _rest_frame_shock_speed(f, sol.eos)
     speed[:m] = -speed[:m]
-    speed = fluid.lorentz_compose(np.concatenate((sol.v_l[w1], sol.v_mid[w2])), speed)
-    shape = sol.region.shape
-    on1, on2 = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    on1[w1] = True
-    on2[w2] = True
-    s1, s2 = np.full(shape, np.nan), np.full(shape, np.nan)
-    s1[w1] = speed[:m]
-    s2[w2] = speed[m:]
-    return on1, s1, on2, s2
+    return fluid.lorentz_compose(np.concatenate((sol.v_l[sol.w1], sol.v_mid[sol.w2])), speed)
 
 
 def sample_solution(sol: RiemannGridSolution, xi):
@@ -360,25 +362,29 @@ def sample_solution(sol: RiemannGridSolution, xi):
     xc = np.minimum(np.maximum(xi, -1.0), 1.0)
     a = eos.sound_speed
     w1, w2 = fluid.lorentz_compose(xc, a), fluid.lorentz_compose(xc, -a)
-    on1, s1, on2, s2 = sol.shock1, sol.shock_speed1, sol.shock2, sol.shock_speed2
 
-    # one edge test per family serves the side and (negated) the fan test
-    edge1 = sol.v_l >= w1
-    left_of_1 = np.where(on1, xi <= s1, edge1)
+    # one edge test per family serves the side and (negated) the fan test; a
+    # family with no shock on the row has no shock terms
+    edge1 = left_of_1 = not_fan1 = sol.v_l >= w1
+    if sol.w1.size:
+        on1 = sol.shock1
+        left_of_1, not_fan1 = np.where(on1, xi <= sol.shock_speed1, edge1), on1 | edge1
     rho = np.where(left_of_1, sol.rho_l, sol.rho_mid)
     v = np.where(left_of_1, sol.v_l, sol.v_mid)
 
-    in_fan1 = ~(on1 | edge1) & (w1 < sol.v_mid)
+    in_fan1 = ~not_fan1 & (w1 < sol.v_mid)
     if np.count_nonzero(in_fan1):
         v[in_fan1] = at(w1, in_fan1)
         rho[in_fan1] = fluid.partial_density(at(sol.s_left, in_fan1), "s", v[in_fan1], eos)
 
-    edge2 = sol.v_r <= w2
-    right_of_2 = np.where(on2, xi >= s2, edge2)
+    edge2 = right_of_2 = not_fan2 = sol.v_r <= w2
+    if sol.w2.size:
+        on2 = sol.shock2
+        right_of_2, not_fan2 = np.where(on2, xi >= sol.shock_speed2, edge2), on2 | edge2
     np.copyto(rho, sol.rho_r, where=right_of_2)
     np.copyto(v, sol.v_r, where=right_of_2)
 
-    in_fan2 = ~(on2 | edge2) & (w2 > sol.v_mid)
+    in_fan2 = ~not_fan2 & (w2 > sol.v_mid)
     if np.count_nonzero(in_fan2):
         v[in_fan2] = at(w2, in_fan2)
         rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)

@@ -41,6 +41,13 @@ def solve_pairs(rho_l, v_l, rho_r, v_r, eos, eps=1e-10):
     row = riemann.solve_interfaces(*pair_row(rho_l, v_l, rho_r, v_r), eos, eps)
     sol = object.__new__(riemann.RiemannGridSolution)
     sol.eos = eos
+    legs = ("w1", "w2", "leg_speed", "leg_beta")
     for name in riemann.RiemannGridSolution.__slots__[1:]:
-        setattr(sol, name, getattr(row, name)[::2])
+        if name not in legs:
+            setattr(sol, name, getattr(row, name)[::2])
+    # keep the legs on even interfaces, renumbered to their problem
+    even = np.concatenate((row.w1, row.w2)) % 2 == 0
+    m = row.w1.size
+    sol.w1, sol.w2 = row.w1[even[:m]] // 2, row.w2[even[m:]] // 2
+    sol.leg_speed, sol.leg_beta = row.leg_speed[even], row.leg_beta[even]
     return sol

@@ -7,9 +7,12 @@ order, and guards built from full-width masks.  The tests require the
 kernels to equal these bit for bit and to raise the same messages.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from relshock import fluid
+from relshock import riemann as rm
 from relshock.errors import HorizonEncountered
 from relshock.models import KAPPA
 
@@ -144,3 +147,62 @@ def sample_solution(sol, xi):
         v[in_fan2] = at(w2, in_fan2)
         rho[in_fan2] = fluid.partial_density(at(sol.r_right, in_fan2), "r", v[in_fan2], eos)
     return rho, v
+
+
+def solve_interfaces(rho, v, eos, eps=1e-10):
+    """`riemann.solve_interfaces` as the eager solver: every interface of
+    every row goes through the region-II refinement, both Newton solves and
+    the shock-speed pass, and the full-width shock fields are filled at
+    once (False, NaN and 0.0 off the shocks).  Physical input only."""
+    rho, v = np.asarray(rho, dtype=float), np.asarray(v, dtype=float)
+    r, s = fluid.invariant_arrays(rho, v, eos)
+    rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
+    dr, ds = rR - rL, sR - sL
+    region = rm._classify_arrays(dr, ds)
+    ii = (region == rm.REGION_II).nonzero()[0]
+    if ii.size:
+        d1, d2 = -dr[ii], -ds[ii]
+        thr = rm._floor_displacement(eos)
+        fl1 = (d1 >= eps) & (d1 < thr)
+        fl2 = (d2 >= eps) & (d2 < thr)
+        delta = (d1 - d2) / (2.0 * eos.sqrt_K_half)
+        outside = rm._curve(np.abs(delta), eos)[0] <= -0.5 * (d1 + d2)
+        floored = fl1 | fl2
+        to_I = np.where(floored, fl1, outside & (delta < 0))
+        to_III = np.where(floored, fl2, outside & (delta > 0))
+        region[ii] = np.where(to_I, np.where(to_III, rm.REGION_IV, rm.REGION_I),
+                              np.where(to_III, rm.REGION_III, rm.REGION_II))
+    i1, i2, i3 = ((region == k).nonzero()[0]
+                  for k in (rm.REGION_I, rm.REGION_II, rm.REGION_III))
+    u = rm._solve_pure(np.concatenate((dr[i3], ds[i1])), eos, eps)
+    u1_ii, u2_ii = rm._solve_two_shock(dr[i2], ds[i2], eos, eps)
+    n3, n1 = i3.size, i1.size
+    w1, w2 = np.concatenate((i3, i2)), np.concatenate((i1, i2))
+    u_legs = np.concatenate((u[:n3], u1_ii, u[n3:], u2_ii))
+    m = w1.size
+    p, cu, h, _ = rm._curve(u_legs, eos)
+    p_plus = p + cu
+    r_mid, s_mid = rR.copy(), sL.copy()
+    s_mid[w1] += p_plus[:m]
+    r_mid[i1] -= p_plus[m:m + n1]
+    r_mid[i2] = rL[i2] + (p[n3:m] - cu[n3:m])
+    beta = 2.0 * h ** 2
+    beta1, beta2 = np.zeros(dr.shape), np.zeros(dr.shape)
+    beta1[w1] = beta[:m]
+    beta2[w2] = beta[m:]
+    rho_mid, v_mid = fluid.fluid_from_invariant_arrays(r_mid, s_mid, eos)
+
+    f = rm._f_big(beta)
+    f[m:] = 1.0 / f[m:]
+    speed = rm._rest_frame_shock_speed(f, eos)
+    speed[:m] = -speed[:m]
+    speed = fluid.lorentz_compose(np.concatenate((v[:-1][w1], v_mid[w2])), speed)
+    on1, on2 = np.zeros(dr.shape, dtype=bool), np.zeros(dr.shape, dtype=bool)
+    on1[w1] = True
+    on2[w2] = True
+    s1, s2 = np.full(dr.shape, np.nan), np.full(dr.shape, np.nan)
+    s1[w1] = speed[:m]
+    s2[w2] = speed[m:]
+    return SimpleNamespace(region=region, beta1=beta1, beta2=beta2, r_mid=r_mid,
+                           s_mid=s_mid, rho_mid=rho_mid, v_mid=v_mid, shock1=on1,
+                           shock_speed1=s1, shock2=on2, shock_speed2=s2)

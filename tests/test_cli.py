@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from relshock import cli
+from relshock import cli, models
+from relshock.fluid import EosParams
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -209,6 +210,38 @@ def test_reverse_with_reversed_false_exits_two(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "reversed = false" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("source, message", [
+    ("flag", "reverse does not read duration"),
+    ("config", "line 2: reverse does not read duration"),
+])
+def test_reverse_refuses_a_duration(source, message, tmp_path, capsys):
+    """`reverse` marches until its boundary stop, so a duration from a flag
+    or a config file is refused before anything runs or is written."""
+    out = tmp_path / "out"
+    argv = ["reverse", "--n", "64", "--outdir", str(out)]
+    if source == "flag":
+        argv += ["--duration", "0.05"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 64\nduration = 0.05\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reverse_manifest_records_the_span_it_marched(tmp_path):
+    """The manifest's duration is the time the reversed run covered, from
+    its start slice to its boundary stop."""
+    assert cli.main(["reverse", "--n", "128", "--outdir", str(tmp_path)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    t_start = models.make_model("frw1_tov", EosParams(), r0=5.0, reversed_time=True).t_start
+    assert manifest["stop_reason"] == "boundary_hit"
+    assert manifest["config"]["duration"] == manifest["t_final"] - t_start
+    assert manifest["config"]["duration"] == pytest.approx(sum(manifest["dt_history"]),
+                                                           rel=1e-12)
 
 
 RIEMANN_FLAGS = ["--rho-l", "1", "--v-l", "0", "--rho-r", "2", "--v-r", "0"]

@@ -500,26 +500,25 @@ def test_newton_batch_converging_at_different_iterations_matches_single_solves(e
 
 
 def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
-    """Shock speeds are evaluated on shock entries only: an all-region-IV
-    batch hands every shock-speed formula an empty array."""
-    sizes = []
+    """An all-region-IV row runs no shock machinery: no curve, Newton or
+    shock-speed formula is called, not even on an empty array."""
+    called = []
 
     def spy(owner, name):
         fn = getattr(owner, name)
 
         def wrapped(*args):
-            sizes.append((name, np.size(args[0])))
+            called.append(name)
             return fn(*args)
         monkeypatch.setattr(owner, name, wrapped)
 
-    spy(riemann, "_f_big")
-    spy(riemann, "_rest_frame_shock_speed")
-    spy(fluid, "lorentz_compose")
+    for name in ("_curve", "_newton", "_f_big", "_rest_frame_shock_speed", "_shock_speeds"):
+        spy(riemann, name)
     rho = np.full(5, 2.0)
     v = np.array([-0.2, -0.1, 0.0, 0.3, 0.5])
     sol = solve_interfaces(rho, v, eos)
     assert set(sol.region) == {REGION_IV}
-    assert sizes and all(size == 0 for _, size in sizes), sizes
+    assert called == [], called
 
 
 def test_nonphysical_input_names_first_bad_interface(eos):
@@ -612,21 +611,75 @@ def sampling_batch(eos, rng):
     return sol
 
 
+def invariant_row(eos, dr, ds, phi0=0.0):
+    """Cells whose invariants (r, s) step by (dr, ds) from rapidity phi0 at
+    rho = 1."""
+    r0, s0 = fluid.invariant_arrays(1.0, np.tanh(phi0), eos)
+    return fluid.fluid_from_invariant_arrays(r0 + np.cumsum(np.r_[0.0, dr]),
+                                             s0 + np.cumsum(np.r_[0.0, ds]), eos)
+
+
+def one_family_rows(eos, rng, n=300):
+    """Rows with (a) no shock at all, (b) 2-shocks only (region I, as in a
+    static TOV row) and (c) 1-shocks only.  An invariant that never falls
+    makes no shock of its family.  The smooth row has a transonic fan of
+    each family: a large s step where the 2-fan opens (the middle state)
+    just below v = -a, and a large r step where the 1-fan opens (the left
+    state) just below v = a."""
+    dr, ds = rng.uniform(1e-3, 0.02, (2, n))
+    sonic = np.arctanh(eos.sound_speed)   # rapidity of v = a
+    for step, at_sonic, to_opening in ((ds, -sonic, dr), (dr, sonic, 0.0)):
+        phi = np.cumsum(np.r_[-1.5, 0.5 * (dr + ds)])[:-1] + 0.5 * to_opening
+        step[np.argmax(phi >= at_sonic) - 1] += 0.2
+    walk = rng.uniform(0.0, 0.3, n) * (-1.0) ** np.arange(n)
+    rows = [invariant_row(eos, dr, ds, -1.5)]
+    rows += [invariant_row(eos, *steps) for steps in ((dr, walk), (walk, ds))]
+    sols = [solve_interfaces(rho, v, eos) for rho, v in rows]
+    smooth, only2, only1 = sols
+    assert set(smooth.region) == {REGION_IV}
+    head1, tail1, head2, tail2 = edge_speeds(smooth)
+    assert np.any((head1 < 0) & (tail1 > 0)) and np.any((head2 < 0) & (tail2 > 0))
+    assert set(only2.region) == {REGION_I, REGION_IV}
+    assert set(only1.region) == {REGION_III, REGION_IV}
+    return sols
+
+
 @pytest.mark.parametrize("sigma", [0.1, 1.0 / 3.0, 0.6])
 def test_sampler_equals_the_where_sampler_bit_for_bit(sigma, rng):
-    """Sharing each family's edge comparison between the side and fan tests
-    and writing the 2-family states in place keep the bytes of the np.where
-    sampler, for scalar, per-interface and broadcast xi, on edges, outside
-    the light cone and at NaN."""
+    """Sharing each family's edge comparison between the side and fan tests,
+    writing the 2-family states in place and skipping the shock test of a
+    family with no shock on the row keep the bytes of the np.where sampler,
+    for scalar, per-interface and broadcast xi, on edges, outside the light
+    cone and at NaN: on a mixed batch, a smooth row, and rows with shocks of
+    one family only."""
     eos = EosParams(sigma)
-    sol = sampling_batch(eos, rng)
-    m = sol.rho_mid.size
-    cases = [0.0, -0.3, 0.7, 1.5, np.float64(-2.0), np.nan, np.zeros(m),
-             rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, (7, 1)),
-             np.array([-3.0, -1.0, 1.0, 3.0])[:, None], *edge_speeds(sol)]
-    for xi in cases:
-        for new, old in zip(sample_solution(sol, xi), kernel_reference.sample_solution(sol, xi)):
-            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    for sol in (sampling_batch(eos, rng), *one_family_rows(eos, rng)):
+        m = sol.rho_mid.size
+        cases = [0.0, -0.3, 0.7, 1.5, np.float64(-2.0), np.nan, np.zeros(m),
+                 rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, (7, 1)),
+                 np.array([-3.0, -1.0, 1.0, 3.0])[:, None], *edge_speeds(sol)]
+        for xi in cases:
+            for new, old in zip(sample_solution(sol, xi),
+                                kernel_reference.sample_solution(sol, xi)):
+                assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0 / 3.0])
+def test_shock_fields_built_from_legs_equal_the_eager_ones(sigma):
+    """The full-width shock masks, speeds and strengths a solution builds
+    from its legs when read, and every other field, are the bytes of the
+    eager solver that filled them at once, over a random sweep of 200k
+    interfaces and over a smooth row."""
+    eos = EosParams(sigma)
+    rng = np.random.default_rng(18)
+    rho, v = random_states(rng, 200_001, rho_lo=1e-3, rho_hi=1e3, v_max=0.95)
+    smooth = invariant_row(eos, *rng.uniform(1e-3, 0.02, (2, 300)), -1.5)
+    for rho, v in ((rho, v), smooth):
+        new, old = solve_interfaces(rho, v, eos), kernel_reference.solve_interfaces(rho, v, eos)
+        for name in SOLUTION_FIELDS:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert not new.shock1.flags.writeable
 
 
 def test_lazy_edge_speeds_equal_the_stored_ones(eos, rng):
