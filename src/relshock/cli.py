@@ -5,6 +5,15 @@ solution slices), simulate (one run with snapshots and a manifest),
 converge (mesh-doubling error tables), reverse (time-reversed collapse run
 with optional boundary chopping).  Exit codes: 0 success, 2 configuration
 error, 3 horizon / coordinate-singularity stop, 4 numerical failure.
+
+Each command takes, as flags or from a --config file, only the RunConfig
+keys it reads; any other exits 2.  emit-model reads model, r_min, r_max,
+sigma, outdir, t_start, r0 and reversed; simulate adds n, duration, eps,
+snapshots and track_cones; converge adds duration and eps; reverse (always
+the reversed frw1_tov) reads r_min, r_max, sigma, outdir, r0, n, eps and
+min_cells.  A key the model does not read exits 2 too: only frw1 and frw2
+read t_start, only frw1_tov and frw2_tov read r0 and track_cones, and only
+frw1_tov reads reversed.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from . import diagnostics, experiments, models, output, riemann, scheme
 from .config import RunConfig, config_from_dict, read_config
-from .errors import ConfigError, RelshockError
+from .errors import ConfigError, NonPhysicalState, RelshockError
 from .fluid import EosParams
 
 EXIT_OK = 0
@@ -26,38 +35,55 @@ EXIT_CONFIG = 2
 EXIT_HORIZON = 3
 EXIT_NUMERICAL = 4
 
+_EMIT_MODEL_KEYS = ("model", "r_min", "r_max", "sigma", "outdir", "t_start", "r0", "reversed")
+_COMMAND_KEYS = {
+    "emit-model": _EMIT_MODEL_KEYS,
+    "simulate": _EMIT_MODEL_KEYS + ("n", "duration", "eps", "snapshots", "track_cones"),
+    "converge": _EMIT_MODEL_KEYS + ("duration", "eps"),
+    "reverse": ("r_min", "r_max", "sigma", "outdir", "r0", "n", "eps", "min_cells"),
+}
+# keys that only some models read -> those models
+_MODEL_KEYS = {"t_start": ("frw1", "frw2"), "r0": ("frw1_tov", "frw2_tov"),
+               "reversed": ("frw1_tov",), "track_cones": ("frw1_tov", "frw2_tov")}
+_FIELDS = {f.name for f in fields(RunConfig)}
 
-def _add_config_flags(parser: argparse.ArgumentParser, **defaults: str):
-    """--config, one flag per RunConfig field and the command's own defaults."""
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str, **defaults: str):
+    """--config, one flag per key the command reads, its own defaults."""
     parser.add_argument("--config", help="key = value configuration file")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, default=None)
+    for key in _COMMAND_KEYS[command]:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     parser.set_defaults(config_defaults=defaults)
 
 
-def _load_config(args, unread=()) -> RunConfig:
+def _load_config(args) -> RunConfig:
     """Command defaults, config file and flags, each over the last; validated
-    once.  A key of `unread`, which the command does not read, is refused."""
-    values, lines = read_config(args.config) if args.config else ({}, {})
-    values = {**args.config_defaults, **values}
-    for f in fields(RunConfig):
-        raw = getattr(args, f.name, None)
+    once.  A key that the command or its model does not read is refused."""
+    keys = _COMMAND_KEYS[args.command]
+    given, lines = read_config(args.config) if args.config else ({}, {})
+    for key in given:
+        if key in _FIELDS and key not in keys:
+            raise ConfigError(f"{args.command} does not read {key}", line=lines[key])
+    for key in keys:
+        raw = getattr(args, key)
         if raw is not None:
-            values[f.name] = raw
-            lines.pop(f.name, None)
-    for key in unread:
-        if key in values:
-            raise ConfigError(f"{args.command} does not read {key}", line=lines.get(key))
-    return config_from_dict(values, lines)
+            given[key] = raw
+            lines.pop(key, None)
+    cfg = config_from_dict({**args.config_defaults, **given}, lines)
+    for key in given:
+        if key in _MODEL_KEYS and cfg.model not in _MODEL_KEYS[key]:
+            raise ConfigError(f"model {cfg.model} does not read {key}", line=lines.get(key))
+    return cfg
 
 
 def _make_model(cfg: RunConfig):
     eos = EosParams(cfg.sigma)
-    return models.make_model(
-        cfg.model, eos, r0=cfg.r0, t_start=cfg.t_start, b0=cfg.b0,
-        psi0=cfg.psi0, reversed_time=cfg.reversed,
-    ), eos
+    try:
+        model = models.make_model(cfg.model, eos, r0=cfg.r0, t_start=cfg.t_start,
+                                  reversed_time=cfg.reversed)
+    except NonPhysicalState as exc:   # the FRW charts refuse sigma != 1/3
+        raise ConfigError(str(exc)) from None
+    return model, eos
 
 
 def cmd_riemann(args) -> int:
@@ -127,9 +153,9 @@ def _manifest_payload(cfg: RunConfig, arts) -> dict:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     model, eos = _make_model(cfg)
+    cfg.t_start = model.t_start   # tov and the matched models fix their own
     grid = scheme.SimGrid(cfg.r_min, cfg.r_max, cfg.n)
-    cones = (diagnostics.ConeTracker(model.r0)
-             if cfg.track_cones and cfg.model.endswith("_tov") else None)
+    cones = diagnostics.ConeTracker(model.r0) if cfg.track_cones else None
     mu = diagnostics.MuMonitor() if cfg.reversed else None
     tv = diagnostics.TVMonitor()
     arts = experiments.simulate_model(
@@ -169,15 +195,10 @@ def _parse_levels(spec: str):
 
 def cmd_converge(args) -> int:
     cfg = _load_config(args)
-    eos = EosParams(cfg.sigma)
+    model, eos = _make_model(cfg)
     ns = _parse_levels(args.levels)
     reference = "model" if cfg.model in ("frw1", "frw2", "tov") else "fine"
-
-    def make():
-        model, _ = _make_model(cfg)
-        return model
-
-    result = experiments.ladder(make, ns, eos, cfg.r_min, cfg.r_max,
+    result = experiments.ladder(lambda: model, ns, eos, cfg.r_min, cfg.r_max,
                                 cfg.duration, reference=reference, eps=cfg.eps)
     os.makedirs(cfg.outdir, exist_ok=True)
     path = output.emit_table(result, os.path.join(cfg.outdir, "table.csv"))
@@ -189,17 +210,14 @@ def cmd_converge(args) -> int:
 
 
 def cmd_reverse(args) -> int:
-    # the run marches until its boundary stop, so no duration is read
-    cfg = _load_config(args, unread=("duration",))
-    if not cfg.reversed:
-        raise ConfigError("reverse runs the time-reversed model; reversed = false "
-                          "belongs to simulate")
-    eos = EosParams(cfg.sigma)
+    cfg = _load_config(args)
+    model, eos = _make_model(cfg)   # refused before the run, as simulate refuses it
     arts = experiments.reversed_collapse_run(
         cfg.n, eos, r_min=cfg.r_min, r_max=cfg.r_max, r0=cfg.r0,
         continue_chop=args.continue_chop, min_cells=cfg.min_cells, eps=cfg.eps,
     )
-    cfg.duration = arts.state.t - arts.state.model.t_start   # the span it marched
+    # it marches until its boundary stop: record the span it covered
+    cfg.t_start, cfg.duration = model.t_start, arts.state.t - model.t_start
     os.makedirs(cfg.outdir, exist_ok=True)
     output.emit_plotdata(experiments.ProfileSlice.from_state(arts.state),
                          os.path.join(cfg.outdir, "final.csv"))
@@ -229,23 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_riemann)
 
     p = sub.add_parser("emit-model", help="write an exact-solution slice")
-    _add_config_flags(p)
+    _add_config_flags(p, "emit-model")
     p.add_argument("--at", type=float, default=0.0,
                    help="time offset from the model start time")
     p.add_argument("--count", type=int, default=257)
     p.set_defaults(func=cmd_emit_model)
 
     p = sub.add_parser("simulate", help="run one model")
-    _add_config_flags(p)
+    _add_config_flags(p, "simulate")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", help="mesh-doubling error table")
-    _add_config_flags(p)
+    _add_config_flags(p, "converge")
     p.add_argument("--levels", default="64..1024", help="e.g. 64..2048")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("reverse", help="time-reversed collapse run")
-    _add_config_flags(p, reversed="true", r_min=str(experiments.REVERSED_R_MIN),
+    _add_config_flags(p, "reverse", reversed="true", r_min=str(experiments.REVERSED_R_MIN),
                       r_max=str(experiments.REVERSED_R_MAX))
     p.add_argument("--continue-chop", action="store_true",
                    help="keep zooming in by discarding boundary cells")

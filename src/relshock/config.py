@@ -31,9 +31,7 @@ class RunConfig:
     # the start to the end of the run, 1 the final slice alone, 0 none
     snapshots: int = 5
     outdir: str = "out"
-    t_start: float = 15.0   # pure models only; matched models derive it from r0
-    b0: float = 1.0         # pure static model time scale
-    psi0: float | None = None  # pure frw2; default keeps light speed 1 at start
+    t_start: float = 15.0   # pure frw1 and frw2 only (tov: t = 0; matched: set by r0)
     min_cells: int = 64     # floor for boundary chopping
     track_cones: bool = False
 
@@ -60,8 +58,6 @@ class RunConfig:
             raise ConfigError(f"snapshots must be non-negative, got {self.snapshots}")
         if self.min_cells < 8:
             raise ConfigError(f"min_cells must be at least 8, got {self.min_cells}")
-        if self.reversed and self.model != "frw1_tov":
-            raise ConfigError("reversed runs are defined for model = frw1_tov")
         return self
 
 
@@ -69,14 +65,8 @@ _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0"
 
 
 def _coerce(name: str, kind, raw: str, line: int | None):
-    """Value of one key from its text, typed by the RunConfig annotation;
-    an optional field (annotated `X | None`) also accepts `none`."""
+    """Value of one key from its text, typed by the RunConfig annotation."""
     raw = raw.strip()
-    args = typing.get_args(kind)
-    if type(None) in args:
-        if raw.lower() == "none":
-            return None
-        kind = args[0]
     try:
         if kind is bool:
             return _BOOLS[raw.lower()]

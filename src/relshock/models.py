@@ -171,29 +171,29 @@ class Frw1Model:
 
 
 class Frw2Model:
-    """Pure expanding universe under the dynamical integrating factor."""
+    """Pure expanding universe under the dynamical integrating factor, with
+    psi0 = sqrt(2 t_start): coordinate light speed 1 on the start slice."""
 
-    def __init__(self, eos: EosParams, t_start: float, psi0: float | None = None):
+    def __init__(self, eos: EosParams, t_start: float):
         _require_radiation(eos)
         self.eos = eos
         self.t_start = float(t_start)
-        # default makes the coordinate light speed exactly 1 on the start slice
-        self.psi0 = float(psi0) if psi0 is not None else float(np.sqrt(2.0 * t_start))
+        self.psi0 = float(np.sqrt(2.0 * t_start))
 
     def evaluate(self, t, r):
         return frw2_state(t, r, self.psi0)
 
 
 class TovModel:
-    """Pure static isothermal sphere."""
+    """Pure static isothermal sphere, B = r^q, from t = 0."""
 
-    def __init__(self, eos: EosParams, b0: float = 1.0, t_start: float = 0.0):
+    t_start = 0.0
+
+    def __init__(self, eos: EosParams):
         self.eos = eos
-        self.b0 = float(b0)
-        self.t_start = float(t_start)
 
     def evaluate(self, t, r):
-        return tov_state(r, self.b0, self.eos)
+        return tov_state(r, 1.0, self.eos)
 
 
 class MatchedModel:
@@ -239,12 +239,12 @@ class MatchedModel:
 
 
 def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
-               t_start: float | None = None, b0: float = 1.0,
-               psi0: float | None = None, reversed_time: bool = False):
-    """Model factory keyed by the run-config variant name.  reversed_time
-    is passed to the matching of frw1_tov and frw2_tov (the FRW-2 matching
-    refuses it); a pure model refuses it with ValueError, since a pure frw1
-    model runs reversed from a negative t_start."""
+               t_start: float | None = None, reversed_time: bool = False):
+    """Model factory keyed by the run-config variant name.  r0 is read by
+    frw1_tov and frw2_tov, t_start (default 15) by frw1 and frw2.
+    reversed_time is passed to the matching of frw1_tov and frw2_tov (the
+    FRW-2 matching refuses it); a pure model refuses it with ValueError,
+    since a pure frw1 model runs reversed from a negative t_start."""
     if variant in ("frw1_tov", "frw2_tov"):
         return MatchedModel(variant[:4], r0, eos, reversed_time)
     if variant not in ("frw1", "frw2", "tov"):
@@ -252,9 +252,7 @@ def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
     if reversed_time:
         raise ValueError(f"reversed_time applies to the matched models, not {variant!r}; "
                          "a pure frw1 model runs reversed from a negative t_start")
-    if variant == "frw1":
-        return Frw1Model(eos, t_start if t_start is not None else 15.0)
-    if variant == "frw2":
-        return Frw2Model(eos, t_start if t_start is not None else 15.0, psi0)
-    return TovModel(eos, b0)
-
+    if variant == "tov":
+        return TovModel(eos)
+    model = Frw1Model if variant == "frw1" else Frw2Model
+    return model(eos, t_start if t_start is not None else 15.0)

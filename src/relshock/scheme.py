@@ -28,7 +28,6 @@ they were.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -105,11 +104,6 @@ class SimState:
     def light_speed(self) -> np.ndarray:
         ab = self.A * self.B
         return np.sqrt(ab, out=ab)
-
-    @cached_property
-    def xe_sq(self) -> np.ndarray:
-        """xe[:-1]**2, computed once per grid; :func:`chop_right` drops it."""
-        return self.xe[:-1] ** 2
 
 
 @dataclass(frozen=True)
@@ -280,7 +274,7 @@ def update_mass_metric(state: SimState, t_new: float, left, right):
     u1mid = state.u1[:-2] + state.u1[1:-1]
     u1mid *= 0.5
     terms = 0.5 * KAPPA * u0mid                # 0.5*KAPPA*u0mid*xe[:-1]**2*dx
-    terms *= state.xe_sq
+    terms *= xe[:-1] ** 2
     terms *= state.dx
     M = np.empty(xe.size)                      # m0 + [0, cumsum(terms)]
     M[0] = 0.0
@@ -402,6 +396,5 @@ def chop_right(state: SimState, min_cells: int = 16) -> SimState:
         raise GridExhausted(f"only {state.n} cells left (minimum {min_cells})")
     for name in ("x", "rho", "v", "u0", "u1", "xe", "A", "B", "M"):
         setattr(state, name, getattr(state, name)[:-1].copy())
-    vars(state).pop("xe_sq", None)
     state.right_frozen = True
     return state

@@ -1,5 +1,7 @@
 """Command line: golden Riemann outputs, input rejection and exit codes."""
 
+import argparse
+import dataclasses
 import json
 import pathlib
 import re
@@ -7,6 +9,7 @@ import re
 import pytest
 
 from relshock import cli, models
+from relshock.config import RunConfig
 from relshock.fluid import EosParams
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -208,7 +211,7 @@ def test_reverse_with_reversed_false_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["reverse", "--config", str(cfg), "--n", "64", "--outdir", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert "reversed = false" in capsys.readouterr().err
+    assert "reverse does not read reversed" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -217,18 +220,21 @@ def test_reverse_with_reversed_false_exits_two(tmp_path, capsys):
     ("config", "line 2: reverse does not read duration"),
 ])
 def test_reverse_refuses_a_duration(source, message, tmp_path, capsys):
-    """`reverse` marches until its boundary stop, so a duration from a flag
-    or a config file is refused before anything runs or is written."""
+    """`reverse` marches until its boundary stop, so it has no --duration
+    flag, and a duration from a config file is refused; both before
+    anything runs or is written."""
     out = tmp_path / "out"
     argv = ["reverse", "--n", "64", "--outdir", str(out)]
     if source == "flag":
-        argv += ["--duration", "0.05"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--duration", "0.05"])
+        assert info.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --duration" in capsys.readouterr().err
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 64\nduration = 0.05\n")
-        argv += ["--config", str(cfg)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert message in capsys.readouterr().err
+        assert cli.main(argv + ["--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -272,8 +278,7 @@ SHORT_MATCHED = ["simulate", "--model", "frw1_tov", "--duration", "0.05", "--tra
 @pytest.mark.parametrize("argv, recorded", [
     (SHORT_MATCHED, {"cones", "tv_history"}),
     (SHORT_MATCHED + ["--reversed", "true"], OBSERVERS),
-    (["simulate", "--model", "frw1", "--duration", "0.05", "--track-cones", "true"],
-     {"tv_history"}),
+    (["simulate", "--model", "frw1", "--duration", "0.05"], {"tv_history"}),
     (["reverse"], {"cones", "mu_history"}),
 ], ids=["matched", "reversed", "pure", "reverse"])
 def test_manifest_records_the_observers_of_each_command(argv, recorded, tmp_path):
@@ -286,3 +291,120 @@ def test_manifest_records_the_observers_of_each_command(argv, recorded, tmp_path
     assert ("tv_alarmed" in manifest) == ("tv_history" in manifest)
     for key in recorded:
         assert len(manifest[key]) == manifest["steps"] + 1, key
+
+
+# --- each command and model takes only the configuration it reads -----------
+
+MODELS = ("frw1", "frw2", "tov", "frw1_tov", "frw2_tov")
+FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+OWN_FLAGS = {
+    "riemann": {"--rho-l", "--v-l", "--rho-r", "--v-r", "--sigma", "--eps", "--xi-min",
+                "--xi-max", "--xi-count", "--outdir"},
+    "emit-model": {"--config", "--at", "--count"},
+    "simulate": {"--config"},
+    "converge": {"--config", "--levels"},
+    "reverse": {"--config", "--continue-chop"},
+}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def test_each_parser_offers_the_keys_its_command_reads():
+    """Every command's flags are its key tuple and its own flags, and every
+    RunConfig field is read by some command: a knob no command reads fails
+    here."""
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OWN_FLAGS)
+    for command, p in sub.choices.items():
+        offered = {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+        keys = cli._COMMAND_KEYS.get(command, ())
+        assert offered == OWN_FLAGS[command] | {flag(key) for key in keys}, command
+    assert set().union(*cli._COMMAND_KEYS.values()) == set(FIELDS)
+    assert set(cli._MODEL_KEYS) <= set(FIELDS)
+
+
+UNREAD = [(command, key) for command, keys in cli._COMMAND_KEYS.items()
+          for key in FIELDS if key not in keys]
+
+
+@pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+def test_a_key_the_command_does_not_read_exits_two(command, key, tmp_path, capsys):
+    """The command has no flag for it, and a config file that sets it is
+    refused with its line; nothing is written either way."""
+    out = tmp_path / "out"
+    argv = [command, "--outdir", str(out)]
+    value = str(getattr(RunConfig(), key))
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + [flag(key), value])
+    assert info.value.code == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {flag(key)}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# {command}\n{key} = {value}\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert f"line 2: {command} does not read {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+VALUES = {"t_start": "5", "r0": "5", "reversed": "false", "track_cones": "true"}
+MODEL_UNREAD = [(model, key) for model in MODELS for key, readers in cli._MODEL_KEYS.items()
+                if model not in readers]
+
+
+@pytest.mark.parametrize("model, key", MODEL_UNREAD, ids=[f"{m}-{k}" for m, k in MODEL_UNREAD])
+def test_a_key_the_model_does_not_read_exits_two(model, key, tmp_path, capsys):
+    """A model-only key given for another model, even at its default, is
+    refused, from a flag or with its line from a config file."""
+    out = tmp_path / "out"
+    argv = ["simulate", "--n", "64", "--duration", "0.05", "--outdir", str(out)]
+    assert cli.main(argv + ["--model", model, flag(key), VALUES[key]]) == cli.EXIT_CONFIG
+    assert f"configuration error: model {model} does not read {key}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = {model}\n{key} = {VALUES[key]}\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert f"line 2: model {model} does not read {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "frw1"], ["simulate", "--model", "frw2"],
+    ["simulate", "--model", "frw1_tov"], ["simulate", "--model", "frw2_tov"],
+    ["emit-model", "--model", "frw1"], ["converge", "--model", "frw1"], ["reverse"],
+], ids=["frw1", "frw2", "frw1_tov", "frw2_tov", "emit-model", "converge", "reverse"])
+def test_sigma_other_than_radiation_on_an_frw_model_exits_two(argv, tmp_path, capsys):
+    """The FRW charts need sigma = 1/3; another sigma is a configuration
+    error, refused before anything runs or is written."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--sigma", "0.2", "--outdir", str(out)]) == cli.EXIT_CONFIG
+    assert "require sigma = 1/3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sigma_other_than_radiation_runs_riemann_and_tov(tmp_path):
+    argv = ["riemann", *RIEMANN_FLAGS, "--sigma", "0.2", "--outdir", str(tmp_path / "r")]
+    assert cli.main(argv) == cli.EXIT_OK
+    argv = ["simulate", "--model", "tov", "--sigma", "0.2", "--n", "64", "--duration", "0.05",
+            "--outdir", str(tmp_path / "s")]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv, t_start", [
+    (["simulate", "--model", "frw1", "--t-start", "12", "--duration", "0.05"], 12.0),
+    (["simulate", "--model", "frw2", "--duration", "0.05"], 15.0),
+    (["simulate", "--model", "tov", "--duration", "0.05"], 0.0),
+    (["simulate", "--model", "frw1_tov", "--duration", "0.05"],
+     models.make_model("frw1_tov", EosParams(), r0=5.0).t_start),
+    (["simulate", "--model", "frw2_tov", "--r0", "4", "--duration", "0.05"],
+     models.make_model("frw2_tov", EosParams(), r0=4.0).t_start),
+    (["reverse"], models.make_model("frw1_tov", EosParams(), r0=5.0, reversed_time=True).t_start),
+], ids=MODELS + ("reverse",))
+def test_manifest_records_the_start_time_the_run_used(argv, t_start, tmp_path):
+    """The manifest's t_start is the start slice of the run's model, from
+    which the recorded steps reach t_final."""
+    assert cli.main(argv + ["--n", "128", "--outdir", str(tmp_path)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["t_start"] == t_start
+    assert manifest["config"]["t_start"] + sum(manifest["dt_history"]) == pytest.approx(
+        manifest["t_final"], rel=1e-12, abs=1e-12)

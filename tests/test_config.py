@@ -21,19 +21,13 @@ def test_parse_config_types_values_from_the_dataclass(tmp_path):
         "n = 128          # int\n"
         "track_cones = yes\n"
         "reversed = false\n"
-        "psi0 = none\n"
         "duration = 0.25\n"
     ))
     assert cfg.model == "frw2"
     assert cfg.n == 128 and type(cfg.n) is int
     assert cfg.track_cones is True and cfg.reversed is False
-    assert cfg.psi0 is None
     assert cfg.duration == 0.25
     assert cfg.r_min == RunConfig().r_min
-
-
-def test_parse_config_optional_float_takes_a_number(tmp_path):
-    assert load(tmp_path, "model = frw2\npsi0 = 5.5\n").psi0 == 5.5
 
 
 @pytest.mark.parametrize("text, message", [

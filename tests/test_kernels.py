@@ -228,7 +228,7 @@ def test_kernels_never_write_into_their_inputs(variant, kw):
 
 
 @pytest.mark.parametrize("variant, kw", [("frw1", {"t_start": 15.0}), ("frw1_tov", {"r0": 5.0}),
-                                         ("tov", {"b0": 1.0})])
+                                         ("tov", {})])
 def test_arrays_kept_from_before_a_step_are_unchanged(variant, kw):
     """A hook that keeps state.A, state.B or state.M from before a step
     still holds those values after advance: the update stores new arrays."""
@@ -241,14 +241,3 @@ def test_arrays_kept_from_before_a_step_are_unchanged(variant, kw):
         for name, arr in kept.items():
             assert arr.tobytes() == copies[name].tobytes(), name
         assert all(getattr(state, name) is not kept[name] for name in ("A", "B", "M"))
-
-
-def test_chop_right_drops_the_cached_edge_squares():
-    eos = EosParams()
-    state = scheme.init(models.make_model("frw1", eos, t_start=15.0),
-                        scheme.SimGrid(3.0, 7.0, 48), eos)
-    scheme.advance(state)
-    assert state.xe_sq.tobytes() == (state.xe[:-1] ** 2).tobytes()
-    scheme.chop_right(state)
-    assert state.xe_sq.size == state.xe.size - 1
-    assert state.xe_sq.tobytes() == (state.xe[:-1] ** 2).tobytes()

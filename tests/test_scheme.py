@@ -99,7 +99,7 @@ def test_init_matched_discontinuity_between_cells():
 
 
 def test_init_tov_velocity_zero():
-    state, _ = make_state("tov", n=64, b0=1.0)
+    state, _ = make_state("tov", n=64)
     np.testing.assert_allclose(state.v, 0.0)
 
 
@@ -118,7 +118,7 @@ def test_cfl_constant_for_unit_speed_run():
 
 
 def test_cfl_set_by_fastest_cell():
-    state, _ = make_state("tov", n=64, b0=1.0)
+    state, _ = make_state("tov", n=64)
     c = state.light_speed()
     assert cfl_dt(state.dx, c.max()) == pytest.approx(state.dx / (2.0 * c.max()), rel=1e-14)
     assert np.argmax(c) == c.size - 1  # right edge is the fastest frame
@@ -126,7 +126,7 @@ def test_cfl_set_by_fastest_cell():
 
 
 def test_cfl_respected_per_step():
-    state, _ = make_state("tov", n=64, b0=1.0)
+    state, _ = make_state("tov", n=64)
     report = advance(state)
     assert report.max_light_speed * report.dt <= state.dx / 2.0 + 1e-14
 
@@ -362,7 +362,7 @@ def _one_step_error(variant, n, **kw):
 def test_single_step_consistency_order():
     """One step from exact data loses O(dt^2 + dt*dx): halving the mesh
     (which also halves dt) must shrink the defect by about four."""
-    for variant, kw in (("frw1", {"t_start": 15.0}), ("tov", {"b0": 1.0})):
+    for variant, kw in (("frw1", {"t_start": 15.0}), ("tov", {})):
         coarse = _one_step_error(variant, 128, **kw)
         fine = _one_step_error(variant, 256, **kw)
         # fluid error is O(dt*dx): ratio ~4; the metric inherits the
@@ -374,7 +374,7 @@ def test_single_step_consistency_order():
 def test_update_mass_metric_reproduces_closed_forms():
     """After one step from exact static data the integrated metric stays on
     the closed form: A constant, B linear in radius (radiation value)."""
-    state, eos = make_state("tov", n=128, b0=1.0)
+    state, eos = make_state("tov", n=128)
     advance(state)
     np.testing.assert_allclose(state.A, 4.0 / 7.0, atol=5e-4)
     # last interval abuts the model-refreshed ghost edge and carries the
@@ -388,7 +388,7 @@ def test_update_mass_metric_reproduces_closed_forms():
 
 
 def test_horizon_stop():
-    state, eos = make_state("tov", n=64, b0=1.0)
+    state, eos = make_state("tov", n=64)
     state.u0[1:-1] *= 1e6  # pile mass on until 2M/r crosses 1
     with pytest.raises(HorizonEncountered):
         scheme.update_mass_metric(state, state.t, (state.A[0], state.B[0], state.M[0]),
@@ -396,7 +396,7 @@ def test_horizon_stop():
 
 
 def test_advance_tov_static_profiles():
-    state, eos = make_state("tov", n=128, b0=1.0)
+    state, eos = make_state("tov", n=128)
     rho0 = state.rho.copy()
     B0 = state.B.copy()
     M0 = state.M.copy()
@@ -432,7 +432,7 @@ def test_advance_matched_forms_overdense_pocket():
 
 
 def test_rematch_timescale_constant_on_pure_tov():
-    state, eos = make_state("tov", n=128, b0=1.0)
+    state, eos = make_state("tov", n=128)
     values = []
     for _ in range(25):
         advance(state)
