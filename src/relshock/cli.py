@@ -13,7 +13,8 @@ snapshots and track_cones; converge adds duration and eps; reverse (always
 the reversed frw1_tov) reads r_min, r_max, sigma, outdir, r0, n, eps and
 min_cells.  A key the model does not read exits 2 too: only frw1 and frw2
 read t_start, only frw1_tov and frw2_tov read r0 and track_cones, and only
-frw1_tov reads reversed.
+frw1_tov reads reversed.  A t_start whose slice leaves the frw1 or frw2
+chart, ghost cells included, exits 2 before the run.
 """
 
 from __future__ import annotations
@@ -86,6 +87,18 @@ def _make_model(cfg: RunConfig):
     return model, eos
 
 
+def _start_slice(cfg: RunConfig, model, t: float, r):
+    """The model's fields at (t, r).  A pure FRW model's chart depends on
+    its t_start, so a slice outside it is a configuration error."""
+    try:
+        return model.evaluate(t, r)
+    except NonPhysicalState as exc:
+        if cfg.model not in _MODEL_KEYS["t_start"]:
+            raise
+        raise ConfigError(f"t_start = {cfg.t_start:g} puts the {cfg.model} slice at t = {t:g} "
+                          f"outside its chart ({exc})") from None
+
+
 def cmd_riemann(args) -> int:
     RunConfig(sigma=args.sigma, eps=args.eps).validate()  # a run's sigma and eps rules
     if args.xi_count < 0:
@@ -111,7 +124,7 @@ def cmd_emit_model(args) -> int:
     model, _ = _make_model(cfg)
     r = np.linspace(cfg.r_min, cfg.r_max, args.count)
     t = model.t_start + args.at
-    rho, v, A, B, M = model.evaluate(t, r)
+    rho, v, A, B, M = _start_slice(cfg, model, t, r)
     prof = experiments.ProfileSlice(t=t, x=r, xe=r, rho=rho, v=v, A=A, B=B, M=M)
     os.makedirs(cfg.outdir, exist_ok=True)
     path = output.emit_plotdata(prof, os.path.join(cfg.outdir, "model.csv"))
@@ -120,8 +133,11 @@ def cmd_emit_model(args) -> int:
 
 
 def _manifest_payload(cfg: RunConfig, arts) -> dict:
+    # a key only other models read is left out; t_start is the start the run used
+    config = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)
+              if f.name == "t_start" or cfg.model in _MODEL_KEYS.get(f.name, (cfg.model,))}
     payload = {
-        "config": {f.name: getattr(cfg, f.name) for f in fields(RunConfig)},
+        "config": config,
         "steps": arts.log.steps,
         "stop_reason": arts.log.stop_reason,
         "t_final": arts.state.t,
@@ -155,6 +171,7 @@ def cmd_simulate(args) -> int:
     model, eos = _make_model(cfg)
     cfg.t_start = model.t_start   # tov and the matched models fix their own
     grid = scheme.SimGrid(cfg.r_min, cfg.r_max, cfg.n)
+    _start_slice(cfg, model, model.t_start, grid.centers_with_ghosts())
     cones = diagnostics.ConeTracker(model.r0) if cfg.track_cones else None
     mu = diagnostics.MuMonitor() if cfg.reversed else None
     tv = diagnostics.TVMonitor()
@@ -197,6 +214,9 @@ def cmd_converge(args) -> int:
     cfg = _load_config(args)
     model, eos = _make_model(cfg)
     ns = _parse_levels(args.levels)
+    # the coarsest level's ghost cell reaches furthest
+    _start_slice(cfg, model, model.t_start,
+                 scheme.SimGrid(cfg.r_min, cfg.r_max, ns[0]).centers_with_ghosts())
     reference = "model" if cfg.model in ("frw1", "frw2", "tov") else "fine"
     result = experiments.ladder(lambda: model, ns, eos, cfg.r_min, cfg.r_max,
                                 cfg.duration, reference=reference, eps=cfg.eps)

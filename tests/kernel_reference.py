@@ -149,11 +149,64 @@ def sample_solution(sol, xi):
     return rho, v
 
 
+def newton(step, u, arrays, eos, eps):
+    """Elementwise Newton from a start right of the root, each entry frozen
+    at its first iterate with |residual| < eps; `step(u, eos, *arrays)`
+    returns (|residual|, du).  NaN where _MAX_NEWTON checks do not
+    converge."""
+    out = np.full(u.shape, np.nan)
+    idx = np.arange(u.size)
+    for _ in range(rm._MAX_NEWTON if u.size else 0):
+        resid, du = step(u, eos, *arrays)
+        done = resid < eps
+        out[idx[done]] = u[done]
+        if done.all():
+            break
+        go = ~done
+        idx, u, arrays = idx[go], (u + du())[go], [x[go] for x in arrays]
+    return out
+
+
+def pure_step(u, eos, t):
+    p, cu, _, slope = rm._curve(u, eos)
+    resid = t - (p - cu)
+    return np.abs(resid), lambda: resid / (slope() - eos.sqrt_K_half)
+
+
+def solve_pure(t, eos, eps):
+    """u with S1r(u) = t < 0 on the pure curve (regions I and III)."""
+    u0 = -t / (0.5 * eos.sqrt_2K + eos.sqrt_K_half)
+    return newton(pure_step, u0, [t], eos, eps)
+
+
+def two_shock_step(u1, eos, dr, ds, delta):
+    k = u1.size
+    p, cu, _, slope = rm._curve(np.concatenate((u1, u1 - delta)), eos)
+    p1, p2, cu1, cu2 = p[:k], p[k:], cu[:k], cu[k:]
+    resid_r = dr - ((p1 - cu1) + (p2 + cu2))
+    resid_s = ds - ((p1 + cu1) + (p2 - cu2))
+
+    def du():
+        s = slope()
+        return 0.5 * (resid_r + resid_s) / (s[:k] + s[k:])
+    return np.maximum(np.abs(resid_r), np.abs(resid_s)), du
+
+
+def solve_two_shock(dr, ds, eos, eps):
+    """(u1, u2) for genuine two-shock data (region II)."""
+    delta = (ds - dr) / (2.0 * eos.sqrt_K_half)
+    u0 = 0.5 * delta - 0.5 * (dr + ds) / eos.sqrt_2K
+    u1 = newton(two_shock_step, u0, [dr, ds, delta], eos, eps)
+    return u1, u1 - delta
+
+
 def solve_interfaces(rho, v, eos, eps=1e-10):
     """`riemann.solve_interfaces` as the eager solver: every interface of
-    every row goes through the region-II refinement, both Newton solves and
-    the shock-speed pass, and the full-width shock fields are filled at
-    once (False, NaN and 0.0 off the shocks).  Physical input only."""
+    every row goes through the region-II refinement, a Newton solve on the
+    pure curve and a separate one for the two-shock pairs, a second curve
+    pass at the roots and the shock-speed pass, and the full-width shock
+    fields are filled at once (False, NaN and 0.0 off the shocks).
+    Physical input only."""
     rho, v = np.asarray(rho, dtype=float), np.asarray(v, dtype=float)
     r, s = fluid.invariant_arrays(rho, v, eos)
     rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
@@ -174,8 +227,8 @@ def solve_interfaces(rho, v, eos, eps=1e-10):
                               np.where(to_III, rm.REGION_III, rm.REGION_II))
     i1, i2, i3 = ((region == k).nonzero()[0]
                   for k in (rm.REGION_I, rm.REGION_II, rm.REGION_III))
-    u = rm._solve_pure(np.concatenate((dr[i3], ds[i1])), eos, eps)
-    u1_ii, u2_ii = rm._solve_two_shock(dr[i2], ds[i2], eos, eps)
+    u = solve_pure(np.concatenate((dr[i3], ds[i1])), eos, eps)
+    u1_ii, u2_ii = solve_two_shock(dr[i2], ds[i2], eos, eps)
     n3, n1 = i3.size, i1.size
     w1, w2 = np.concatenate((i3, i2)), np.concatenate((i1, i2))
     u_legs = np.concatenate((u[:n3], u1_ii, u[n3:], u2_ii))

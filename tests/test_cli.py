@@ -408,3 +408,48 @@ def test_manifest_records_the_start_time_the_run_used(argv, t_start, tmp_path):
     assert manifest["config"]["t_start"] == t_start
     assert manifest["config"]["t_start"] + sum(manifest["dt_history"]) == pytest.approx(
         manifest["t_final"], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "frw1", "--t-start", "5", "--n", "64", "--duration", "0.01"],
+    ["simulate", "--model", "frw1", "--t-start", "7.001", "--n", "64", "--duration", "0.01"],
+    ["simulate", "--model", "frw2", "--t-start", "2"],
+    ["converge", "--model", "frw1", "--t-start", "5", "--levels", "16..32"],
+    ["emit-model", "--model", "frw1", "--t-start", "5"],
+], ids=["simulate-frw1", "simulate-right-ghost", "simulate-frw2", "converge", "emit-model"])
+def test_a_start_slice_outside_the_frw_chart_exits_two(argv, tmp_path, capsys):
+    """A t_start whose slice leaves the FRW chart on the command's radii is
+    refused before anything runs or is written; at t_start = 7.001 on
+    r <= 7 only simulate's right ghost cell, r_max + dx, is outside."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    t_start = argv[argv.index("--t-start") + 1]
+    assert f"configuration error: t_start = {t_start} puts the " in err
+    assert "outside its chart" in err
+    assert not out.exists()
+
+
+def test_a_chart_failure_during_a_run_exits_four(tmp_path, capsys):
+    """A reversed frw1 run starts inside its chart and leaves it as t nears
+    zero: a numerical failure of the run, not a configuration error."""
+    argv = ["simulate", "--model", "frw1", "--t-start", "-7.3", "--n", "64",
+            "--duration", "1", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    assert "numerical failure: |r/t| >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["simulate", "--model", "frw1"], {"r0", "reversed", "track_cones"}),
+    (["simulate", "--model", "tov"], {"r0", "reversed", "track_cones"}),
+    (["simulate", "--model", "frw2_tov"], {"reversed"}),
+    (["simulate", "--model", "frw1_tov"], set()),
+    (["reverse"], set()),
+], ids=["frw1", "tov", "frw2_tov", "frw1_tov", "reverse"])
+def test_manifest_config_holds_the_keys_the_model_reads(argv, unread, tmp_path):
+    """The manifest's config leaves out the model-only keys the run's model
+    does not read; t_start stays, as the start the run used."""
+    extra = [] if argv == ["reverse"] else ["--duration", "0.02"]
+    assert cli.main(argv + extra + ["--n", "128", "--outdir", str(tmp_path)]) == cli.EXIT_OK
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert set(config) == set(FIELDS) - unread

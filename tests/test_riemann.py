@@ -401,7 +401,7 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     alone, as a row of two cells."""
     # (dr, ds) displacements in the invariant plane, each from the previous
     # cell; a pure shock of size 0.5 moves the other invariant by -2*sliver
-    u_half = riemann._solve_pure(np.array([-0.5]), eos, 1e-10)
+    u_half = kernel_reference.solve_pure(np.array([-0.5]), eos, 1e-10)
     sliver = -0.5 * s1_curve(u_half, eos)[1][0]
     steps = [(0.5, 0.3), (-0.5, 0.3), (0.3, -0.5), (-0.5, -0.5), (-0.2, -0.05),
              (-sliver, -0.5), (-0.5, -sliver), (-1e-11, 0.3), (-1e-11, -0.5),
@@ -417,16 +417,13 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     r, s = fluid.invariant_arrays(rho, v, eos)
     dr, ds = np.diff(r), np.diff(s)
 
-    calls = {"pure": [], "two_shock": []}
+    calls = []
+    solve_legs = riemann._solve_legs
 
-    def spy(name, fn):
-        def wrapped(*args):
-            calls[name].append(args[:-2])
-            return fn(*args)
-        monkeypatch.setattr(riemann, fn.__name__, wrapped)
-
-    spy("pure", riemann._solve_pure)
-    spy("two_shock", riemann._solve_two_shock)
+    def spy(*args):
+        calls.append(args[:-2])
+        return solve_legs(*args)
+    monkeypatch.setattr(riemann, "_solve_legs", spy)
     batch = solve_interfaces(rho, v, eos)
 
     quadrant = riemann._classify_arrays(dr, ds)
@@ -441,13 +438,14 @@ def test_mixed_batch_matches_single_solves_bit_for_bit(eos, monkeypatch):
     # rarefactions and absent waves carry zero strength
     assert np.all(batch.beta1[~batch.shock1] == 0.0)
     assert np.all(batch.beta2[~batch.shock2] == 0.0)
-    # one pure-curve solve on exactly the single shocks of regions III (dr)
-    # and I (ds), one coupled solve on exactly the genuine two-shock ones
-    (pure,), = calls["pure"]
-    assert np.array_equal(pure, np.r_[dr[batch.region == REGION_III],
-                                      ds[batch.region == REGION_I]])
-    (two_dr, two_ds), = calls["two_shock"]
-    assert np.array_equal(two_dr, dr[genuine]) and np.array_equal(two_ds, ds[genuine])
+    # one leg solve, on exactly the single shocks of regions III (dr) and I
+    # (ds) and the genuine two-shock pairs, each family's pairs last
+    (t, m, n2), = calls
+    n3, n1 = np.count_nonzero(batch.region == REGION_III), np.count_nonzero(batch.region == REGION_I)
+    assert (m, n2, t.size) == (n3 + 3, 3, n3 + n1 + 6)
+    assert np.array_equal(np.r_[t[:n3], t[m:m + n1]], np.r_[dr[batch.region == REGION_III],
+                                                             ds[batch.region == REGION_I]])
+    assert np.array_equal(t[n3:m], dr[genuine]) and np.array_equal(t[m + n1:], ds[genuine])
 
     for k in range(dr.size):
         one = solve_interfaces(rho[k:k + 2], v[k:k + 2], eos)
@@ -476,27 +474,104 @@ def test_row_solve_matches_each_interface_alone_bit_for_bit(eos, rng):
             assert alone.tobytes() == in_row[k:k + 1].tobytes(), (k, j)
 
 
-def test_newton_batch_converging_at_different_iterations_matches_single_solves(eos):
-    """Entries frozen at different iterations leave the batch one by one; each
-    ends on the same bits as its own solve, and an empty batch returns an
-    empty result without evaluating the residual."""
+def test_newton_batch_converging_at_different_iterations_matches_single_solves(eos, monkeypatch):
+    """Single shocks and two-shock pairs frozen at different iterations stay
+    frozen, in the work arrays or (with _COMPACT_AT = 1) compacted out of
+    them one by one; each ends on the same bits as its own solve, and an
+    empty batch returns an empty result without evaluating the residual."""
     sizes = []
+    curve = riemann._curve
 
-    def step(u, eos_, *arrays):
+    def spy(u, eos_):
         sizes.append(u.size)
-        return riemann._pure_step(u, eos_, *arrays)
+        return curve(u, eos_)
+    monkeypatch.setattr(riemann, "_curve", spy)
 
-    t = -np.geomspace(1e-9, 40.0, 17)
-    u0 = -t / (0.5 * eos.sqrt_2K + eos.sqrt_K_half)
-    batch = riemann._newton(step, u0, [t], eos, 1e-10)
-    assert len(set(sizes)) > 2 and sizes == sorted(sizes, reverse=True), sizes
-    assert np.all(np.isfinite(batch))
-    for k in range(t.size):
-        one = riemann._newton(riemann._pure_step, u0[k:k + 1], [t[k:k + 1]], eos, 1e-10)
-        assert one.tobytes() == batch[k:k + 1].tobytes(), k
+    # 1-legs: single shocks, then pairs (dr); 2-legs likewise (ds).  Pairs
+    # come from strengths u1, u2 > 0, so they are genuine two-shock data.
+    single = -np.geomspace(1e-9, 40.0, 17)
+    u1, u2 = np.geomspace(1e-4, 30.0, 9), np.geomspace(20.0, 1e-3, 9)
+    (p1, cu1, _, _), (p2, cu2, _, _) = curve(u1, eos), curve(u2, eos)
+    dr, ds = (p1 - cu1) + (p2 + cu2), (p1 + cu1) + (p2 - cu2)
+    t = np.r_[single[:8], dr, single[8:], ds]
+    m, n2 = 8 + u1.size, u1.size
+    # the curve values at each leg's frozen iterate are those of the
+    # reference solvers' roots
+    u_ref = np.r_[kernel_reference.solve_pure(single[:8], eos, 1e-10),
+                  kernel_reference.solve_two_shock(dr, ds, eos, 1e-10)[0],
+                  kernel_reference.solve_pure(single[8:], eos, 1e-10),
+                  kernel_reference.solve_two_shock(dr, ds, eos, 1e-10)[1]]
+    p, cu, h, _ = curve(u_ref, eos)
+    expected = np.array([p + cu, p - cu, h])
+    max_newton = riemann._MAX_NEWTON
+    for compact_at in (riemann._COMPACT_AT, 1):
+        monkeypatch.setattr(riemann, "_COMPACT_AT", compact_at)
+        monkeypatch.setattr(riemann, "_MAX_NEWTON", max_newton)
+        sizes.clear()
+        batch = np.asarray(riemann._solve_legs(t, m, n2, eos, 1e-10))
+        assert len(sizes) > 2
+        if compact_at == 1:   # shrinking iterates, then a pass over every leg
+            newton, last = sizes[:-1], sizes[-1]
+            assert len(set(newton)) > 2 and newton == sorted(newton, reverse=True), sizes
+            assert last == t.size
+        else:
+            assert set(sizes) == {t.size}, sizes
+        assert batch.tobytes() == expected.tobytes()
+        for k in range(t.size):
+            if k < 8 or m <= k < t.size - n2:     # a single shock: its own batch of one
+                one = riemann._solve_legs(t[k:k + 1], int(k < m), 0, eos, 1e-10)
+                assert np.asarray(one).tobytes() == batch[:, k:k + 1].tobytes(), k
+        for i in range(n2):                        # a pair: its own batch of two legs
+            one = riemann._solve_legs(np.r_[dr[i], ds[i]], 1, 1, eos, 1e-10)
+            assert np.asarray(one).tobytes() == batch[:, [8 + i, t.size - n2 + i]].tobytes(), i
+        # cut after two checks, the unknowns not converged by then are NaN
+        # on every leg and the others keep their bits
+        monkeypatch.setattr(riemann, "_MAX_NEWTON", 2)
+        cut = np.asarray(riemann._solve_legs(t, m, n2, eos, 1e-10))
+        lost = np.isnan(cut).any(axis=0)
+        assert 0 < lost.sum() < t.size and np.isnan(cut[:, lost]).all()
+        assert np.array_equal(lost[8:m], lost[t.size - n2:])
+        assert cut[:, ~lost].tobytes() == batch[:, ~lost].tobytes()
     sizes.clear()
-    empty = riemann._newton(step, np.zeros(0), [np.zeros(0)], eos, 1e-10)
-    assert empty.shape == (0,) and empty.dtype == np.float64 and sizes == []
+    empty = riemann._solve_legs(np.zeros(0), 0, 0, eos, 1e-10)
+    assert np.shape(empty) == (3, 0) and np.asarray(empty).dtype == np.float64 and sizes == []
+
+
+def test_one_curve_pass_per_newton_iterate_and_no_full_width_view_sampled(eos, monkeypatch):
+    """On a row with shocks of both families and two-shock pairs, the solve
+    evaluates _curve once for the region-II refinement and once per Newton
+    iterate over every leg, and sampling at xi = 0 builds none of the four
+    full-width shock views."""
+    curves, slopes, views = [], [], []
+    curve = riemann._curve
+
+    def spy_curve(u, eos_):
+        curves.append(u.size)
+        p, cu, h, slope = curve(u, eos_)
+
+        def spy_slope(*at):
+            slopes.append(u.size)
+            return slope(*at)
+        return p, cu, h, spy_slope
+    monkeypatch.setattr(riemann, "_curve", spy_curve)
+    for name in ("shock1", "shock_speed1", "shock2", "shock_speed2"):
+        view = getattr(riemann.RiemannGridSolution, name)
+        monkeypatch.setattr(riemann.RiemannGridSolution, name,
+                            property(lambda sol, view=view, name=name:
+                                     views.append(name) or view.fget(sol)))
+    steps = [(-0.5, 0.3), (0.3, -0.5), (-0.5, -0.4), (0.5, 0.3), (-0.3, -0.6), (0.2, -0.1)]
+    dr, ds = np.array(steps * 3).T
+    sol = solve_interfaces(*invariant_row(eos, dr, ds), eos)
+    assert set(sol.region) == {REGION_I, REGION_II, REGION_III, REGION_IV}
+    legs = sol.w1.size + sol.w2.size
+    quadrant_ii = np.count_nonzero(riemann._classify_arrays(dr, ds) == REGION_II)
+    # the refinement, then each iterate: every one but the last takes a step
+    assert curves[0] == quadrant_ii and set(curves[1:]) == {legs}
+    assert len(curves) - 1 == len(slopes) + 1 >= 2
+    rho, v = sample_solution(sol, 0.0)
+    assert views == []
+    for new, old in zip((rho, v), kernel_reference.sample_solution(sol, 0.0)):
+        assert new.tobytes() == old.tobytes()
 
 
 def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
@@ -512,7 +587,7 @@ def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(owner, name, wrapped)
 
-    for name in ("_curve", "_newton", "_f_big", "_rest_frame_shock_speed", "_shock_speeds"):
+    for name in ("_curve", "_solve_legs", "_f_big", "_rest_frame_shock_speed", "_shock_speeds"):
         spy(riemann, name)
     rho = np.full(5, 2.0)
     v = np.array([-0.2, -0.1, 0.0, 0.3, 0.5])
@@ -647,11 +722,12 @@ def one_family_rows(eos, rng, n=300):
 @pytest.mark.parametrize("sigma", [0.1, 1.0 / 3.0, 0.6])
 def test_sampler_equals_the_where_sampler_bit_for_bit(sigma, rng):
     """Sharing each family's edge comparison between the side and fan tests,
-    writing the 2-family states in place and skipping the shock test of a
-    family with no shock on the row keep the bytes of the np.where sampler,
-    for scalar, per-interface and broadcast xi, on edges, outside the light
-    cone and at NaN: on a mixed batch, a smooth row, and rows with shocks of
-    one family only."""
+    writing the 2-family states in place and testing shocks on the legs
+    alone keep the bytes of the np.where sampler, for scalar, per-interface
+    and broadcast xi, on edges, outside the light cone and at NaN: on a
+    mixed batch, a smooth row, and rows with shocks of one family only; and
+    for one interface (a shock of each family, two shocks, a 1-shock and
+    2-rarefaction) against many xi."""
     eos = EosParams(sigma)
     for sol in (sampling_batch(eos, rng), *one_family_rows(eos, rng)):
         m = sol.rho_mid.size
@@ -659,6 +735,15 @@ def test_sampler_equals_the_where_sampler_bit_for_bit(sigma, rng):
                  rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, (7, 1)),
                  np.array([-3.0, -1.0, 1.0, 3.0])[:, None], *edge_speeds(sol)]
         for xi in cases:
+            for new, old in zip(sample_solution(sol, xi),
+                                kernel_reference.sample_solution(sol, xi)):
+                assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    # one interface against many xi, as the riemann command samples it
+    grid = np.linspace(-1.0, 1.0, 201)
+    for left, right in ((TUBE_LEFT, TUBE_RIGHT), (TWO_SHOCK_LEFT, TWO_SHOCK_RIGHT),
+                        (TUBE_RIGHT, TUBE_LEFT)):
+        sol = solve_one(left, right, eos)
+        for xi in (grid, grid[:, None], grid.reshape(3, 67), np.array([0.1]), 0.1):
             for new, old in zip(sample_solution(sol, xi),
                                 kernel_reference.sample_solution(sol, xi)):
                 assert new.shape == old.shape and new.tobytes() == old.tobytes()
