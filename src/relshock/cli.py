@@ -13,8 +13,8 @@ snapshots and track_cones; converge adds duration and eps; reverse (always
 the reversed frw1_tov) reads r_min, r_max, sigma, outdir, r0, n, eps and
 min_cells.  A key the model does not read exits 2 too: only frw1 and frw2
 read t_start, only frw1_tov and frw2_tov read r0 and track_cones, and only
-frw1_tov reads reversed.  A t_start whose slice leaves the frw1 or frw2
-chart, ghost cells included, exits 2 before the run.
+frw1_tov reads reversed.  A start slice that leaves the model's domain (a
+t_start off the FRW chart, a left ghost cell at r <= 0) exits 2 before the run.
 """
 
 from __future__ import annotations
@@ -88,15 +88,17 @@ def _make_model(cfg: RunConfig):
 
 
 def _start_slice(cfg: RunConfig, model, t: float, r):
-    """The model's fields at (t, r).  A pure FRW model's chart depends on
-    its t_start, so a slice outside it is a configuration error."""
+    """The model's fields at (t, r).  A slice outside the model's domain is
+    a configuration error: an FRW chart depends on t_start, and tov needs
+    r > 0, which a run's left ghost cell at r_min - dx can leave."""
     try:
         return model.evaluate(t, r)
     except NonPhysicalState as exc:
-        if cfg.model not in _MODEL_KEYS["t_start"]:
-            raise
-        raise ConfigError(f"t_start = {cfg.t_start:g} puts the {cfg.model} slice at t = {t:g} "
-                          f"outside its chart ({exc})") from None
+        if cfg.model in _MODEL_KEYS["t_start"]:
+            raise ConfigError(f"t_start = {cfg.t_start:g} puts the {cfg.model} slice at "
+                              f"t = {t:g} outside its chart ({exc})") from None
+        raise ConfigError(f"r_min = {cfg.r_min:g} puts the left ghost cell at r = {r[0]:g}, "
+                          f"outside the {cfg.model} domain ({exc})") from None
 
 
 def cmd_riemann(args) -> int:
@@ -106,7 +108,6 @@ def cmd_riemann(args) -> int:
     eos = EosParams(args.sigma)
     sol = riemann.solve_interfaces(np.array([args.rho_l, args.rho_r]),
                                    np.array([args.v_l, args.v_r]), eos, args.eps)
-    os.makedirs(args.outdir, exist_ok=True)
     output.emit_fan_json(sol, os.path.join(args.outdir, "fan.json"))
     xi = np.linspace(args.xi_min, args.xi_max, args.xi_count)
     rho, v = riemann.sample_solution(sol, xi)
@@ -126,7 +127,6 @@ def cmd_emit_model(args) -> int:
     t = model.t_start + args.at
     rho, v, A, B, M = _start_slice(cfg, model, t, r)
     prof = experiments.ProfileSlice(t=t, x=r, xe=r, rho=rho, v=v, A=A, B=B, M=M)
-    os.makedirs(cfg.outdir, exist_ok=True)
     path = output.emit_plotdata(prof, os.path.join(cfg.outdir, "model.csv"))
     print(f"wrote {path}")
     return EXIT_OK
@@ -180,7 +180,6 @@ def cmd_simulate(args) -> int:
         extra_hooks=[hook for hook in (cones, mu, tv) if hook is not None],
     )
     arts.cones, arts.mu, arts.tv = cones, mu, tv
-    os.makedirs(cfg.outdir, exist_ok=True)
     for k, prof in enumerate(arts.snapshots):
         output.emit_plotdata(prof, os.path.join(cfg.outdir, f"snapshot_{k:03d}.csv"))
     output.emit_manifest(_manifest_payload(cfg, arts),
@@ -220,7 +219,6 @@ def cmd_converge(args) -> int:
     reference = "model" if cfg.model in ("frw1", "frw2", "tov") else "fine"
     result = experiments.ladder(lambda: model, ns, eos, cfg.r_min, cfg.r_max,
                                 cfg.duration, reference=reference, eps=cfg.eps)
-    os.makedirs(cfg.outdir, exist_ok=True)
     path = output.emit_table(result, os.path.join(cfg.outdir, "table.csv"))
     print(f"wrote {path} (reference: {reference})")
     for name in experiments.FIELDS:
@@ -238,7 +236,6 @@ def cmd_reverse(args) -> int:
     )
     # it marches until its boundary stop: record the span it covered
     cfg.t_start, cfg.duration = model.t_start, arts.state.t - model.t_start
-    os.makedirs(cfg.outdir, exist_ok=True)
     output.emit_plotdata(experiments.ProfileSlice.from_state(arts.state),
                          os.path.join(cfg.outdir, "final.csv"))
     output.emit_manifest(_manifest_payload(cfg, arts),

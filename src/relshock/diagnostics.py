@@ -5,7 +5,9 @@ Everything here is read-only over the stepper's state: functions take the
 state (or plain arrays) and never mutate it.  The per-step hooks
 (ConeTracker, TVMonitor, MuMonitor, WeakResidualMonitor) keep small
 summaries or, for the residual, one copy of the previous step's state, so
-their memory does not grow with the grid times the step count.
+their memory does not grow with the grid times the step count.  A hook
+records the start and each step with one body (`on_start = __call__`),
+except ConeTracker (no advance at the start) and WeakResidualMonitor (set-up).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .models import KAPPA
 __all__ = [
     "ConeState",
     "ConeTracker",
-    "advance_cones",
     "three_point_derivative",
     "detect_frw_border",
     "detect_tov_border",
@@ -53,44 +54,37 @@ class ConeState:
     sound_right: float
 
 
-def advance_cones(cones: ConeState, state, dt: float) -> ConeState:
-    """Move each front by its local coordinate speed times dt.
-
-    Light moves at +/- sqrt(AB); sound at sqrt(AB) times the relativistic
-    composition of the fluid velocity with +/- the sound speed.  Metric and
-    fluid values are linearly interpolated at the current front positions.
-    Fronts are clamped at the grid.
-    """
-    a = float(state.eos.sound_speed)
-    lo, hi = float(state.x[1]), float(state.x[-2])
-    r = [cones.light_left, cones.light_right, cones.sound_left, cones.sound_right]
-    alpha = np.sqrt(np.interp(r, state.xe, state.A) * np.interp(r, state.xe, state.B)).tolist()
-    v = np.interp(r[2:], state.x, state.v).tolist()
-
-    def light(k, sign):
-        return r[k] + sign * alpha[k] * dt
-
-    def sound(k, sign):
-        w = v[k - 2]
-        return r[k] + alpha[k] * (w + sign * a) / (1.0 + sign * w * a) * dt
-
-    new = [light(0, -1.0), light(1, 1.0), sound(2, -1.0), sound(3, 1.0)]
-    return ConeState(*(min(max(x, lo), hi) for x in new))
-
-
 class ConeTracker:
-    """Per-step hook that carries a ConeState along a run."""
+    """Per-step hook that carries a ConeState along a run: each step moves
+    every front by its local coordinate speed times dt, light at +/- sqrt(AB)
+    and sound at sqrt(AB) times the relativistic composition of the fluid
+    velocity with +/- the sound speed.  Metric and fluid values are linearly
+    interpolated at the current front positions; fronts are clamped at the
+    grid."""
 
     def __init__(self, r0: float):
-        self.r0 = float(r0)
         self.cones = ConeState(r0, r0, r0, r0)
         self.trajectory = []
 
-    def on_start(self, state):
+    def on_start(self, state):   # the first record does not advance
         self.trajectory.append((state.t, self.cones))
 
     def __call__(self, state, report):
-        self.cones = advance_cones(self.cones, state, report.dt)
+        a, dt, c = float(state.eos.sound_speed), report.dt, self.cones
+        lo, hi = float(state.x[1]), float(state.x[-2])
+        r = [c.light_left, c.light_right, c.sound_left, c.sound_right]
+        alpha = np.sqrt(np.interp(r, state.xe, state.A) * np.interp(r, state.xe, state.B)).tolist()
+        v = np.interp(r[2:], state.x, state.v).tolist()
+
+        def light(k, sign):
+            return r[k] + sign * alpha[k] * dt
+
+        def sound(k, sign):
+            w = v[k - 2]
+            return r[k] + alpha[k] * (w + sign * a) / (1.0 + sign * w * a) * dt
+
+        new = [light(0, -1.0), light(1, 1.0), sound(2, -1.0), sound(3, 1.0)]
+        self.cones = ConeState(*(min(max(x, lo), hi) for x in new))
         self.trajectory.append((state.t, self.cones))
 
 
@@ -156,7 +150,7 @@ class TVMonitor:
         self._initial = None
         self.alarmed = False
 
-    def _record(self, state):
+    def __call__(self, state, report=None):
         tv0, tv1 = (float(np.abs(np.diff(u[1:-1])).sum()) for u in (state.u0, state.u1))
         self.history.append((state.t, tv0, tv1))
         if self._initial is None:
@@ -164,11 +158,7 @@ class TVMonitor:
         elif tv0 + tv1 > TV_ALARM_FACTOR * self._initial:
             self.alarmed = True
 
-    def on_start(self, state):
-        self._record(state)
-
-    def __call__(self, state, report):
-        self._record(state)
+    on_start = __call__
 
 
 class MuMonitor:
@@ -177,11 +167,10 @@ class MuMonitor:
     def __init__(self):
         self.history = []
 
-    def on_start(self, state):
+    def __call__(self, state, report=None):
         self.history.append((state.t,) + black_hole_number(state))
 
-    def __call__(self, state, report):
-        self.history.append((state.t,) + black_hole_number(state))
+    on_start = __call__
 
 
 def one_norm_error(num, ref, dx: float) -> float:

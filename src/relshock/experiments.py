@@ -73,16 +73,12 @@ class SnapshotHook:
         self.slices: list[ProfileSlice] = []
         self._next = 0
 
-    def on_start(self, state):
-        self._catch_up(state)
-
-    def __call__(self, state, report):
-        self._catch_up(state)
-
-    def _catch_up(self, state):
+    def __call__(self, state, report=None):
         while self._next < len(self.times) and state.t >= self.times[self._next] - 1e-12:
             self.slices.append(ProfileSlice.from_state(state))
             self._next += 1
+
+    on_start = __call__
 
 
 @dataclass
@@ -115,13 +111,13 @@ def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
 
     Each hook of `extra_hooks` observes the run: `hook.on_start(state)` is
     called once with the initial state, then `hook(state, report)` once
-    after every step.  A horizon stop is recorded, not raised; all other
-    errors propagate.  Once the interaction region reaches the right
-    boundary, on_hit="continue" keeps stepping, "stop" ends the run after
-    that step and "chop" discards one cell per step, zooming in until
-    `min_cells` cells are left or until the boundary meets the current
-    maximum of the black-hole ratio 2M/r.  Any other on_hit raises
-    ValueError.
+    after every step (most hooks record both with one body, see
+    diagnostics).  A horizon stop is recorded, not raised; all other errors
+    propagate.  Once the interaction region reaches the right boundary,
+    on_hit="continue" keeps stepping, "stop" ends the run after that step
+    and "chop" discards one cell per step, zooming in until `min_cells`
+    cells are left or until the boundary meets the current maximum of the
+    black-hole ratio 2M/r.  Any other on_hit raises ValueError.
 
     `snapshots` slices are kept by `RunConfig.snapshots`' rule (see
     SnapshotHook); a run that stops before its end time ends them with its

@@ -1,4 +1,4 @@
-"""CSV and JSON emitters for snapshots, Riemann samples, fans and tables.
+"""CSV and JSON emitters for snapshots, samples, fans, tables and manifests.
 
 Every CSV number is written as `%.10e`.  Snapshot and table files end
 their lines in `\r\n`, as Python's `csv` module writes them; Riemann
@@ -9,7 +9,8 @@ zero-padded fixed-width record, and one `bytes.translate` drops the
 padding.  A value the kernels cannot round with certainty (NaN, inf,
 |x| < 1e-290 or >= 1e290, or a mantissa within 0.001 of a decimal tie)
 is formatted by `%` into its own record, so the bytes are those of a
-per-value `%.10e` writer.
+per-value `%.10e` writer.  A manifest is JSON with one top-level key per
+line, each value encoded whole.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ __all__ = ["emit_plotdata", "emit_samples", "emit_fan_json", "emit_table",
            "emit_manifest"]
 
 SNAPSHOT_COLUMNS = ("r", "rho", "v", "A", "B", "M", "sqrtAB", "mu")
-# rows (or manifest list entries) formatted per pass: large enough to
-# amortise the per-call cost of the array kernels or the encoder, small
-# enough that the block's temporaries and text stay a few hundred KiB
+# CSV rows formatted per pass: large enough to amortise the per-call cost
+# of the array kernels, small enough that the block's temporaries and text
+# stay a few hundred KiB
 _BLOCK_ROWS = 256
 
 
@@ -194,10 +195,10 @@ def emit_manifest(payload: dict, path: str) -> str:
     """Write a run manifest as JSON with sorted string keys, one top-level
     key per line.
 
-    Values go through json's C encoder (an `indent` would force the
-    pure-Python one), a long list `_BLOCK_ROWS` entries at a time so the
-    encoder's buffer stays small; numpy scalars and arrays become plain
-    numbers and lists.
+    Each value is encoded whole by json's C encoder (an `indent` would force
+    the pure-Python one), even the longest list a command writes, a default
+    `simulate` run's dt history (about 9k floats, 200 KB); numpy scalars and
+    arrays become plain numbers and lists.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
@@ -212,14 +213,6 @@ def emit_manifest(payload: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")
         for k, key in enumerate(sorted(payload)):
-            value = payload[key]
-            fh.write(("," if k else "") + "\n  " + encode(key) + ": ")
-            if isinstance(value, list) and value:
-                for start in range(0, len(value), _BLOCK_ROWS):
-                    block = encode(value[start:start + _BLOCK_ROWS])[1:-1]
-                    fh.write(("[" if start == 0 else ", ") + block)
-                fh.write("]")
-            else:
-                fh.write(encode(value))
+            fh.write(("," if k else "") + "\n  " + encode(key) + ": " + encode(payload[key]))
         fh.write("\n}\n" if payload else "}\n")
     return path

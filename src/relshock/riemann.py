@@ -97,17 +97,12 @@ def _floor_displacement(eos: EosParams) -> float:
     return -(p - cu)
 
 
-# region of each sign pattern 2*(dr < 0) + (ds < 0) of finite (dr, ds)
+# region of each sign pattern 2*(dr < 0) + (ds < 0) of finite (dr, ds); II is
+# tentative (points of the (-,-) quadrant between the shock curves and the
+# axes belong to I or III)
 _QUADRANTS = np.array([REGION_IV, REGION_I, REGION_III, REGION_II], dtype=np.int8)
 # region of a tentative II point from 2*(falls to I) + (falls to III)
 _SLIVERS = np.array([REGION_II, REGION_III, REGION_I, REGION_IV], dtype=np.int8)
-
-
-def _classify_arrays(dr, ds):
-    """Quadrant of (dr, ds) = UR - UL, both finite; REGION_II is tentative
-    (points of the (-,-) quadrant between the shock curves and the axes
-    belong to I or III)."""
-    return _QUADRANTS[2 * (dr < 0) + (ds < 0)]
 
 
 def _solve_legs(t, m, n2, eos: EosParams, eps: float):
@@ -253,7 +248,7 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     r, s = fluid.invariant_arrays(rho, v, eos)
     rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
     dr, ds = rR - rL, sR - sL
-    sol.region = region = _classify_arrays(dr, ds)
+    sol.region = region = _QUADRANTS[2 * (dr < 0) + (ds < 0)]
     sol.r_right, sol.s_left = rR, sL
     if not np.count_nonzero(region != REGION_IV):
         # a smooth row: no shock legs, and each middle state carries r from

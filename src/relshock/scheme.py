@@ -308,25 +308,15 @@ def update_mass_metric(state: SimState, t_new: float, left, right):
     state.M, state.A, state.B = M, A, B
 
 
-def rematch_tov_timescale(state: SimState, border_index: int) -> float:
-    """Time scale of the static exterior read off at the detected border.
-
-    border_index is a cell index; the stored B at the cell's left half
-    gridpoint is used together with that gridpoint's radius.  A detected
-    border cell lies in 1..n, so its edge k = border_index - 1 exists.
-    """
-    q = models.tov_exponent(state.eos)
-    k = border_index - 1          # edge k sits at x_{i-1/2}
-    return float(state.B[k] * state.xe[k] ** (-q))
-
-
 def _rematch_exterior(state: SimState) -> None:
-    """Matched right boundary: read the static exterior's time scale off the
-    freshly integrated B at the detected border, and give the last edge the
-    exterior's (A, B) at that scale."""
+    """Matched right boundary: read the static exterior's time scale B/r^q
+    off the freshly integrated B at the detected border cell's left edge,
+    and give the last edge the exterior's (A, B) at that scale."""
     border = diagnostics.detect_tov_border(state)
     if border is not None:  # else the exterior is uncontaminated: keep the scale
-        state.bt = rematch_tov_timescale(state, border[1])
+        # a detected border cell lies in 1..n, so its left edge k exists
+        k = border[1] - 1
+        state.bt = float(state.B[k] * state.xe[k] ** (-models.tov_exponent(state.eos)))
     _, _, a, b, _ = models.tov_state(state.xe[-1:], state.bt, state.eos)
     state.A[-1], state.B[-1] = a[0], b[0]
 

@@ -211,8 +211,10 @@ def solve_interfaces(rho, v, eos, eps=1e-10):
     r, s = fluid.invariant_arrays(rho, v, eos)
     rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
     dr, ds = rR - rL, sR - sL
-    region = rm._classify_arrays(dr, ds)
-    ii = (region == rm.REGION_II).nonzero()[0]
+    # quadrant of (dr, ds): I is (+,-), II (-,-), III (-,+), IV (+,+)
+    region = np.where(dr < 0, np.where(ds < 0, rm.REGION_II, rm.REGION_III),
+                      np.where(ds < 0, rm.REGION_I, rm.REGION_IV)).astype(np.int8)
+    ii =(region == rm.REGION_II).nonzero()[0]
     if ii.size:
         d1, d2 = -dr[ii], -ds[ii]
         thr = rm._floor_displacement(eos)

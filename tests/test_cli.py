@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from relshock import cli, models
+from relshock import cli, models, scheme
 from relshock.config import RunConfig
 from relshock.fluid import EosParams
 
@@ -427,6 +427,24 @@ def test_a_start_slice_outside_the_frw_chart_exits_two(argv, tmp_path, capsys):
     t_start = argv[argv.index("--t-start") + 1]
     assert f"configuration error: t_start = {t_start} puts the " in err
     assert "outside its chart" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "16", "--duration", "0.01"],
+    ["converge", "--levels", "16..32", "--duration", "0.01"],
+], ids=["simulate", "converge"])
+def test_a_left_ghost_cell_at_non_positive_radius_exits_two(argv, tmp_path, capsys):
+    """On r in [0.1, 7] with 16 cells the left ghost cell, r_min - dx, lies
+    at r < 0, outside the static model's domain: refused before anything
+    runs or is written (it used to exit 4 inside the run's set-up)."""
+    out = tmp_path / "out"
+    argv = argv + ["--model", "tov", "--r-min", "0.1", "--r-max", "7", "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    ghost = scheme.SimGrid(0.1, 7.0, 16).centers_with_ghosts()[0]
+    assert ghost < 0.0
+    assert (f"configuration error: r_min = 0.1 puts the left ghost cell at r = {ghost:g}, "
+            "outside the tov domain") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -288,23 +288,34 @@ def test_manifest_writes_numpy_values_as_plain_numbers(tmp_path):
     assert list(json.loads(text)) == sorted(payload)
 
 
+def plain(obj):
+    """numpy scalars and arrays as plain numbers and lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
 def reference_manifest(payload, path):
     """The indented writer: json's pure-Python encoder, two-space indent."""
-    def default(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        raise TypeError(f"cannot serialize {type(obj)}")
-
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=plain)
         fh.write("\n")
+
+
+def compact_manifest(payload) -> bytes:
+    """One `json.dumps(value, sort_keys=True)` per sorted key, a key a line."""
+    return ("{" + ",".join(
+        "\n  " + json.dumps(key) + ": " + json.dumps(payload[key], sort_keys=True, default=plain)
+        for key in sorted(payload)) + "\n}\n").encode("ascii")
 
 
 def test_manifest_parses_as_the_indented_writer(tmp_path):
     """One top-level key per line, each value compact; parsed, it equals
-    the indented writer's file, numpy scalars and arrays included."""
+    the indented writer's file, numpy scalars and arrays included.  The
+    bytes are pinned for a list longer than two CSV blocks, nested rows, an
+    empty list, an empty dict and numpy scalars."""
     rng = np.random.default_rng(3)
     payload = {
         "steps": np.int64(1030),
@@ -321,6 +332,7 @@ def test_manifest_parses_as_the_indented_writer(tmp_path):
     output.emit_manifest(payload, str(new))
     reference_manifest(payload, str(ref))
     text = new.read_text()
+    assert new.read_bytes() == compact_manifest(payload)
     assert json.loads(text) == json.loads(ref.read_text())
     lines = text.splitlines()
     assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
