@@ -4,7 +4,9 @@ Subcommands: riemann (one flat-space Riemann problem), emit-model (exact
 solution slices), simulate (one run with snapshots and a manifest),
 converge (mesh-doubling error tables), reverse (time-reversed collapse run
 with optional boundary chopping).  Exit codes: 0 success, 2 configuration
-error, 3 horizon / coordinate-singularity stop, 4 numerical failure.
+error, 3 horizon / coordinate-singularity stop, 4 numerical failure.  An
+unreadable --config file, a non-finite number and an output directory that
+cannot be written (an OSError, reported after the run) all exit 2.
 
 Each command takes, as flags or from a --config file, only the RunConfig
 keys it reads; any other exits 2.  emit-model reads model, r_min, r_max,
@@ -101,10 +103,17 @@ def _start_slice(cfg: RunConfig, model, t: float, r):
                           f"outside the {cfg.model} domain ({exc})") from None
 
 
+def _require_finite(flag: str, value: float):
+    if not np.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+
+
 def cmd_riemann(args) -> int:
     RunConfig(sigma=args.sigma, eps=args.eps).validate()  # a run's sigma and eps rules
     if args.xi_count < 0:
         raise ConfigError(f"--xi-count must be non-negative, got {args.xi_count}")
+    _require_finite("--xi-min", args.xi_min)
+    _require_finite("--xi-max", args.xi_max)
     eos = EosParams(args.sigma)
     sol = riemann.solve_interfaces(np.array([args.rho_l, args.rho_r]),
                                    np.array([args.v_l, args.v_r]), eos, args.eps)
@@ -122,6 +131,7 @@ def cmd_emit_model(args) -> int:
     cfg = _load_config(args)
     if args.count < 0:
         raise ConfigError(f"--count must be non-negative, got {args.count}")
+    _require_finite("--at", args.at)
     model, _ = _make_model(cfg)
     r = np.linspace(cfg.r_min, cfg.r_max, args.count)
     t = model.t_start + args.at
@@ -293,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RelshockError as exc:

@@ -6,6 +6,7 @@ silently.  `#` starts a comment; blank lines are ignored.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass
 
@@ -36,6 +37,9 @@ class RunConfig:
     track_cones: bool = False
 
     def validate(self) -> "RunConfig":
+        for name, kind in typing.get_type_hints(RunConfig).items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.model not in _MODELS:
             raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.n < 8:
@@ -89,20 +93,26 @@ def config_from_dict(values: dict, lines: dict | None = None) -> RunConfig:
 
 
 def read_config(path: str) -> tuple[dict, dict]:
-    """(key -> text, key -> line number) from a key = value file."""
+    """(key -> text, key -> line number) from a key = value file.  A file
+    that cannot be read as UTF-8 text is a ConfigError naming its path."""
     values: dict = {}
     lines: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"expected key = value, got {text!r}", line=lineno)
-            key, _, val = text.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ConfigError(f"duplicate key {key!r}", line=lineno)
-            values[key] = val.strip()
-            lines[key] = lineno
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 ({exc.reason})"
+        raise ConfigError(f"cannot read config file {path}: {reason}") from None
+    for lineno, raw in enumerate(rows, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"expected key = value, got {text!r}", line=lineno)
+        key, _, val = text.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        values[key] = val.strip()
+        lines[key] = lineno
     return values, lines

@@ -147,15 +147,13 @@ class TVMonitor:
 
     def __init__(self):
         self.history = []
-        self._initial = None
         self.alarmed = False
 
     def __call__(self, state, report=None):
         tv0, tv1 = (float(np.abs(np.diff(u[1:-1])).sum()) for u in (state.u0, state.u1))
         self.history.append((state.t, tv0, tv1))
-        if self._initial is None:
-            self._initial = max(tv0 + tv1, 1e-300)
-        elif tv0 + tv1 > TV_ALARM_FACTOR * self._initial:
+        _, tv0_start, tv1_start = self.history[0]   # the first record never alarms
+        if tv0 + tv1 > TV_ALARM_FACTOR * max(tv0_start + tv1_start, 1e-300):
             self.alarmed = True
 
     on_start = __call__
@@ -204,28 +202,20 @@ class BumpTestFunction:
 
     @staticmethod
     def _psi(z):
-        out = np.zeros_like(z)
-        inside = np.abs(z) < 1.0
-        zi = z[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - zi * zi))
-        return out
-
-    @staticmethod
-    def _dpsi(z):
-        out = np.zeros_like(z)
+        """(psi, psi') of the 1-d mollifier at z."""
+        psi, dpsi = np.zeros_like(z), np.zeros_like(z)
         inside = np.abs(z) < 1.0
         zi = z[inside]
         w = 1.0 - zi * zi
-        out[inside] = np.exp(-1.0 / w) * (-2.0 * zi / (w * w))
-        return out
+        psi[inside] = e = np.exp(-1.0 / w)
+        dpsi[inside] = e * (-2.0 * zi / (w * w))
+        return psi, dpsi
 
     def values(self, t, x):
         """(phi, phi_t, phi_x) at (t, x)."""
-        zt = np.asarray((t - self.tc) / self.tw, dtype=float)
-        zx = np.asarray((x - self.xc) / self.xw, dtype=float)
-        psi_t, psi_x = self._psi(zt), self._psi(zx)
-        return (psi_t * psi_x, self._dpsi(zt) / self.tw * psi_x,
-                psi_t * self._dpsi(zx) / self.xw)
+        psi_t, dpsi_t = self._psi(np.asarray((t - self.tc) / self.tw, dtype=float))
+        psi_x, dpsi_x = self._psi(np.asarray((x - self.xc) / self.xw, dtype=float))
+        return psi_t * psi_x, dpsi_t / self.tw * psi_x, psi_t * dpsi_x / self.xw
 
 
 def _conservation_sources(A, alpha, rho, u0, u1, t11, x, eos):

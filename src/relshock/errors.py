@@ -2,9 +2,9 @@
 
 Each class is one distinction some caller acts on: the command line maps
 ConfigError to exit 2 and every other RelshockError to exit 4.  The time
-march (:func:`relshock.experiments.simulate_model`) catches
-GridExhausted, and HorizonEncountered, which it records as the stop
-reason "horizon"; the command line exits 3 on that stop reason.
+march (:func:`relshock.experiments.simulate_model`) catches only
+HorizonEncountered, which it records as the stop reason "horizon" (the
+command line exits 3 on it); every other stop is a return value.
 """
 
 
@@ -36,7 +36,3 @@ class NonPhysicalState(RelshockError):
 class HorizonEncountered(RelshockError):
     """The radial metric component dropped to ~0; the coordinate system
     cannot represent the solution past this point."""
-
-
-class GridExhausted(RelshockError):
-    """Boundary chopping consumed the grid down to the configured minimum."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics, models, scheme
-from .errors import ConfigError, GridExhausted, HorizonEncountered
+from .errors import ConfigError, HorizonEncountered
 from .fluid import EosParams
 
 __all__ = [
@@ -71,12 +71,11 @@ class SnapshotHook:
         self.times = (np.linspace(t_start, t_end, count) if count > 1
                       else np.full(count, float(t_end)))
         self.slices: list[ProfileSlice] = []
-        self._next = 0
 
     def __call__(self, state, report=None):
-        while self._next < len(self.times) and state.t >= self.times[self._next] - 1e-12:
+        while (len(self.slices) < len(self.times)
+               and state.t >= self.times[len(self.slices)] - 1e-12):
             self.slices.append(ProfileSlice.from_state(state))
-            self._next += 1
 
     on_start = __call__
 
@@ -141,12 +140,10 @@ def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
             log.stop_reason = "max_steps"
             break
         if log.boundary_hit_step is not None and on_hit == "chop":
-            try:
-                scheme.chop_right(state, min_cells)
-                log.chops += 1
-            except GridExhausted:
+            if not scheme.chop_right(state, min_cells):
                 log.stop_reason = "grid_exhausted"
                 break
+            log.chops += 1
             mu_max, mu_radius = diagnostics.black_hole_number(state)
             if state.xe[-1] <= mu_radius:
                 log.stop_reason = "reached_mu_peak"
@@ -205,8 +202,11 @@ def ladder(make_model, ns, eos: EosParams, r_min: float, r_max: float,
     reference='model' compares against the closed form; reference='fine'
     runs one extra level and compares each run against the restriction
     (linear interpolation) of the finest run, the successive-refinement
-    technique used when no closed form exists.
+    technique used when no closed form exists.  Any other reference raises
+    ValueError.
     """
+    if reference not in ("model", "fine"):
+        raise ValueError(f"reference must be 'model' or 'fine', got {reference!r}")
     ns = list(ns)
     runs = {}
     all_ns = ns + ([2 * ns[-1]] if reference == "fine" else [])

@@ -118,12 +118,6 @@ class MatchData:
     psi0: float | None = None   # integrating factor constant (FRW-2 only)
 
 
-def _v0(eos: EosParams, reversed_time: bool) -> float:
-    sig = eos.sigma
-    v0 = np.sqrt(4.0 * sig / (1.0 + 6.0 * sig + sig * sig))
-    return -v0 if reversed_time else v0
-
-
 def _require_radiation(eos: EosParams):
     if abs(eos.sigma - 1.0 / 3.0) > 1e-12:
         raise NonPhysicalState(
@@ -141,7 +135,9 @@ def match(variant: str, r0: float, eos: EosParams, reversed_time: bool = False) 
     _require_radiation(eos)
     if r0 <= 0.0:
         raise NonPhysicalState("r0 must be positive")
-    v0 = _v0(eos, reversed_time)
+    sig = eos.sigma
+    v0 = np.sqrt(4.0 * sig / (1.0 + 6.0 * sig + sig * sig))
+    v0 = -v0 if reversed_time else v0
     b0 = r0 ** (-tov_exponent(eos)) / (1.0 - v0 * v0)
     if variant == "frw1":
         t0 = r0 * (1.0 + v0 * v0) / (2.0 * v0)
@@ -226,11 +222,8 @@ class MatchedModel:
     def evaluate(self, t, r):
         r = np.asarray(r, dtype=float)
         inner = r < self.data.r0
-        k = np.count_nonzero(inner)
-        if k == inner.size:
+        if np.count_nonzero(inner) == inner.size:
             return self.evaluate_inner(t, r)
-        if not k:
-            return self.evaluate_outer(t, r)
         # placeholder radius keeps masked-out inner evaluations in-domain
         # (well inside both charts: |r/t| = 1/4, and r psi0^2 < t^2)
         parts_in = self.evaluate_inner(t, np.where(inner, r, abs(t) / 4.0))

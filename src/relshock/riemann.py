@@ -227,18 +227,14 @@ def edge_speeds(sol: RiemannGridSolution):
 
 
 def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
-    """Solve the Riemann problem between each pair of neighbours in a row of
-    cell states (rho, v); see :class:`RiemannGridSolution`.
+    """Solve the Riemann problem between each pair of neighbours in one 1-D
+    row of cell states (rho, v); see :class:`RiemannGridSolution`.
 
     Raises NonPhysicalState naming the first interface without rho > 0 and
     |v| < 1 on both sides (NaN included), and RelshockError naming the
     first interface whose Newton solve does not converge.
     """
-    # the stepper passes two 1-D float64 arrays of one shape: keep them
-    if not all(type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
-               and x.shape == rho.shape for x in (rho, v)):
-        rho, v = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (rho, v)))
+    rho, v = np.asarray(rho, dtype=float), np.asarray(v, dtype=float)
     sol = RiemannGridSolution(eos, rho, v)
     if not (fluid._least(rho) > 0.0 and fluid._most(np.abs(v)) < 1.0):
         fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",

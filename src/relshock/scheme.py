@@ -27,12 +27,13 @@ they were.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, fluid, models, riemann
-from .errors import GridExhausted, HorizonEncountered, RelshockError
+from .errors import HorizonEncountered, RelshockError
 from .fluid import EosParams, _into
 from .models import KAPPA
 
@@ -75,9 +76,9 @@ class SimState:
     """Mutable state owned by a single stepper.
 
     Cell arrays have length n+2 (ghosts at both ends); edge arrays have
-    length n+1.  `bt` is the current time scale of the static exterior
-    (meaningful for matched models); `right_frozen` marks a chopped
-    boundary whose ghost values no longer track any model.
+    length n+1.  `bt` is the time scale of a matched model's static
+    exterior, and None exactly for a pure model; `right_frozen` marks a
+    chopped boundary whose ghost values no longer track any model.
     """
 
     model: object
@@ -114,10 +115,6 @@ class StepReport:
     boundary_hit: bool
 
 
-def _is_matched(model) -> bool:
-    return isinstance(model, models.MatchedModel)
-
-
 def init(model, grid: SimGrid, eos: EosParams, eps: float = 1e-10) -> SimState:
     """Discretize the model's start slice onto the staggered grid."""
     x = grid.centers_with_ghosts()
@@ -128,7 +125,7 @@ def init(model, grid: SimGrid, eos: EosParams, eps: float = 1e-10) -> SimState:
     rho = np.asarray(rho, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
     u0, u1 = fluid.conserved_arrays(rho, v, eos)
-    bt = model.data.b0 if _is_matched(model) else None
+    bt = model.data.b0 if isinstance(model, models.MatchedModel) else None
     return SimState(
         model=model, eos=eos, dx=grid.dx, t=t0, x=x, xe=xe,
         rho=rho, v=v, u0=u0, u1=u1,
@@ -218,25 +215,19 @@ def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
     return g0, g1
 
 
-class _naming_cells:
-    """Context that restates a kernel's error at entry k (any RelshockError
-    with an `index`) as one at cell first + k, ghosts counted (interfaces,
+@contextmanager
+def _naming_cells(t: float, first: int | None):
+    """Restate a kernel's error at entry k (any RelshockError with an
+    `index`) as one at cell first + k, ghosts counted (interfaces,
     first=None: cells k and k + 1), and time t."""
-
-    __slots__ = ("t", "first")
-
-    def __init__(self, t: float, first: int | None):
-        self.t, self.first = t, first
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, err, tb):
-        if not isinstance(err, RelshockError) or err.index is None:
-            return False
-        k, first = err.index, self.first
+    try:
+        yield
+    except RelshockError as err:
+        if err.index is None:
+            raise
+        k = err.index
         where = f"cells {k} and {k + 1}" if first is None else f"cell {first + k}"
-        at = f"at {where}, t={self.t:.9g}"
+        at = f"at {where}, t={t:.9g}"
         raise type(err)(
             str(err).replace(f"at index {k}", at).replace(f"at interface {k}", at)) from err
 
@@ -247,7 +238,7 @@ def _refresh_boundaries(state: SimState, t_new: float):
     edge's (A, B).  One model evaluation at (x_0, xe_0), plus (x_{n+1}, xe_n)
     for a pure model whose grid has not been chopped; a matched exterior or
     a chopped boundary keeps its right ghost and last-edge values."""
-    tracks_right = not (state.right_frozen or _is_matched(state.model))
+    tracks_right = not state.right_frozen and state.bt is None
     r = [state.x[0], state.xe[0]] + ([state.x[-1], state.xe[-1]] if tracks_right else [])
     rho, v, a, b, m = state.model.evaluate(t_new, np.array(r))
     state.rho[0], state.v[0] = rho[0], v[0]
@@ -369,7 +360,7 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
 
     state.t = t_new
     boundary_hit = False
-    if _is_matched(state.model) and not state.right_frozen:
+    if state.bt is not None and not state.right_frozen:
         _rematch_exterior(state)
         border = diagnostics.detect_tov_border(state)
         boundary_hit = border is not None and border[1] >= state.n
@@ -379,12 +370,14 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     )
 
 
-def chop_right(state: SimState, min_cells: int = 16) -> SimState:
-    """Discard the rightmost cell; its left neighbor becomes the new right
-    ghost and the boundary data freezes at that cell's current values."""
+def chop_right(state: SimState, min_cells: int = 16) -> bool:
+    """Discard the rightmost cell and return True; its left neighbor becomes
+    the new right ghost and the boundary data freezes at that cell's current
+    values.  When fewer than `min_cells` cells would be left, return False
+    and leave the state as it is."""
     if state.n - 1 < min_cells:
-        raise GridExhausted(f"only {state.n} cells left (minimum {min_cells})")
+        return False
     for name in ("x", "rho", "v", "u0", "u1", "xe", "A", "B", "M"):
         setattr(state, name, getattr(state, name)[:-1].copy())
     state.right_frozen = True
-    return state
+    return True

@@ -138,10 +138,19 @@ def test_converge_rejects_malformed_levels(levels, message, tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--snapshots", "-3"], "snapshots must be non-negative, got -3"),
     (["reverse", "--continue-chop", "--min-cells", "-5"], "min_cells must be at least 8, got -5"),
-], ids=["simulate-snapshots", "reverse-min-cells"])
+    (["simulate", "--duration", "nan"], "duration must be finite, got nan"),
+    (["simulate", "--duration", "inf"], "duration must be finite, got inf"),
+    (["simulate", "--eps", "inf"], "eps must be finite, got inf"),
+    (["simulate", "--eps", "nan"], "eps must be finite, got nan"),
+    (["simulate", "--r-max", "inf"], "r_max must be finite, got inf"),
+    (["simulate", "--model", "frw1", "--t-start", "nan"], "t_start must be finite, got nan"),
+], ids=["simulate-snapshots", "reverse-min-cells", "simulate-duration-nan",
+        "simulate-duration-inf", "simulate-eps-inf", "simulate-eps-nan", "simulate-r-max-inf",
+        "simulate-t-start-nan"])
 def test_invalid_counts_exit_two(argv, message, tmp_path, capsys):
-    """A negative snapshot count or a chopping floor below 8 cells is a
-    configuration error, refused before anything runs or is written."""
+    """A negative snapshot count, a chopping floor below 8 cells or a
+    non-finite number is a configuration error, refused before anything
+    runs or is written."""
     out = tmp_path / "out"
     assert cli.main(argv + ["--n", "64", "--outdir", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -260,15 +269,57 @@ RIEMANN_FLAGS = ["--rho-l", "1", "--v-l", "0", "--rho-r", "2", "--v-r", "0"]
     (["riemann", *RIEMANN_FLAGS, "--eps", "-1"], "eps must be positive"),
     (["riemann", *RIEMANN_FLAGS, "--eps", "0"], "eps must be positive"),
     (["emit-model", "--count", "-3"], "--count must be non-negative, got -3"),
+    (["riemann", *RIEMANN_FLAGS, "--sigma", "nan"], "sigma must be finite, got nan"),
+    (["riemann", *RIEMANN_FLAGS, "--eps", "inf"], "eps must be finite, got inf"),
+    (["riemann", *RIEMANN_FLAGS, "--xi-min", "nan"], "--xi-min must be finite, got nan"),
+    (["riemann", *RIEMANN_FLAGS, "--xi-max", "inf"], "--xi-max must be finite, got inf"),
+    (["emit-model", "--r-max", "inf"], "r_max must be finite, got inf"),
+    (["emit-model", "--at", "nan"], "--at must be finite, got nan"),
 ], ids=["riemann-xi-count", "riemann-sigma-2", "riemann-sigma-0", "riemann-eps-negative",
-        "riemann-eps-0", "emit-model-count"])
+        "riemann-eps-0", "emit-model-count", "riemann-sigma-nan", "riemann-eps-inf",
+        "riemann-xi-min-nan", "riemann-xi-max-inf", "emit-model-r-max-inf", "emit-model-at-nan"])
 def test_out_of_range_flags_of_riemann_and_emit_model_exit_two(argv, message, tmp_path, capsys):
-    """riemann and emit-model refuse a negative count, sigma outside (0, 1)
-    and eps <= 0 as every other command does, before anything is written."""
+    """riemann and emit-model refuse a negative count, sigma outside (0, 1),
+    eps <= 0 and a non-finite number as every other command does, before
+    anything is written."""
     out = tmp_path / "out"
     assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "not UTF-8"),
+])
+def test_an_unreadable_config_file_exits_two(case, reason, tmp_path, capsys):
+    """A --config file that is missing, a directory or not UTF-8 text is a
+    configuration error naming the path, refused before anything is written."""
+    path = tmp_path / "run.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"n = 64\n\xff\xfe\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--outdir", str(out)]) == cli.EXIT_CONFIG
+    assert f"configuration error: cannot read config file {path}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "frw1", "--n", "16", "--duration", "0.01"],
+    ["riemann", *RIEMANN_FLAGS],
+], ids=["simulate", "riemann"])
+def test_an_output_directory_that_cannot_be_made_exits_two(argv, tmp_path, capsys):
+    """An --outdir below a regular file cannot be created: the command
+    reports the OSError as a configuration error and exits 2."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(out) in err
 
 
 OBSERVERS = {"cones", "mu_history", "tv_history"}

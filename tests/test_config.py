@@ -68,6 +68,12 @@ def test_parse_config_rejects_a_non_positive_radius(tmp_path, r_min):
         load(tmp_path, f"model = frw1\nr_min = {r_min}\n")
 
 
+def test_parse_config_rejects_a_non_finite_number(tmp_path):
+    """nan passes every range comparison, so it is refused on its own."""
+    with pytest.raises(ConfigError, match="sigma must be finite, got nan"):
+        load(tmp_path, "model = tov\nsigma = nan\n")
+
+
 def test_parse_config_accepts_the_smallest_valid_counts(tmp_path):
     cfg = load(tmp_path, "snapshots = 0\nmin_cells = 8\n")
     assert (cfg.snapshots, cfg.min_cells) == (0, 8)

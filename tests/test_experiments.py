@@ -2,7 +2,7 @@
 
 import pytest
 
-from relshock import experiments, models, scheme
+from relshock import diagnostics, experiments, models, scheme
 
 
 def test_frw_images_agree_after_b_remap(eos):
@@ -67,3 +67,25 @@ def test_run_log_dates_the_first_boundary_hit(eos):
     log = experiments.matched_run("frw1", 256, eos, duration=0.1).arts.log
     assert log.stop_reason == "t_end" and log.steps > 10
     assert log.boundary_hit_t is None and log.boundary_hit_step is None
+
+
+def test_chopping_stops_where_the_boundary_meets_the_peak_of_2m_over_r(eos):
+    """A reversed run chopping down to 16 cells at n = 96 reaches the
+    maximum of 2M/r first: the run stops right after the chop that put the
+    last edge on that radius, so no step follows the last chop."""
+    arts = experiments.reversed_collapse_run(96, eos, continue_chop=True, min_cells=16)
+    log = arts.log
+    assert log.stop_reason == "reached_mu_peak"
+    assert (log.steps, log.chops, log.boundary_hit_step) == (367, 74, 294)
+    assert log.steps == log.boundary_hit_step + log.chops - 1
+    assert arts.state.xe[-1] == diagnostics.black_hole_number(arts.state)[1]
+
+
+def test_ladder_refuses_an_unknown_reference(eos):
+    """A misspelt reference would compare the finest level with itself;
+    it is refused before any level runs."""
+    def make_model():
+        raise AssertionError("no level may run")
+
+    with pytest.raises(ValueError, match="reference must be 'model' or 'fine', got 'mode'"):
+        experiments.ladder(make_model, [16, 32], eos, 3.0, 7.0, 0.01, reference="mode")

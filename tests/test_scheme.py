@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from relshock import diagnostics, experiments, fluid, models, riemann, scheme
-from relshock.errors import GridExhausted, HorizonEncountered, NonPhysicalState, RelshockError
+from relshock.errors import HorizonEncountered, NonPhysicalState, RelshockError
 from relshock.fluid import EosParams
 from relshock.scheme import SimGrid, advance, cfl_dt, chop_right, godunov_cell_update
 
@@ -512,10 +512,14 @@ def test_chopped_boundary_stays_frozen():
 
 
 def test_chop_right_exhausts():
+    """Chopping stops at min_cells: 32 chops of a 64-cell grid succeed, the
+    next one returns False and leaves the 32 cells as they are."""
     state, eos = make_state("frw1_tov", n=64, r0=5.0)
-    with pytest.raises(GridExhausted):
-        for _ in range(100):
-            chop_right(state, min_cells=32)
+    assert all(chop_right(state, min_cells=32) for _ in range(32))
+    kept = {name: getattr(state, name) for name in ("x", "xe", "rho", "A", "M")}
+    assert chop_right(state, min_cells=32) is False
+    assert state.n == 32
+    assert all(getattr(state, name) is kept[name] for name in kept)
 
 
 def test_report_regions():
