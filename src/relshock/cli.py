@@ -16,7 +16,8 @@ the reversed frw1_tov) reads r_min, r_max, sigma, outdir, r0, n, eps and
 min_cells.  A key the model does not read exits 2 too: only frw1 and frw2
 read t_start, only frw1_tov and frw2_tov read r0 and track_cones, and only
 frw1_tov reads reversed.  A start slice that leaves the model's domain (a
-t_start off the FRW chart, a left ghost cell at r <= 0) exits 2 before the run.
+t_start off the FRW chart, a left ghost cell at r <= 0) exits 2 before the run,
+as does a positive duration too short for one step.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _make_model(cfg: RunConfig):
     try:
         model = models.make_model(cfg.model, eos, r0=cfg.r0, t_start=cfg.t_start,
                                   reversed_time=cfg.reversed)
-    except NonPhysicalState as exc:   # the FRW charts refuse sigma != 1/3
+    except NonPhysicalState as exc:   # FRW: sigma != 1/3, or a t_start with no slice
         raise ConfigError(str(exc)) from None
     return model, eos
 

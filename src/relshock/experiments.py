@@ -120,7 +120,8 @@ def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
 
     `snapshots` slices are kept by `RunConfig.snapshots`' rule (see
     SnapshotHook); a run that stops before its end time ends them with its
-    last state instead.  With snapshots = 0 the list is empty.
+    last state instead.  With snapshots = 0 the list is empty.  A positive
+    duration too short to take one step raises ConfigError.
     """
     if on_hit not in ("continue", "stop", "chop"):
         raise ValueError(f"on_hit must be 'continue', 'stop' or 'chop', got {on_hit!r}")
@@ -130,11 +131,14 @@ def simulate_model(model, grid: scheme.SimGrid, eos: EosParams, duration: float,
     if snapshots:
         snap = SnapshotHook(model.t_start, t_end, snapshots)
         hooks.append(snap)
+    tiny = 1e-12 * max(1.0, abs(t_end))
+    if duration > 0.0 and not model.t_start < t_end - tiny:
+        raise ConfigError(f"duration {duration:g} is below the time resolution at "
+                          f"t_start = {model.t_start:g}: the run would take no step")
     state = scheme.init(model, grid, eos, eps)
     log = RunLog()
     for hook in hooks:
         hook.on_start(state)
-    tiny = 1e-12 * max(1.0, abs(t_end))
     while state.t < t_end - tiny:
         if log.steps >= MAX_STEPS:
             log.stop_reason = "max_steps"

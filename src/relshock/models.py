@@ -4,7 +4,8 @@ Covers the critical expanding-universe metric in its two coordinate images
 (here called FRW-1 and FRW-2, distinguished by the integrating factor used
 to diagonalize the time coordinate), the static isothermal-sphere metric
 (TOV), and the one-parameter continuous matching of the two across an
-initial fluid discontinuity, forward or time reversed.
+initial fluid discontinuity, forward or time reversed.  One chart function,
+keyed by psi0 (None for FRW-1), serves FrwModel and the MatchedModel interior.
 
 Conventions: G = c = 1, kappa = 8*pi.  Radii, times and masses are all in
 the same (mass) unit.
@@ -31,8 +32,7 @@ __all__ = [
     "frw2_frw_time",
     "tov_state",
     "match",
-    "Frw1Model",
-    "Frw2Model",
+    "FrwModel",
     "TovModel",
     "MatchedModel",
     "make_model",
@@ -153,31 +153,29 @@ def match(variant: str, r0: float, eos: EosParams, reversed_time: bool = False) 
     raise ValueError(f"variant must be 'frw1' or 'frw2', got {variant!r}")
 
 
-class Frw1Model:
-    """Pure expanding universe, unit light speed chart (psi0 = 1); a
-    negative t_start gives the time-reversed (collapsing) solution."""
+def _frw_chart(t, r, psi0: float | None):
+    """The expanding universe in FRW-1 (psi0 None) or FRW-2 coordinates."""
+    return frw1_state(t, r) if psi0 is None else frw2_state(t, r, psi0)
 
-    def __init__(self, eos: EosParams, t_start: float):
+
+class FrwModel:
+    """Pure expanding universe in the image 'frw1' (unit light speed; a
+    negative t_start runs the time-reversed, collapsing solution) or 'frw2'
+    (integrating factor psi0 = sqrt(2 t_start), light speed 1 on the start
+    slice).  A t_start with no slice is refused with NonPhysicalState."""
+
+    def __init__(self, variant: str, eos: EosParams, t_start: float):
         _require_radiation(eos)
+        if variant not in ("frw1", "frw2"):
+            raise ValueError(f"variant must be 'frw1' or 'frw2', got {variant!r}")
+        if t_start == 0.0 or (variant == "frw2" and t_start < 0.0):
+            raise NonPhysicalState(f"the {variant} chart has no slice at t_start = {t_start:g}")
         self.eos = eos
         self.t_start = float(t_start)
+        self.psi0 = float(np.sqrt(2.0 * t_start)) if variant == "frw2" else None
 
     def evaluate(self, t, r):
-        return frw1_state(t, r)
-
-
-class Frw2Model:
-    """Pure expanding universe under the dynamical integrating factor, with
-    psi0 = sqrt(2 t_start): coordinate light speed 1 on the start slice."""
-
-    def __init__(self, eos: EosParams, t_start: float):
-        _require_radiation(eos)
-        self.eos = eos
-        self.t_start = float(t_start)
-        self.psi0 = float(np.sqrt(2.0 * t_start))
-
-    def evaluate(self, t, r):
-        return frw2_state(t, r, self.psi0)
+        return _frw_chart(t, r, self.psi0)
 
 
 class TovModel:
@@ -203,7 +201,6 @@ class MatchedModel:
     def __init__(self, variant: str, r0: float, eos: EosParams,
                  reversed_time: bool = False):
         self.eos = eos
-        self.variant = variant
         self.data = match(variant, r0, eos, reversed_time)
         self.t_start = self.data.t0
 
@@ -212,9 +209,7 @@ class MatchedModel:
         return self.data.r0
 
     def evaluate_inner(self, t, r):
-        if self.variant == "frw1":
-            return frw1_state(t, r)
-        return frw2_state(t, r, self.data.psi0)
+        return _frw_chart(t, r, self.data.psi0)
 
     def evaluate_outer(self, t, r):
         return tov_state(r, self.data.b0, self.eos)
@@ -222,8 +217,6 @@ class MatchedModel:
     def evaluate(self, t, r):
         r = np.asarray(r, dtype=float)
         inner = r < self.data.r0
-        if np.count_nonzero(inner) == inner.size:
-            return self.evaluate_inner(t, r)
         # placeholder radius keeps masked-out inner evaluations in-domain
         # (well inside both charts: |r/t| = 1/4, and r psi0^2 < t^2)
         parts_in = self.evaluate_inner(t, np.where(inner, r, abs(t) / 4.0))
@@ -247,5 +240,4 @@ def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
                          "a pure frw1 model runs reversed from a negative t_start")
     if variant == "tov":
         return TovModel(eos)
-    model = Frw1Model if variant == "frw1" else Frw2Model
-    return model(eos, t_start if t_start is not None else 15.0)
+    return FrwModel(variant, eos, t_start if t_start is not None else 15.0)

@@ -482,6 +482,42 @@ def test_a_start_slice_outside_the_frw_chart_exits_two(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "frw2", "--t-start", "-15", "--n", "16", "--duration", "0.01"],
+    ["converge", "--model", "frw2", "--t-start", "-15", "--levels", "16..32",
+     "--duration", "0.01"],
+    ["emit-model", "--model", "frw2", "--t-start", "0"],
+    ["simulate", "--model", "frw1", "--t-start", "0", "--n", "16", "--duration", "0.01"],
+], ids=["simulate-frw2", "converge-frw2", "emit-model-frw2", "simulate-frw1"])
+def test_an_frw_start_time_with_no_slice_exits_two(argv, tmp_path, capsys):
+    """frw2 has no slice at t_start <= 0 (psi0 = sqrt(2 t_start)) and frw1
+    none at t_start = 0: the model refuses it when it is made, before
+    anything runs, warns or is written (frw2 used to exit 4 on a NaN state,
+    or write NaN rows and exit 0)."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
+    model, t_start = argv[2], argv[4]
+    assert (f"configuration error: the {model} chart has no slice at t_start = {t_start}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "tov", "--n", "16", "--duration", "1e-13"],
+    ["simulate", "--model", "frw1", "--t-start", "1e17", "--n", "16", "--duration", "1"],
+    ["converge", "--model", "frw1", "--levels", "16..32", "--duration", "1e-13"],
+], ids=["simulate-tov", "simulate-late-start", "converge"])
+def test_a_duration_too_short_for_one_step_exits_two(argv, tmp_path, capsys):
+    """A positive duration the march cannot resolve at t_start used to run
+    zero steps and exit 0; it is refused before anything is written."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
+    duration = argv[argv.index("--duration") + 1]
+    assert (f"configuration error: duration {duration} is below the time resolution"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--n", "16", "--duration", "0.01"],
     ["converge", "--levels", "16..32", "--duration", "0.01"],
 ], ids=["simulate", "converge"])

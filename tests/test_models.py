@@ -8,8 +8,7 @@ from relshock.errors import NonPhysicalState
 from relshock.fluid import EosParams
 from relshock.models import (
     KAPPA,
-    Frw1Model,
-    Frw2Model,
+    FrwModel,
     MatchedModel,
     TovModel,
     frw1_state,
@@ -249,6 +248,27 @@ def test_match_v0_independent_of_radius(eos):
     assert match("frw1", 2.0, eos).v0 == match("frw1", 80.0, eos).v0
 
 
+@pytest.mark.parametrize("variant, reversed_time, domain", [
+    ("frw1", False, (3.0, 7.0)), ("frw1", True, (0.1, 20.0)), ("frw2", False, (3.0, 7.0)),
+], ids=["frw1_tov", "reversed-frw1_tov", "frw2_tov"])
+@pytest.mark.parametrize("after", [0.0, 0.3])
+def test_matched_evaluate_returns_each_side_bit_for_bit(variant, reversed_time, domain,
+                                                         after, eos):
+    """On a row entirely inside r0 evaluate returns the bytes of
+    evaluate_inner, on a row entirely outside those of evaluate_outer; the
+    rows include the boundary points [x_0, xe_0] a step evaluates."""
+    model = MatchedModel(variant, 5.0, eos, reversed_time)
+    grid = scheme.SimGrid(*domain, 64)
+    t = model.t_start + after
+    x, xe = grid.centers_with_ghosts(), grid.edges()
+    points = np.concatenate([x, xe])
+    for r, side in ((np.array([x[0], xe[0]]), model.evaluate_inner),
+                    (points[points < 5.0], model.evaluate_inner),
+                    (points[points >= 5.0], model.evaluate_outer)):
+        for got, want in zip(model.evaluate(t, r), side(t, r)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_metric_continuity_at_matching_point(eos):
     model = MatchedModel("frw1", 5.0, eos)
     t0 = model.t_start
@@ -340,3 +360,8 @@ def test_reversed_scale_factor_satisfies_constraints(eos):
         assert dR**2 == pytest.approx(8.0 * np.pi / 3.0 * rho(t) * R(t) ** 2,
                                       rel=1e-7)
 
+
+@pytest.mark.parametrize("variant, t_start", [("frw1", 0.0), ("frw2", 0.0), ("frw2", -15.0)])
+def test_frw_model_refuses_a_start_time_with_no_slice(variant, t_start, eos):
+    with pytest.raises(NonPhysicalState, match=f"the {variant} chart has no slice"):
+        FrwModel(variant, eos, t_start)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from relshock import diagnostics, experiments, fluid, models, riemann, scheme
-from relshock.errors import HorizonEncountered, NonPhysicalState, RelshockError
+from relshock.errors import ConfigError, HorizonEncountered, NonPhysicalState, RelshockError
 from relshock.fluid import EosParams
 from relshock.scheme import SimGrid, advance, cfl_dt, chop_right, godunov_cell_update
 
@@ -471,6 +471,17 @@ def test_run_zero_duration_returns_initial():
     state, log = arts.state, arts.log
     assert log.steps == 0
     assert state.t == 15.0
+
+
+@pytest.mark.parametrize("variant, t_start, duration", [
+    ("frw1", 1e17, 1.0), ("tov", None, 1e-13)], ids=["late-start", "tiny-duration"])
+def test_run_refuses_a_duration_too_short_for_one_step(variant, t_start, duration):
+    """A positive duration below the time resolution at t_start would run
+    zero steps and report t_end; it is refused before the run is set up."""
+    eos = EosParams()
+    model = models.make_model(variant, eos, t_start=t_start)
+    with pytest.raises(ConfigError, match="below the time resolution"):
+        experiments.simulate_model(model, SimGrid(3.0, 7.0, 64), eos, duration)
 
 
 def test_run_clamps_final_step():
