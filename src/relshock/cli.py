@@ -92,16 +92,18 @@ def _make_model(cfg: RunConfig):
 
 def _start_slice(cfg: RunConfig, model, t: float, r):
     """The model's fields at (t, r).  A slice outside the model's domain is
-    a configuration error: an FRW chart depends on t_start, and tov needs
-    r > 0, which a run's left ghost cell at r_min - dx can leave."""
+    a configuration error: an FRW chart depends on the slice time, and tov
+    needs r > 0, which a run's left ghost cell at r_min - dx can leave."""
     try:
         return model.evaluate(t, r)
     except NonPhysicalState as exc:
+        if cfg.model == "tov":
+            raise ConfigError(f"r_min = {cfg.r_min:g} puts the left ghost cell at "
+                              f"r = {r[0]:g}, outside the tov domain ({exc})") from None
+        at = f"the {cfg.model} slice at t = {t:g} lies"
         if cfg.model in _MODEL_KEYS["t_start"]:
-            raise ConfigError(f"t_start = {cfg.t_start:g} puts the {cfg.model} slice at "
-                              f"t = {t:g} outside its chart ({exc})") from None
-        raise ConfigError(f"r_min = {cfg.r_min:g} puts the left ghost cell at r = {r[0]:g}, "
-                          f"outside the {cfg.model} domain ({exc})") from None
+            at = f"t_start = {cfg.t_start:g} puts the {cfg.model} slice at t = {t:g}"
+        raise ConfigError(f"{at} outside its chart ({exc})") from None
 
 
 def _require_finite(flag: str, value: float):

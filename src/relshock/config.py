@@ -54,8 +54,8 @@ class RunConfig:
             )
         if not 0.0 < self.sigma < 1.0:
             raise ConfigError(f"sigma must lie in (0, 1), got {self.sigma}")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
+        if self.eps < 1e-14:   # the Newton residual cannot reach a smaller one
+            raise ConfigError(f"eps must be positive and at least 1e-14, got {self.eps}")
         if self.duration <= 0.0:
             raise ConfigError("duration must be positive")
         if self.snapshots < 0:

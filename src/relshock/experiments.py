@@ -263,7 +263,7 @@ def matched_run(variant: str, n: int, eos: EosParams, r_min: float = 3.0,
     frw = diagnostics.detect_frw_border(state)
     if frw is not None:
         frw_border = frw[0]
-        side_errors["frw"] = slice_errors(prof, model.evaluate_inner, state.dx,
+        side_errors["frw"] = slice_errors(prof, model.inner.evaluate, state.dx,
                                           keep=lambda r: r <= frw_border + 1e-12)
     tov = diagnostics.detect_tov_border(state)
     if tov is not None:
@@ -297,7 +297,7 @@ def cross_model_comparison(n: int, n_ref: int, eos: EosParams,
     m1 = models.make_model("frw1_tov", eos, r0=r0)
     m2 = models.make_model("frw2_tov", eos, r0=r0)
     t1_end = m1.t_start + duration_frw1
-    t2_end = float(m2.data.psi0 * np.sqrt(t1_end))  # the FRW-2 time of t1_end
+    t2_end = float(m2.inner.psi0 * np.sqrt(t1_end))  # the FRW-2 time of t1_end
     duration_frw2 = t2_end - m2.t_start
 
     ref_arts = simulate_model(m1, scheme.SimGrid(r_min, r_max, n_ref), eos,

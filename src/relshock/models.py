@@ -4,16 +4,15 @@ Covers the critical expanding-universe metric in its two coordinate images
 (here called FRW-1 and FRW-2, distinguished by the integrating factor used
 to diagonalize the time coordinate), the static isothermal-sphere metric
 (TOV), and the one-parameter continuous matching of the two across an
-initial fluid discontinuity, forward or time reversed.  One chart function,
-keyed by psi0 (None for FRW-1), serves FrwModel and the MatchedModel interior.
+initial fluid discontinuity, forward or time reversed.  A MatchedModel is
+an FrwModel inside r0, named by its psi0 (None for FRW-1), and the static
+sphere outside.
 
 Conventions: G = c = 1, kappa = 8*pi.  Radii, times and masses are all in
 the same (mass) unit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +23,12 @@ KAPPA = 8.0 * np.pi
 
 __all__ = [
     "KAPPA",
-    "MatchData",
     "gamma",
     "tov_exponent",
     "frw1_state",
     "frw2_state",
     "frw2_frw_time",
     "tov_state",
-    "match",
     "FrwModel",
     "TovModel",
     "MatchedModel",
@@ -54,8 +51,11 @@ def frw1_state(t_bar, r_bar):
     """Expanding universe in the coordinates where light speed is exactly 1.
 
     Self-similar in xi = r/t; valid for |xi| < 1 (t < 0 gives the time
-    reversed solution).  Requires the radiation equation of state.
+    reversed solution; t = 0 has no slice).  Requires the radiation
+    equation of state.
     """
+    if t_bar == 0.0:
+        raise NonPhysicalState("the FRW-1 chart has no slice at t = 0")
     xi = np.asarray(r_bar, dtype=float) / t_bar
     if np.count_nonzero(np.abs(xi) >= 1.0):
         raise NonPhysicalState(f"|r/t| >= 1 on the requested slice (t={t_bar})")
@@ -70,7 +70,10 @@ def frw1_state(t_bar, r_bar):
 
 
 def frw2_frw_time(t_bar, r_bar, psi0: float):
-    """Comoving time t of the expanding universe from FRW-2 coordinates."""
+    """Comoving time t of the expanding universe from FRW-2 coordinates,
+    which cover only t_bar > 0."""
+    if t_bar <= 0.0:
+        raise NonPhysicalState(f"the FRW-2 chart has no slice at t = {t_bar:g}")
     t4 = np.asarray(t_bar, dtype=float) ** 4
     disc = t4 - np.asarray(r_bar, dtype=float) ** 2 * psi0**4
     if np.count_nonzero(disc < 0.0):
@@ -107,75 +110,20 @@ def tov_state(r_bar, b0: float, eos: EosParams):
     return rho, v, A, B, M
 
 
-@dataclass(frozen=True)
-class MatchData:
-    """Matching constants of the composite initial data at radius r0."""
-
-    r0: float
-    t0: float         # start time in the simulated coordinates
-    v0: float         # fluid velocity on the expanding side of the jump
-    b0: float         # time scale of the static exterior
-    psi0: float | None = None   # integrating factor constant (FRW-2 only)
-
-
-def _require_radiation(eos: EosParams):
-    if abs(eos.sigma - 1.0 / 3.0) > 1e-12:
-        raise NonPhysicalState(
-            "the expanding-universe charts require sigma = 1/3 (sound speed of radiation)"
-        )
-
-
-def match(variant: str, r0: float, eos: EosParams, reversed_time: bool = False) -> MatchData:
-    """Continuity constants for the composite metric with the jump at r0.
-
-    variant 'frw1' or 'frw2'.  The metric components match continuously at
-    r0 while the fluid jumps; b0 is fixed by B-continuity and is the same
-    for both variants.  Reversal flips the sign of v0 (and hence t0).
-    """
-    _require_radiation(eos)
-    if r0 <= 0.0:
-        raise NonPhysicalState("r0 must be positive")
-    sig = eos.sigma
-    v0 = np.sqrt(4.0 * sig / (1.0 + 6.0 * sig + sig * sig))
-    v0 = -v0 if reversed_time else v0
-    b0 = r0 ** (-tov_exponent(eos)) / (1.0 - v0 * v0)
-    if variant == "frw1":
-        t0 = r0 * (1.0 + v0 * v0) / (2.0 * v0)
-        return MatchData(r0=r0, t0=float(t0), v0=float(v0), b0=float(b0))
-    if variant == "frw2":
-        if reversed_time:
-            raise NonPhysicalState("the FRW-2 matching is forward-time only")
-        t0_frw = r0 / (2.0 * v0)  # comoving time at the jump
-        psi0 = np.sqrt((4.0 * t0_frw**2 + r0**2) / t0_frw)
-        t0 = psi0**2 / 2.0
-        return MatchData(r0=r0, t0=float(t0), v0=float(v0), b0=float(b0),
-                         psi0=float(psi0))
-    raise ValueError(f"variant must be 'frw1' or 'frw2', got {variant!r}")
-
-
-def _frw_chart(t, r, psi0: float | None):
-    """The expanding universe in FRW-1 (psi0 None) or FRW-2 coordinates."""
-    return frw1_state(t, r) if psi0 is None else frw2_state(t, r, psi0)
-
-
 class FrwModel:
-    """Pure expanding universe in the image 'frw1' (unit light speed; a
-    negative t_start runs the time-reversed, collapsing solution) or 'frw2'
-    (integrating factor psi0 = sqrt(2 t_start), light speed 1 on the start
-    slice).  A t_start with no slice is refused with NonPhysicalState."""
+    """Pure expanding universe in the FRW-1 image (psi0 None: unit light
+    speed; a negative t_start runs the time-reversed, collapsing solution)
+    or the FRW-2 image under the integrating factor constant psi0."""
 
-    def __init__(self, variant: str, eos: EosParams, t_start: float):
-        _require_radiation(eos)
-        if variant not in ("frw1", "frw2"):
-            raise ValueError(f"variant must be 'frw1' or 'frw2', got {variant!r}")
-        if t_start == 0.0 or (variant == "frw2" and t_start < 0.0):
-            raise NonPhysicalState(f"the {variant} chart has no slice at t_start = {t_start:g}")
-        self.eos = eos
+    def __init__(self, eos: EosParams, t_start: float, psi0: float | None = None):
+        if abs(eos.sigma - 1.0 / 3.0) > 1e-12:
+            raise NonPhysicalState("the expanding-universe charts require sigma = 1/3 "
+                                   "(sound speed of radiation)")
         self.t_start = float(t_start)
-        self.psi0 = float(np.sqrt(2.0 * t_start)) if variant == "frw2" else None
+        self.psi0 = psi0
 
     def evaluate(self, t, r):
-        return _frw_chart(t, r, self.psi0)
+        return frw1_state(t, r) if self.psi0 is None else frw2_state(t, r, self.psi0)
 
 
 class TovModel:
@@ -191,7 +139,11 @@ class TovModel:
 
 
 class MatchedModel:
-    """Composite expanding-interior / static-exterior initial-value model.
+    """The expanding universe `inner` (image 'frw1' or 'frw2') for r < r0
+    and the static isothermal sphere B = b0 r^q outside, matched at r0 with
+    the metric continuous and the fluid jumping from v0 to rest.  b0 is
+    fixed by B-continuity and is the same for both images; reversal flips
+    the sign of v0 and of the start time.
 
     Valid as a pointwise exact solution only outside the interaction region
     that grows from r0; the scheme samples it there (initial slice and
@@ -200,37 +152,46 @@ class MatchedModel:
 
     def __init__(self, variant: str, r0: float, eos: EosParams,
                  reversed_time: bool = False):
+        if r0 <= 0.0:
+            raise NonPhysicalState("r0 must be positive")
+        sig = eos.sigma
+        v0 = np.sqrt(4.0 * sig / (1.0 + 6.0 * sig + sig * sig))
+        v0 = -v0 if reversed_time else v0
+        if variant == "frw1":
+            self.inner = FrwModel(eos, r0 * (1.0 + v0 * v0) / (2.0 * v0))
+        elif variant == "frw2":
+            if reversed_time:
+                raise NonPhysicalState("the FRW-2 matching is forward-time only")
+            t0_frw = r0 / (2.0 * v0)  # comoving time at the jump
+            psi0 = np.sqrt((4.0 * t0_frw**2 + r0**2) / t0_frw)
+            self.inner = FrwModel(eos, psi0**2 / 2.0, float(psi0))
+        else:
+            raise ValueError(f"variant must be 'frw1' or 'frw2', got {variant!r}")
         self.eos = eos
-        self.data = match(variant, r0, eos, reversed_time)
-        self.t_start = self.data.t0
-
-    @property
-    def r0(self) -> float:
-        return self.data.r0
-
-    def evaluate_inner(self, t, r):
-        return _frw_chart(t, r, self.data.psi0)
-
-    def evaluate_outer(self, t, r):
-        return tov_state(r, self.data.b0, self.eos)
+        self.r0 = r0
+        self.v0 = float(v0)
+        self.b0 = float(r0 ** (-tov_exponent(eos)) / (1.0 - v0 * v0))
+        self.t_start = self.inner.t_start
 
     def evaluate(self, t, r):
         r = np.asarray(r, dtype=float)
-        inner = r < self.data.r0
-        # placeholder radius keeps masked-out inner evaluations in-domain
-        # (well inside both charts: |r/t| = 1/4, and r psi0^2 < t^2)
-        parts_in = self.evaluate_inner(t, np.where(inner, r, abs(t) / 4.0))
-        parts_out = self.evaluate_outer(t, np.where(inner, self.data.r0, r))
+        inner = r < self.r0
+        # placeholder radii keep each side's masked-out points in its domain
+        # (inside both FRW charts: |r/t| = 1/4, and r psi0^2 < t^2)
+        parts_in = self.inner.evaluate(t, np.where(inner, r, abs(t) / 4.0))
+        parts_out = tov_state(np.where(inner, self.r0, r), self.b0, self.eos)
         return tuple(np.where(inner, a, b) for a, b in zip(parts_in, parts_out))
 
 
 def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
                t_start: float | None = None, reversed_time: bool = False):
     """Model factory keyed by the run-config variant name.  r0 is read by
-    frw1_tov and frw2_tov, t_start (default 15) by frw1 and frw2.
-    reversed_time is passed to the matching of frw1_tov and frw2_tov (the
-    FRW-2 matching refuses it); a pure model refuses it with ValueError,
-    since a pure frw1 model runs reversed from a negative t_start."""
+    frw1_tov and frw2_tov, t_start (default 15) by frw1 and frw2; frw2 takes
+    psi0 = sqrt(2 t_start), light speed 1 on the start slice, and a t_start
+    with no slice is refused with NonPhysicalState.  reversed_time is passed
+    to the matching of frw1_tov and frw2_tov (the FRW-2 matching refuses
+    it); a pure model refuses it with ValueError, since a pure frw1 model
+    runs reversed from a negative t_start."""
     if variant in ("frw1_tov", "frw2_tov"):
         return MatchedModel(variant[:4], r0, eos, reversed_time)
     if variant not in ("frw1", "frw2", "tov"):
@@ -240,4 +201,7 @@ def make_model(variant: str, eos: EosParams, *, r0: float | None = None,
                          "a pure frw1 model runs reversed from a negative t_start")
     if variant == "tov":
         return TovModel(eos)
-    return FrwModel(variant, eos, t_start if t_start is not None else 15.0)
+    t_start = 15.0 if t_start is None else t_start
+    if t_start == 0.0 or (variant == "frw2" and t_start < 0.0):
+        raise NonPhysicalState(f"the {variant} chart has no slice at t_start = {t_start:g}")
+    return FrwModel(eos, t_start, float(np.sqrt(2.0 * t_start)) if variant == "frw2" else None)

@@ -120,12 +120,16 @@ def init(model, grid: SimGrid, eos: EosParams, eps: float = 1e-10) -> SimState:
     x = grid.centers_with_ghosts()
     xe = grid.edges()
     t0 = model.t_start
+    matched = isinstance(model, models.MatchedModel)
+    if matched and not model.r0 > grid.r_min:
+        raise ValueError(f"r0 = {model.r0} must lie above r_min = {grid.r_min}: "
+                         "the left boundary is sampled from the FRW interior")
     rho, v, _, _, _ = model.evaluate(t0, x)
     _, _, A, B, M = model.evaluate(t0, xe)
     rho = np.asarray(rho, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
     u0, u1 = fluid.conserved_arrays(rho, v, eos)
-    bt = model.data.b0 if isinstance(model, models.MatchedModel) else None
+    bt = model.b0 if matched else None
     return SimState(
         model=model, eos=eos, dx=grid.dx, t=t0, x=x, xe=xe,
         rho=rho, v=v, u0=u0, u1=u1,
@@ -237,10 +241,13 @@ def _refresh_boundaries(state: SimState, t_new: float):
     the update, left = the model's (A, B, M) at xe_0 and right = the last
     edge's (A, B).  One model evaluation at (x_0, xe_0), plus (x_{n+1}, xe_n)
     for a pure model whose grid has not been chopped; a matched exterior or
-    a chopped boundary keeps its right ghost and last-edge values."""
+    a chopped boundary keeps its right ghost and last-edge values.  A
+    matched model's left boundary lies inside r0 (`init` refuses r0 <=
+    r_min), so only its FRW interior is evaluated."""
+    model = state.model if state.bt is None else state.model.inner
     tracks_right = not state.right_frozen and state.bt is None
     r = [state.x[0], state.xe[0]] + ([state.x[-1], state.xe[-1]] if tracks_right else [])
-    rho, v, a, b, m = state.model.evaluate(t_new, np.array(r))
+    rho, v, a, b, m = model.evaluate(t_new, np.array(r))
     state.rho[0], state.v[0] = rho[0], v[0]
     right = state.A[-1], state.B[-1]
     if tracks_right:
@@ -370,7 +377,7 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
     )
 
 
-def chop_right(state: SimState, min_cells: int = 16) -> bool:
+def chop_right(state: SimState, min_cells: int) -> bool:
     """Discard the rightmost cell and return True; its left neighbor becomes
     the new right ghost and the boundary data freezes at that cell's current
     values.  When fewer than `min_cells` cells would be left, return False

@@ -144,13 +144,16 @@ def test_converge_rejects_malformed_levels(levels, message, tmp_path, capsys):
     (["simulate", "--eps", "nan"], "eps must be finite, got nan"),
     (["simulate", "--r-max", "inf"], "r_max must be finite, got inf"),
     (["simulate", "--model", "frw1", "--t-start", "nan"], "t_start must be finite, got nan"),
+    (["simulate", "--eps", "1e-16"], "eps must be positive and at least 1e-14, got 1e-16"),
+    (["reverse", "--eps", "1e-17"], "eps must be positive and at least 1e-14, got 1e-17"),
 ], ids=["simulate-snapshots", "reverse-min-cells", "simulate-duration-nan",
         "simulate-duration-inf", "simulate-eps-inf", "simulate-eps-nan", "simulate-r-max-inf",
-        "simulate-t-start-nan"])
+        "simulate-t-start-nan", "simulate-eps-small", "reverse-eps-small"])
 def test_invalid_counts_exit_two(argv, message, tmp_path, capsys):
-    """A negative snapshot count, a chopping floor below 8 cells or a
-    non-finite number is a configuration error, refused before anything
-    runs or is written."""
+    """A negative snapshot count, a chopping floor below 8 cells, a
+    non-finite number or an eps below 1e-14, which the Newton residual
+    cannot reach (such runs used to exit 4), is a configuration error,
+    refused before anything runs or is written."""
     out = tmp_path / "out"
     assert cli.main(argv + ["--n", "64", "--outdir", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -275,12 +278,15 @@ RIEMANN_FLAGS = ["--rho-l", "1", "--v-l", "0", "--rho-r", "2", "--v-r", "0"]
     (["riemann", *RIEMANN_FLAGS, "--xi-max", "inf"], "--xi-max must be finite, got inf"),
     (["emit-model", "--r-max", "inf"], "r_max must be finite, got inf"),
     (["emit-model", "--at", "nan"], "--at must be finite, got nan"),
+    (["riemann", *RIEMANN_FLAGS, "--eps", "1e-15"],
+     "eps must be positive and at least 1e-14, got 1e-15"),
 ], ids=["riemann-xi-count", "riemann-sigma-2", "riemann-sigma-0", "riemann-eps-negative",
         "riemann-eps-0", "emit-model-count", "riemann-sigma-nan", "riemann-eps-inf",
-        "riemann-xi-min-nan", "riemann-xi-max-inf", "emit-model-r-max-inf", "emit-model-at-nan"])
+        "riemann-xi-min-nan", "riemann-xi-max-inf", "emit-model-r-max-inf", "emit-model-at-nan",
+        "riemann-eps-small"])
 def test_out_of_range_flags_of_riemann_and_emit_model_exit_two(argv, message, tmp_path, capsys):
     """riemann and emit-model refuse a negative count, sigma outside (0, 1),
-    eps <= 0 and a non-finite number as every other command does, before
+    eps < 1e-14 and a non-finite number as every other command does, before
     anything is written."""
     out = tmp_path / "out"
     assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
@@ -499,6 +505,34 @@ def test_an_frw_start_time_with_no_slice_exits_two(argv, tmp_path, capsys):
     assert (f"configuration error: the {model} chart has no slice at t_start = {t_start}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["emit-model", "--model", "frw1", "--t-start", "-1", "--at", "1"],
+     "t_start = -1 puts the frw1 slice at t = 0 outside its chart (the FRW-1 chart has no"),
+    (["emit-model", "--model", "frw2", "--t-start", "15", "--at", "-30"],
+     "t_start = 15 puts the frw2 slice at t = -15 outside its chart (the FRW-2 chart has no"),
+    (["emit-model", "--model", "frw2_tov", "--at", "-20"],
+     "the frw2_tov slice at t = -9.08911 lies outside its chart (the FRW-2 chart has no"),
+], ids=["frw1-at-zero", "frw2-negative", "frw2_tov-negative"])
+def test_an_emitted_slice_time_the_frw_chart_does_not_cover_exits_two(argv, message,
+                                                                       tmp_path, capsys):
+    """An --at that puts an FRW slice at a time its chart does not cover is
+    refused before anything is written (frw1 at t = 0 used to divide by
+    zero; frw2 at t < 0 used to write the slice at |t|)."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--outdir", str(out)]) == cli.EXIT_CONFIG
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_at_the_smallest_eps_completes(tmp_path):
+    out = tmp_path / "out"
+    argv = ["simulate", "--model", "frw1_tov", "--n", "64", "--duration", "0.05",
+            "--eps", "1e-14", "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["eps"] == 1e-14 and manifest["stop_reason"] == "t_end"
 
 
 @pytest.mark.parametrize("argv", [

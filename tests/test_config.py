@@ -75,5 +75,5 @@ def test_parse_config_rejects_a_non_finite_number(tmp_path):
 
 
 def test_parse_config_accepts_the_smallest_valid_counts(tmp_path):
-    cfg = load(tmp_path, "snapshots = 0\nmin_cells = 8\n")
-    assert (cfg.snapshots, cfg.min_cells) == (0, 8)
+    cfg = load(tmp_path, "snapshots = 0\nmin_cells = 8\neps = 1e-14\n")
+    assert (cfg.snapshots, cfg.min_cells, cfg.eps) == (0, 8, 1e-14)

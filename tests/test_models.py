@@ -16,7 +16,6 @@ from relshock.models import (
     frw2_state,
     gamma,
     make_model,
-    match,
     tov_exponent,
     tov_state,
 )
@@ -107,6 +106,32 @@ def test_frw2_light_speed_uniform_and_rising():
 def test_frw2_outside_domain_raises():
     with pytest.raises(NonPhysicalState, match="outside the FRW-2 chart"):
         frw2_state(5.0, np.array([6.0]), np.sqrt(30.0))
+
+
+@pytest.mark.parametrize("chart, t", [
+    (frw1_state, 0.0),
+    (lambda t, r: frw2_state(t, r, np.sqrt(30.0)), 0.0),
+    (lambda t, r: frw2_state(t, r, np.sqrt(30.0)), -15.0),
+    (lambda t, r: frw2_frw_time(t, r, np.sqrt(30.0)), -30.0),
+], ids=["frw1-0", "frw2-0", "frw2-negative", "frw2-time-negative"])
+def test_frw_charts_refuse_slice_times_they_do_not_cover(chart, t):
+    """FRW-1 has no slice at t = 0 and FRW-2 none at t <= 0: refused before
+    any arithmetic, so nothing warns (FRW-1 used to divide by zero, FRW-2
+    to square a negative t into the slice at |t|)."""
+    with pytest.raises(NonPhysicalState, match=f"chart has no slice at t = {t:g}"):
+        chart(t, np.array([1.0, 4.0]))
+
+
+def test_frw_model_names_its_image_by_psi0(eos):
+    """psi0 None is the FRW-1 image; make_model's frw2 takes psi0 =
+    sqrt(2 t_start) and evaluates the FRW-2 chart at it bit for bit."""
+    r = np.linspace(3.0, 7.0, 9)
+    frw1, frw2 = make_model("frw1", eos, t_start=15.0), make_model("frw2", eos, t_start=15.0)
+    assert isinstance(frw1, FrwModel) and frw1.psi0 is None
+    assert frw2.psi0 == np.sqrt(30.0)
+    for model, want in ((frw1, frw1_state(16.0, r)), (frw2, frw2_state(16.0, r, np.sqrt(30.0)))):
+        for got, ref in zip(model.evaluate(16.0, r), want):
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_frw2_reduces_to_frw1_under_constant_factor():
@@ -204,37 +229,42 @@ def test_tov_hydrostatic_consistency(sigma):
 
 
 def test_match_frw1_start_time(eos):
-    data = match("frw1", 5.0, eos)
-    assert data.t0 == pytest.approx(5.4554, abs=1e-3)
-    assert data.v0 == pytest.approx(V0, rel=1e-12)
-    assert data.b0 == pytest.approx(0.35, rel=1e-12)
+    model = MatchedModel("frw1", 5.0, eos)
+    assert model.t_start == pytest.approx(5.4554, abs=1e-3)
+    assert model.v0 == pytest.approx(V0, rel=1e-12)
+    assert model.b0 == pytest.approx(0.35, rel=1e-12)
 
 
 def test_match_start_time_proportional_to_radius(eos):
-    assert match("frw1", 95.0, eos).t0 == pytest.approx(19.0 * T0_R5, rel=1e-12)
+    assert MatchedModel("frw1", 95.0, eos).t_start == pytest.approx(19.0 * T0_R5, rel=1e-12)
 
 
 def test_match_frw2_doubles_start_time(eos):
-    data = match("frw2", 5.0, eos)
-    assert data.t0 == pytest.approx(2.0 * T0_R5, rel=1e-12)
-    assert data.t0 == pytest.approx(10.9109, abs=1e-3)
-    assert data.b0 == pytest.approx(match("frw1", 5.0, eos).b0, rel=1e-14)
-    assert data.psi0 == pytest.approx(2.0 * np.sqrt(T0_R5), rel=1e-12)
+    model = MatchedModel("frw2", 5.0, eos)
+    assert model.t_start == pytest.approx(2.0 * T0_R5, rel=1e-12)
+    assert model.t_start == pytest.approx(10.9109, abs=1e-3)
+    assert model.b0 == pytest.approx(MatchedModel("frw1", 5.0, eos).b0, rel=1e-14)
+    assert model.inner.psi0 == pytest.approx(2.0 * np.sqrt(T0_R5), rel=1e-12)
 
 
 def test_match_reversed_flips_signs(eos):
-    data = match("frw1", 5.0, eos, reversed_time=True)
-    assert data.v0 == pytest.approx(-V0, rel=1e-12)
-    assert data.t0 == pytest.approx(-T0_R5, rel=1e-12)
-    assert data.b0 == pytest.approx(0.35, rel=1e-12)
+    model = MatchedModel("frw1", 5.0, eos, reversed_time=True)
+    assert model.v0 == pytest.approx(-V0, rel=1e-12)
+    assert model.t_start == pytest.approx(-T0_R5, rel=1e-12)
+    assert model.b0 == pytest.approx(0.35, rel=1e-12)
+
+
+def matching(model):
+    return model.r0, model.v0, model.b0, model.t_start, model.inner.t_start, model.inner.psi0
 
 
 def test_make_model_passes_reversed_time_to_the_matching(eos):
     """make_model hands reversed_time to both matched variants, so the
     forward-only FRW-2 matching refuses it; a pure model refuses it too."""
     reversed_frw1 = make_model("frw1_tov", eos, r0=5.0, reversed_time=True)
-    assert reversed_frw1.data == match("frw1", 5.0, eos, reversed_time=True)
-    assert make_model("frw2_tov", eos, r0=5.0).data == match("frw2", 5.0, eos)
+    assert matching(reversed_frw1) == matching(MatchedModel("frw1", 5.0, eos, reversed_time=True))
+    assert (matching(make_model("frw2_tov", eos, r0=5.0))
+            == matching(MatchedModel("frw2", 5.0, eos)))
     with pytest.raises(NonPhysicalState, match="forward-time only"):
         make_model("frw2_tov", eos, r0=5.0, reversed_time=True)
     for variant in ("frw1", "frw2", "tov"):
@@ -245,7 +275,7 @@ def test_make_model_passes_reversed_time_to_the_matching(eos):
 
 
 def test_match_v0_independent_of_radius(eos):
-    assert match("frw1", 2.0, eos).v0 == match("frw1", 80.0, eos).v0
+    assert MatchedModel("frw1", 2.0, eos).v0 == MatchedModel("frw1", 80.0, eos).v0
 
 
 @pytest.mark.parametrize("variant, reversed_time, domain", [
@@ -254,17 +284,18 @@ def test_match_v0_independent_of_radius(eos):
 @pytest.mark.parametrize("after", [0.0, 0.3])
 def test_matched_evaluate_returns_each_side_bit_for_bit(variant, reversed_time, domain,
                                                          after, eos):
-    """On a row entirely inside r0 evaluate returns the bytes of
-    evaluate_inner, on a row entirely outside those of evaluate_outer; the
-    rows include the boundary points [x_0, xe_0] a step evaluates."""
+    """On a row entirely inside r0 evaluate returns the bytes of the FRW
+    interior, on a row entirely outside those of the static sphere at b0;
+    the rows include the boundary points [x_0, xe_0] a step evaluates."""
     model = MatchedModel(variant, 5.0, eos, reversed_time)
     grid = scheme.SimGrid(*domain, 64)
     t = model.t_start + after
     x, xe = grid.centers_with_ghosts(), grid.edges()
     points = np.concatenate([x, xe])
-    for r, side in ((np.array([x[0], xe[0]]), model.evaluate_inner),
-                    (points[points < 5.0], model.evaluate_inner),
-                    (points[points >= 5.0], model.evaluate_outer)):
+    exterior = lambda t, r: tov_state(r, model.b0, eos)
+    for r, side in ((np.array([x[0], xe[0]]), model.inner.evaluate),
+                    (points[points < 5.0], model.inner.evaluate),
+                    (points[points >= 5.0], exterior)):
         for got, want in zip(model.evaluate(t, r), side(t, r)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -283,8 +314,8 @@ def test_metric_continuity_at_matching_point(eos):
 
 def test_density_jump_ratio_is_three(eos):
     model = MatchedModel("frw1", 5.0, eos)
-    rho_in, _, _, _, _ = model.evaluate_inner(model.t_start, np.array([5.0]))
-    rho_out, _, _, _, _ = model.evaluate_outer(model.t_start, np.array([5.0]))
+    rho_in, _, _, _, _ = model.inner.evaluate(model.t_start, np.array([5.0]))
+    rho_out, _, _, _, _ = tov_state(np.array([5.0]), model.b0, eos)
     assert rho_in[0] / rho_out[0] == pytest.approx(3.0, abs=1e-6)
 
 
@@ -364,4 +395,4 @@ def test_reversed_scale_factor_satisfies_constraints(eos):
 @pytest.mark.parametrize("variant, t_start", [("frw1", 0.0), ("frw2", 0.0), ("frw2", -15.0)])
 def test_frw_model_refuses_a_start_time_with_no_slice(variant, t_start, eos):
     with pytest.raises(NonPhysicalState, match=f"the {variant} chart has no slice"):
-        FrwModel(variant, eos, t_start)
+        make_model(variant, eos, t_start=t_start)

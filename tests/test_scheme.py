@@ -186,9 +186,10 @@ def test_advance_inverts_conserved_pairs_three_times(monkeypatch):
 
 def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
     """A step samples its Riemann fans at xi = 0 only, which needs no
-    rarefaction edge speed; the boundary stage evaluates the model once per
-    step for every model (both ghosts and the mass/metric boundary data of
-    a pure model, the left ghost and anchors of a matched one)."""
+    rarefaction edge speed; the boundary stage evaluates one model once per
+    step: a pure model for both ghosts and the mass/metric boundary data, a
+    matched model's FRW interior for the left ghost and anchors, never the
+    composite."""
     edge_reads = []
     edge_speeds = riemann.edge_speeds
 
@@ -199,16 +200,16 @@ def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
     for variant, kw in (("frw1", {}), ("tov", {}), ("frw1_tov", {"r0": 5.0})):
         state, eos = make_state(variant, n=64, **kw)
         evaluations = []
-        model_evaluate = state.model.evaluate
-
-        def spied_evaluate(*args):
-            evaluations.append(args)
-            return model_evaluate(*args)
-        monkeypatch.setattr(state.model, "evaluate", spied_evaluate)
+        boundary_model = getattr(state.model, "inner", state.model)
+        for model in {state.model, boundary_model}:
+            def spied_evaluate(*args, model=model, evaluate=model.evaluate):
+                evaluations.append(model)
+                return evaluate(*args)
+            monkeypatch.setattr(model, "evaluate", spied_evaluate)
         regions = set()
         for _ in range(5):
             regions.update(advance(state).regions.tolist())
-        assert len(evaluations) == 5, variant
+        assert evaluations == [boundary_model] * 5, variant
         assert edge_reads == [], variant
     assert regions >= {riemann.REGION_I, riemann.REGION_IV}   # the matched run
 
@@ -451,7 +452,18 @@ def test_rematch_timescale_constant_on_pure_tov():
 def test_rematch_matches_b0_at_start():
     state, eos = make_state("frw1_tov", n=128, r0=5.0)
     got = exterior_timescale(state, int(0.9 * state.n))
-    assert got == pytest.approx(state.model.data.b0, rel=1e-12)
+    assert got == pytest.approx(state.model.b0, rel=1e-12)
+
+
+@pytest.mark.parametrize("r_min", [5.0, 6.0])
+def test_init_refuses_a_matched_model_whose_r0_is_not_above_r_min(r_min):
+    """Only then would the left boundary, which a matched step samples from
+    the FRW interior, leave the interior."""
+    with pytest.raises(ValueError, match=f"r0 = 5.0 must lie above r_min = {r_min}"):
+        make_state("frw1_tov", n=64, r_min=r_min, r_max=9.0, r0=5.0)
+    with pytest.raises(ValueError, match="must lie above r_min"):
+        experiments.matched_run("frw1", 64, EosParams(), r_min=r_min, r_max=9.0,
+                                duration=0.01)
 
 
 def test_rematch_drifts_smoothly_on_forward_run():

@@ -1,9 +1,9 @@
 """The whole step, pinned: the final fields, step and chop counts and stop
-reasons of three short runs against a stored reference.
+reasons of four short runs against a stored reference.
 
-The reference holds a pure frw1 run, a matched frw1_tov run and a reversed
-frw1_tov run that chops cells after its boundary hit.  Regenerate it only
-for a deliberate change of the step's numbers, with
+The reference holds a pure frw1 run, matched frw1_tov and frw2_tov runs and
+a reversed frw1_tov run that chops cells after its boundary hit.
+Regenerate it only for a deliberate change of the step's numbers, with
 
     PYTHONPATH=src python tests/test_step_reference.py
 """
@@ -30,6 +30,8 @@ def reference_runs():
         "frw1": lambda: simulate_model(models.make_model("frw1", eos, t_start=15.0),
                                        grid, eos, 0.05),
         "frw1_tov": lambda: simulate_model(models.make_model("frw1_tov", eos, r0=5.0),
+                                           grid, eos, 0.05),
+        "frw2_tov": lambda: simulate_model(models.make_model("frw2_tov", eos, r0=5.0),
                                            grid, eos, 0.05),
         "reversed": lambda: reversed_collapse_run(128, eos, continue_chop=True),
     }
