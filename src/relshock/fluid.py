@@ -14,8 +14,8 @@ ones finish each formula in their outputs and a work array or two
 (augmented assignment, `out=`), in the operation order of the plain
 expression, so every bit is the same; their array arguments share one
 shape, and any of them may be a scalar.  Guards are min/max reductions,
-through which NaN propagates and fails; only a failed guard builds the
-masks that name the first bad entry.
+through which NaN propagates and fails, and a density of +inf fails too;
+only a failed guard builds the masks that name the first bad entry.
 """
 
 from __future__ import annotations
@@ -156,9 +156,10 @@ def fluid_arrays(u0, u1, eos: EosParams):
 
 
 def check_fluid(rho, v):
-    """Reject any entry without rho > 0 and |v| < 1 (NaN fails both)."""
-    if not (_least(rho) > 0.0 and _most(np.abs(v)) < 1.0):
+    """Reject any entry without 0 < rho < inf and |v| < 1 (NaN fails both)."""
+    if not (_least(rho) > 0.0 and _most(rho) < np.inf and _most(np.abs(v)) < 1.0):
         _require(rho > 0.0, "rho must be positive", rho=rho)
+        _require(rho < np.inf, "rho must be finite", rho=rho)
         _require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
 
 

@@ -1,12 +1,13 @@
 """Closed-form spacetimes in standard Schwarzschild coordinates.
 
 Covers the critical expanding-universe metric in its two coordinate images
-(here called FRW-1 and FRW-2, distinguished by the integrating factor used
-to diagonalize the time coordinate), the static isothermal-sphere metric
-(TOV), and the one-parameter continuous matching of the two across an
-initial fluid discontinuity, forward or time reversed.  A MatchedModel is
-an FrwModel inside r0, named by its psi0 (None for FRW-1), and the static
-sphere outside.
+(here called FRW-1 and FRW-2), the static isothermal-sphere metric (TOV),
+and the one-parameter continuous matching of the two across an initial
+fluid discontinuity, forward or time reversed.  The expanding universe's
+fields are one kernel of its comoving time; each image is a map from its
+own time coordinate to comoving time plus the integrating factor psi that
+diagonalizes it (psi = 1 in FRW-1).  A MatchedModel is an FrwModel inside
+r0, named by its psi0 (None for FRW-1), and the static sphere outside.
 
 Conventions: G = c = 1, kappa = 8*pi.  Radii, times and masses are all in
 the same (mass) unit.
@@ -47,6 +48,14 @@ def tov_exponent(eos: EosParams) -> float:
     return 4.0 * eos.sigma / (1.0 + eos.sigma)
 
 
+def _frw_fields(t, r, psi):
+    """(rho, v, A, B, M) of the expanding universe at comoving time t and
+    radius r under the integrating factor psi (1 in FRW-1)."""
+    v = r / (2.0 * t)
+    A = 1.0 - v * v
+    return 3.0 / (4.0 * KAPPA * t * t), v, A, 1.0 / (psi * psi * A), r * v * v / 2.0
+
+
 def frw1_state(t_bar, r_bar):
     """Expanding universe in the coordinates where light speed is exactly 1.
 
@@ -56,17 +65,11 @@ def frw1_state(t_bar, r_bar):
     """
     if t_bar == 0.0:
         raise NonPhysicalState("the FRW-1 chart has no slice at t = 0")
-    xi = np.asarray(r_bar, dtype=float) / t_bar
+    r = np.asarray(r_bar, dtype=float)
+    xi = r / t_bar
     if np.count_nonzero(np.abs(xi) >= 1.0):
         raise NonPhysicalState(f"|r/t| >= 1 on the requested slice (t={t_bar})")
-    small = np.abs(xi) < 1e-14
-    xi_safe = np.where(small, 1.0, xi)
-    v = np.where(small, 0.5 * xi, (1.0 - np.sqrt(1.0 - xi * xi)) / xi_safe)
-    rho = 3.0 * v * v / (KAPPA * np.asarray(r_bar) ** 2)
-    A = 1.0 - v * v
-    B = 1.0 / A
-    M = np.asarray(r_bar) * v * v / 2.0
-    return rho, v, A, B, M
+    return _frw_fields(t_bar * (1.0 + np.sqrt(1.0 - xi * xi)) / 2.0, r, 1.0)
 
 
 def frw2_frw_time(t_bar, r_bar, psi0: float):
@@ -85,15 +88,9 @@ def frw2_state(t_bar, r_bar, psi0: float):
     """Expanding universe under the dynamical integrating factor."""
     t = frw2_frw_time(t_bar, r_bar, psi0)
     r = np.asarray(r_bar, dtype=float)
-    v = r / (2.0 * t)
-    if np.count_nonzero(np.abs(v) >= 1.0):
+    if np.count_nonzero(np.abs(r / (2.0 * t)) >= 1.0):
         raise NonPhysicalState("fluid speed >= 1 on the requested slice")
-    rho = 3.0 / (4.0 * KAPPA * t * t)
-    psi = psi0 * np.sqrt(t / (4.0 * t * t + r * r))
-    A = 1.0 - v * v
-    B = 1.0 / (psi * psi * A)
-    M = r * v * v / 2.0
-    return rho, v, A, B, M
+    return _frw_fields(t, r, psi0 * np.sqrt(t / (4.0 * t * t + r * r)))
 
 
 def tov_state(r_bar, b0: float, eos: EosParams):

@@ -230,14 +230,17 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     """Solve the Riemann problem between each pair of neighbours in one 1-D
     row of cell states (rho, v); see :class:`RiemannGridSolution`.
 
-    Raises NonPhysicalState naming the first interface without rho > 0 and
-    |v| < 1 on both sides (NaN included), and RelshockError naming the
+    Raises NonPhysicalState naming the first interface without 0 < rho < inf
+    and |v| < 1 on both sides (NaN included), and RelshockError naming the
     first interface whose Newton solve does not converge.
     """
     rho, v = np.asarray(rho, dtype=float), np.asarray(v, dtype=float)
     sol = RiemannGridSolution(eos, rho, v)
-    if not (fluid._least(rho) > 0.0 and fluid._most(np.abs(v)) < 1.0):
+    if not (fluid._least(rho) > 0.0 and fluid._most(rho) < np.inf
+            and fluid._most(np.abs(v)) < 1.0):
         fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",
+                       rho_l=sol.rho_l, rho_r=sol.rho_r)
+        fluid._require((sol.rho_l < np.inf) & (sol.rho_r < np.inf), "rho must be finite",
                        rho_l=sol.rho_l, rho_r=sol.rho_r)
         fluid._require((np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0),
                        "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)

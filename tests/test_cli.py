@@ -6,9 +6,10 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from relshock import cli, models, scheme
+from relshock import cli, experiments, models, output, scheme
 from relshock.config import RunConfig
 from relshock.fluid import EosParams
 
@@ -39,6 +40,7 @@ def test_riemann_matches_golden_files(case, tmp_path):
     ("nan", "0.3", "rho must be positive"),
     ("1", "nan", r"\|v\| must be < 1"),
     ("1", "1", r"\|v\| must be < 1"),
+    ("inf", "0.3", "rho must be finite"),
 ])
 def test_riemann_rejects_nonphysical_input(rho_l, v_l, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -102,6 +104,33 @@ def test_converge_small_ladder_exits_zero(tmp_path):
     assert (tmp_path / "table.csv").is_file()
 
 
+@pytest.mark.parametrize("model", ["frw1_tov", "frw2_tov"])
+def test_converge_on_a_matched_model_compares_with_the_finest_level(model, tmp_path, capsys):
+    argv = ["converge", "--model", model, "--levels", "16..32", "--duration", "0.01",
+            "--outdir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "(reference: fine)" in capsys.readouterr().out
+    rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["16", "32"]
+
+
+@pytest.mark.parametrize("model", ["frw1", "frw2", "tov", "frw1_tov", "frw2_tov"])
+def test_emit_model_writes_the_model_slice(model, tmp_path):
+    """model.csv holds the bytes emit_plotdata writes for the model's fields
+    at t_start + at on count points from r_min to r_max."""
+    out = tmp_path / "out"
+    argv = ["emit-model", "--model", model, "--at", "0.5", "--count", "33",
+            "--outdir", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    m = models.make_model(model, EosParams(), r0=5.0 if model.endswith("_tov") else None)
+    t, r = m.t_start + 0.5, np.linspace(3.0, 7.0, 33)
+    rho, v, A, B, M = m.evaluate(t, r)
+    want = output.emit_plotdata(
+        experiments.ProfileSlice(t=t, x=r, xe=r, rho=rho, v=v, A=A, B=B, M=M),
+        str(tmp_path / "want.csv"))
+    assert (out / "model.csv").read_bytes() == pathlib.Path(want).read_bytes()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = frw1\nnn = 3\n")
@@ -146,14 +175,22 @@ def test_converge_rejects_malformed_levels(levels, message, tmp_path, capsys):
     (["simulate", "--model", "frw1", "--t-start", "nan"], "t_start must be finite, got nan"),
     (["simulate", "--eps", "1e-16"], "eps must be positive and at least 1e-14, got 1e-16"),
     (["reverse", "--eps", "1e-17"], "eps must be positive and at least 1e-14, got 1e-17"),
+    (["simulate", "--model", "frw3"],
+     "model must be one of ('frw1', 'frw2', 'tov', 'frw1_tov', 'frw2_tov'), got 'frw3'"),
+    (["simulate", "--r-min", "7", "--r-max", "7"], "r_min must be below r_max"),
+    (["simulate", "--r0", "7"], "r0 must lie inside (3.0, 7.0), got 7.0"),
+    (["simulate", "--duration", "0"], "duration must be positive"),
 ], ids=["simulate-snapshots", "reverse-min-cells", "simulate-duration-nan",
         "simulate-duration-inf", "simulate-eps-inf", "simulate-eps-nan", "simulate-r-max-inf",
-        "simulate-t-start-nan", "simulate-eps-small", "reverse-eps-small"])
+        "simulate-t-start-nan", "simulate-eps-small", "reverse-eps-small",
+        "simulate-model-unknown", "simulate-empty-domain", "simulate-r0-at-r-max",
+        "simulate-duration-zero"])
 def test_invalid_counts_exit_two(argv, message, tmp_path, capsys):
     """A negative snapshot count, a chopping floor below 8 cells, a
-    non-finite number or an eps below 1e-14, which the Newton residual
-    cannot reach (such runs used to exit 4), is a configuration error,
-    refused before anything runs or is written."""
+    non-finite number, an eps below 1e-14, which the Newton residual
+    cannot reach (such runs used to exit 4), an unknown model, an empty
+    domain, an r0 outside it or a duration that is not positive is a
+    configuration error, refused before anything runs or is written."""
     out = tmp_path / "out"
     assert cli.main(argv + ["--n", "64", "--outdir", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err

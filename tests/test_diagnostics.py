@@ -1,5 +1,7 @@
 """Diagnostics over recorded runs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,29 @@ def test_detectors_return_none_without_a_border():
     assert diagnostics.detect_frw_border(tov) is None
     assert diagnostics.detect_tov_border(tov) is None
     assert diagnostics.detect_frw_border(initial_state("frw1", t_start=15.0)) is None
+
+
+def tv_state(t, bump):
+    """A state whose u0 has total variation 2*bump over its interior cells
+    and whose u1 is flat."""
+    return SimpleNamespace(t=t, u0=np.array([0.0, 0.0, bump, 0.0, 0.0]), u1=np.zeros(5))
+
+
+def test_tv_monitor_alarms_past_its_factor_times_the_first_variation():
+    tv = diagnostics.TVMonitor()
+    tv.on_start(tv_state(0.0, 1.0))
+    tv(tv_state(1.0, diagnostics.TV_ALARM_FACTOR))       # at the factor: no alarm
+    assert not tv.alarmed
+    tv(tv_state(2.0, 1.001 * diagnostics.TV_ALARM_FACTOR))
+    assert tv.alarmed and tv.history[0][1:] == (2.0, 0.0)
+
+
+@pytest.mark.parametrize("bump", [0.0, 1e300])
+def test_tv_monitor_never_alarms_on_its_first_record(bump):
+    """The first record sets the scale, whatever it is; from a flat start
+    any later variation alarms."""
+    tv = diagnostics.TVMonitor()
+    tv.on_start(tv_state(0.0, bump))
+    assert not tv.alarmed
+    tv(tv_state(1.0, 1e-10))
+    assert tv.alarmed == (bump == 0.0)

@@ -1,5 +1,8 @@
 """Experiment functions called directly, without the command line."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from relshock import diagnostics, experiments, models, scheme
@@ -89,3 +92,19 @@ def test_ladder_refuses_an_unknown_reference(eos):
 
     with pytest.raises(ValueError, match="reference must be 'model' or 'fine', got 'mode'"):
         experiments.ladder(make_model, [16, 32], eos, 3.0, 7.0, 0.01, reference="mode")
+
+
+def test_a_run_at_max_steps_stops_and_ends_its_snapshots_with_its_last_state(monkeypatch, eos):
+    """A run that reaches MAX_STEPS before its end time stops with
+    "max_steps", and its snapshot list ends with the slice it stopped at."""
+    monkeypatch.setattr(experiments, "MAX_STEPS", 3)
+    model = models.make_model("frw1", eos)
+    arts = experiments.simulate_model(model, scheme.SimGrid(3.0, 7.0, 32), eos, 1.0,
+                                      snapshots=5)
+    assert (arts.log.steps, arts.log.stop_reason) == (3, "max_steps")
+    assert model.t_start < arts.state.t < model.t_start + 1.0
+    first, last = arts.snapshots
+    assert first.t == model.t_start
+    want = experiments.ProfileSlice.from_state(arts.state)
+    for f in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(last, f.name), getattr(want, f.name))

@@ -78,6 +78,8 @@ def test_check_fluid_rejects_nan_and_names_the_index():
         check_fluid(np.array([1.0, np.nan]), np.array([0.0, 0.0]))
     with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at index 0"):
         check_fluid(np.array([1.0, 1.0]), np.array([np.nan, 0.0]))
+    with pytest.raises(NonPhysicalState, match="rho must be finite at index 1"):
+        check_fluid(np.array([1.0, np.inf]), np.array([0.0, 0.0]))
 
 
 @pytest.mark.parametrize("rho, v, message", [
@@ -87,6 +89,7 @@ def test_check_fluid_rejects_nan_and_names_the_index():
     (1.0, 1.0, "|v| must be < 1 at index 0 (v=1.000000e+00)"),
     (1.0, -1.5, "|v| must be < 1 at index 0 (v=-1.500000e+00)"),
     (1.0, np.nan, "|v| must be < 1 at index 0 (v=nan)"),
+    (np.inf, 0.1, "rho must be finite at index 0 (rho=inf)"),
 ])
 def test_check_fluid_on_python_scalars(rho, v, message):
     """Plain floats go through the same single mask and, on failure, the

@@ -144,6 +144,8 @@ BAD_FLUID = {
     "v <= -1": ([1.0, 1.0, 1.0], [0.0, 0.5, -1.0]),
     "nan rho": ([1.0, np.nan, 1.0], [0.0, 0.0, 0.0]),
     "nan v": ([1.0, 1.0, 1.0], [0.0, 0.0, np.nan]),
+    "inf rho": ([1.0, np.inf, 1.0], [0.0, 0.0, 0.0]),
+    "inf rho after |v| >= 1": ([1.0, 1.0, np.inf], [0.0, 1.0, 0.0]),
     "both": ([1.0, 1.0, -1.0], [0.0, 1.0, 0.0]),
 }
 

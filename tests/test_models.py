@@ -1,5 +1,8 @@
 """Closed-form spacetime models and matching constants."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,6 +74,30 @@ def test_frw1_reversed_time_flips_velocity():
     assert v_r[0] == pytest.approx(-v_f[0], rel=1e-14)
     assert rho_r[0] == pytest.approx(rho_f[0], rel=1e-14)
     assert A_r[0] == pytest.approx(A_f[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [15.0, -5.5, 0.3])
+def test_frw1_exact_to_rounding_down_to_the_centre(t):
+    """v = (1 - sqrt(1 - xi^2))/xi and rho = 3 v^2/(kappa r^2) agree with a
+    50-digit evaluation for |xi| = |r/t| from 1e-13 to 0.999; that form of v
+    cancels at small xi, which frw1_state must not inherit."""
+    r = abs(t) * np.geomspace(1e-13, 0.999, 80)
+    rho, v, _, _, _ = frw1_state(t, r)
+    with mpmath.workdps(50):
+        for r_i, rho_i, v_i in zip(r, rho, v):
+            xi = mpmath.mpf(r_i) / t
+            v_exact = (1 - mpmath.sqrt(1 - xi * xi)) / xi
+            rho_exact = 3 * v_exact**2 / (8 * mpmath.pi * mpmath.mpf(r_i) ** 2)
+            assert abs((v_i - v_exact) / v_exact) <= 1e-14
+            assert abs((rho_i - rho_exact) / rho_exact) <= 1e-14
+
+
+def test_frw1_density_finite_at_the_centre():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, v, A, B, M = frw1_state(15.0, np.array([0.0, 1.0]))
+    assert np.all(np.isfinite(rho)) and rho[0] == pytest.approx(3.0 / (4.0 * KAPPA * 15.0**2))
+    assert (v[0], A[0], B[0], M[0]) == (0.0, 1.0, 1.0, 0.0)
 
 
 # --- expanding universe, dynamical integrating factor ---------------------
@@ -396,3 +423,11 @@ def test_reversed_scale_factor_satisfies_constraints(eos):
 def test_frw_model_refuses_a_start_time_with_no_slice(variant, t_start, eos):
     with pytest.raises(NonPhysicalState, match=f"the {variant} chart has no slice"):
         make_model(variant, eos, t_start=t_start)
+
+
+def test_matched_model_refuses_a_non_positive_r0_and_an_unknown_variant(eos):
+    for r0 in (0.0, -5.0):
+        with pytest.raises(NonPhysicalState, match="r0 must be positive"):
+            MatchedModel("frw1", r0, eos)
+    with pytest.raises(ValueError, match="variant must be 'frw1' or 'frw2', got 'frw3'"):
+        MatchedModel("frw3", 5.0, eos)
