@@ -20,13 +20,14 @@ equation in u1, from u1 = delta/2 - m/a, m = (dr + ds)/2, as p <= -a*u/2.
 Everything is vectorized: :func:`solve_interfaces` takes a row of k + 1
 cell states and returns a :class:`RiemannGridSolution` holding the middle
 states of the k interfaces between neighbours and the strength and speed
-of each shock leg; each cell is guarded and mapped to (r, s) once.  A
-smooth row, every interface a pair of rarefactions, stops after the
-classification: it has no leg to solve and its middle states are the
-invariants it carries.  Otherwise one Newton loop solves every shock leg of
-the row, the single shocks of regions I and III on the pure curve and the
-two-shock pairs of region II coupled, with one curve evaluation per
-iterate; each unknown is frozen at its first iterate with |residual| <
+of each shock leg; the row and its middle states pass the one physicality
+check, :func:`relshock.fluid.check_fluid`, and each cell is mapped to
+(r, s) once.  A smooth row, every interface a pair of rarefactions, stops
+after the classification: it has no leg to solve and its middle states are
+the invariants it carries.  Otherwise one Newton loop solves every shock
+leg of the row, the single shocks of regions I and III on the pure curve
+and the two-shock pairs of region II coupled, with one curve evaluation
+per iterate; each unknown is frozen at its first iterate with |residual| <
 eps, so an interface solves to the same bits alone or in any row, and the
 middle states and strengths come from the curve values of that iterate.
 :func:`edge_speeds` derives the four wave-edge speeds from a solution, and
@@ -44,7 +45,7 @@ import functools
 import numpy as np
 
 from . import fluid
-from .errors import RelshockError
+from .errors import NonPhysicalState, RelshockError
 from .fluid import EosParams
 
 __all__ = [
@@ -230,20 +231,15 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     """Solve the Riemann problem between each pair of neighbours in one 1-D
     row of cell states (rho, v); see :class:`RiemannGridSolution`.
 
-    Raises NonPhysicalState naming the first interface without 0 < rho < inf
-    and |v| < 1 on both sides (NaN included), and RelshockError naming the
-    first interface whose Newton solve does not converge.
+    Raises NonPhysicalState, as check_fluid does, at the first bad cell of
+    the row and at the first interface whose middle state is not physical
+    (a density ratio of 1e36 at rest rounds v to 1), and RelshockError at
+    the first interface whose Newton solve does not converge; the interface
+    errors show both sides.
     """
     rho, v = np.asarray(rho, dtype=float), np.asarray(v, dtype=float)
+    fluid.check_fluid(rho, v)
     sol = RiemannGridSolution(eos, rho, v)
-    if not (fluid._least(rho) > 0.0 and fluid._most(rho) < np.inf
-            and fluid._most(np.abs(v)) < 1.0):
-        fluid._require((sol.rho_l > 0.0) & (sol.rho_r > 0.0), "rho must be positive",
-                       rho_l=sol.rho_l, rho_r=sol.rho_r)
-        fluid._require((sol.rho_l < np.inf) & (sol.rho_r < np.inf), "rho must be finite",
-                       rho_l=sol.rho_l, rho_r=sol.rho_r)
-        fluid._require((np.abs(sol.v_l) < 1.0) & (np.abs(sol.v_r) < 1.0),
-                       "|v| must be < 1", v_l=sol.v_l, v_r=sol.v_r)
     r, s = fluid.invariant_arrays(rho, v, eos)
     rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
     dr, ds = rR - rL, sR - sL
@@ -256,7 +252,7 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
         sol.leg_speed = sol.leg_beta = np.zeros(0)
         sol.r_mid, sol.s_mid = rR, sL
         sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(rR, sL, eos)
-        return sol
+        return _checked_middle(sol)
 
     # The (-,-) quadrant is a superset of the two-shock region: the slivers
     # between each shock curve and the axes belong to regions I and III.  A
@@ -286,11 +282,8 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     p_plus, p_minus, h = _solve_legs(np.concatenate((dr[w1], ds[w2])), m, n2, eos, eps)
     if not fluid._most(h) < np.inf:     # NaN marks an unconverged leg
         k = int(np.concatenate((w1, w2))[np.isnan(h)].min())
-        raise RelshockError(
-            f"Riemann Newton solve did not converge at interface {k}: "
-            f"(dr, ds) = ({dr[k]:.6e}, {ds[k]:.6e}), left (rho, v) = "
-            f"({sol.rho_l[k]:.6e}, {sol.v_l[k]:.6e}), right (rho, v) = "
-            f"({sol.rho_r[k]:.6e}, {sol.v_r[k]:.6e})", index=k)
+        raise RelshockError(f"Riemann Newton solve did not converge at interface {k}: "
+                            f"(dr, ds) = ({dr[k]:.6e}, {ds[k]:.6e}), {_sides(sol, k)}", index=k)
 
     # Middle state: rarefaction legs keep the invariant they carry (r from
     # the right, s from the left); shock legs add their curve displacement
@@ -304,6 +297,24 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     sol.r_mid, sol.s_mid = r_mid, s_mid
     sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(r_mid, s_mid, eos)
     sol.leg_speed = _shock_speeds(sol)
+    return _checked_middle(sol)
+
+
+def _sides(sol: RiemannGridSolution, k: int) -> str:
+    return (f"left (rho, v) = ({sol.rho_l[k]:.6e}, {sol.v_l[k]:.6e}), "
+            f"right (rho, v) = ({sol.rho_r[k]:.6e}, {sol.v_r[k]:.6e})")
+
+
+def _checked_middle(sol: RiemannGridSolution):
+    """The solution, once its middle states pass check_fluid; else
+    NonPhysicalState at the interface check_fluid names, with both sides."""
+    try:
+        fluid.check_fluid(sol.rho_mid, sol.v_mid)
+    except NonPhysicalState as err:
+        k = err.index
+        what = str(err).replace(f"at index {k}", f"at interface {k}")
+        raise NonPhysicalState(f"Riemann middle state: {what}, {_sides(sol, k)}",
+                               index=k) from None
     return sol
 
 

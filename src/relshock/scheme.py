@@ -9,10 +9,10 @@ each cell, one explicit source increment (ODE), and the mass/metric
 integration up from the left boundary (update).  The Godunov stage is in
 flux form: it takes the flux (T01, T11) of each interface's zero-speed
 Riemann state and of each cell's own (rho, v).  Before the update, the
-boundary stage takes the exact model outside the interaction region in one
-evaluation: both ghost cells, the update's left anchors and the last
-edge's (A, B).  A matched model's static exterior is rematched after the
-update, from the integrated B.
+boundary stage takes the exact model outside the interaction region, one
+evaluation per boundary point: both ghost cells, the update's left anchors
+and the last edge's (A, B).  A matched model's static exterior is rematched
+after the update, from the integrated B.
 
 This module is the stepper only: the grid, the state, the stage kernels,
 :func:`init`, :func:`advance` and :func:`chop_right`.  How a run is
@@ -124,6 +124,9 @@ def init(model, grid: SimGrid, eos: EosParams, eps: float = 1e-10) -> SimState:
     if matched and not model.r0 > grid.r_min:
         raise ValueError(f"r0 = {model.r0} must lie above r_min = {grid.r_min}: "
                          "the left boundary is sampled from the FRW interior")
+    if matched and not model.r0 < grid.r_max:
+        raise ValueError(f"r0 = {model.r0} must lie below r_max = {grid.r_max}: "
+                         "the right boundary is the static exterior")
     rho, v, _, _, _ = model.evaluate(t0, x)
     _, _, A, B, M = model.evaluate(t0, xe)
     rho = np.asarray(rho, dtype=float).copy()
@@ -222,41 +225,39 @@ def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
 @contextmanager
 def _naming_cells(t: float, first: int | None):
     """Restate a kernel's error at entry k (any RelshockError with an
-    `index`) as one at cell first + k, ghosts counted (interfaces,
-    first=None: cells k and k + 1), and time t."""
+    `index`) as one at cell first + k, ghosts counted, and time t; one at
+    interface k, or with first=None (midpoints), at cells k and k + 1."""
     try:
         yield
     except RelshockError as err:
         if err.index is None:
             raise
-        k = err.index
-        where = f"cells {k} and {k + 1}" if first is None else f"cell {first + k}"
-        at = f"at {where}, t={t:.9g}"
+        k, when = err.index, f", t={t:.9g}"
+        pair = f"at cells {k} and {k + 1}{when}"
+        at = pair if first is None else f"at cell {first + k}{when}"
         raise type(err)(
-            str(err).replace(f"at index {k}", at).replace(f"at interface {k}", at)) from err
+            str(err).replace(f"at index {k}", at).replace(f"at interface {k}", pair)) from err
 
 
 def _refresh_boundaries(state: SimState, t_new: float):
     """Boundary stage: set both ghost cells and return the boundary data of
     the update, left = the model's (A, B, M) at xe_0 and right = the last
-    edge's (A, B).  One model evaluation at (x_0, xe_0), plus (x_{n+1}, xe_n)
-    for a pure model whose grid has not been chopped; a matched exterior or
-    a chopped boundary keeps its right ghost and last-edge values.  A
-    matched model's left boundary lies inside r0 (`init` refuses r0 <=
-    r_min), so only its FRW interior is evaluated."""
+    edge's (A, B).  One model evaluation per boundary point, at x_0 and
+    xe_0, plus x_{n+1} and xe_n for a pure model whose grid has not been
+    chopped; a matched exterior or a chopped boundary keeps its right ghost
+    and last-edge values.  A matched model's left boundary lies inside r0
+    (`init` refuses r0 <= r_min), so only its FRW interior is evaluated."""
     model = state.model if state.bt is None else state.model.inner
-    tracks_right = not state.right_frozen and state.bt is None
-    r = [state.x[0], state.xe[0]] + ([state.x[-1], state.xe[-1]] if tracks_right else [])
-    rho, v, a, b, m = model.evaluate(t_new, np.array(r))
-    state.rho[0], state.v[0] = rho[0], v[0]
+    state.rho[0], state.v[0] = model.evaluate(t_new, float(state.x[0]))[:2]
+    left = model.evaluate(t_new, float(state.xe[0]))[2:]
     right = state.A[-1], state.B[-1]
-    if tracks_right:
-        state.rho[-1], state.v[-1] = rho[2], v[2]
-        right = a[3], b[3]
-    ends = [0, -1]
-    state.u0[ends], state.u1[ends] = fluid.conserved_arrays(
-        state.rho[ends], state.v[ends], state.eos)
-    return (a[1], b[1], m[1]), right
+    if not state.right_frozen and state.bt is None:
+        state.rho[-1], state.v[-1] = model.evaluate(t_new, float(state.x[-1]))[:2]
+        right = model.evaluate(t_new, float(state.xe[-1]))[2:4]
+    for end in (0, -1):
+        state.u0[end], state.u1[end] = fluid.conserved_arrays(
+            state.rho[end], state.v[end], state.eos)
+    return left, right
 
 
 def update_mass_metric(state: SimState, t_new: float, left, right):
@@ -315,8 +316,7 @@ def _rematch_exterior(state: SimState) -> None:
         # a detected border cell lies in 1..n, so its left edge k exists
         k = border[1] - 1
         state.bt = float(state.B[k] * state.xe[k] ** (-models.tov_exponent(state.eos)))
-    _, _, a, b, _ = models.tov_state(state.xe[-1:], state.bt, state.eos)
-    state.A[-1], state.B[-1] = a[0], b[0]
+    state.A[-1], state.B[-1] = models.tov_state(float(state.xe[-1]), state.bt, state.eos)[2:4]
 
 
 def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
@@ -331,7 +331,7 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
 
     # Riemann step: one exact solution per interface, frozen cell metric;
     # the Godunov step needs only the flux of its zero-speed state.
-    with _naming_cells(state.t, None):
+    with _naming_cells(state.t, 0):
         sol = riemann.solve_interfaces(state.rho, state.v, eos, state.eps)
     rho_star, v_star = riemann.sample_solution(sol, 0.0)
     t01_star = fluid.conserved_arrays(rho_star, v_star, eos)[1]

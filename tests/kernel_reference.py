@@ -55,20 +55,6 @@ def check_fluid(rho, v):
         fluid._require(np.abs(v) < 1.0, "|v| must be < 1", v=v)
 
 
-def check_interfaces(rho_l, v_l, rho_r, v_r):
-    """The per-interface physicality guard: `riemann.solve_interfaces` must
-    refuse a row exactly as this refuses its interfaces' two sides."""
-    ok = ((np.minimum(rho_l, rho_r) > 0.0) & (np.maximum(rho_l, rho_r) < np.inf)
-          & (np.maximum(np.abs(v_l), np.abs(v_r)) < 1.0))
-    if np.count_nonzero(ok) != ok.size:
-        fluid._require((rho_l > 0.0) & (rho_r > 0.0), "rho must be positive",
-                       rho_l=rho_l, rho_r=rho_r)
-        fluid._require((rho_l < np.inf) & (rho_r < np.inf), "rho must be finite",
-                       rho_l=rho_l, rho_r=rho_r)
-        fluid._require((np.abs(v_l) < 1.0) & (np.abs(v_r) < 1.0),
-                       "|v| must be < 1", v_l=v_l, v_r=v_r)
-
-
 def light_speed(A, B):
     return np.sqrt(A * B)
 

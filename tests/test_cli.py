@@ -49,6 +49,17 @@ def test_riemann_rejects_nonphysical_input(rho_l, v_l, message, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho_l, rho_r, v_mid", [("1e20", "1e-20", "1"), ("1e-20", "1e20", "-1")])
+def test_riemann_rejects_a_middle_state_at_light_speed(rho_l, rho_r, v_mid, tmp_path, capsys):
+    """Both sides are physical, but a density ratio of 1e40 at rest rounds
+    the middle velocity to +-1: exit 4 naming the interface, nothing written."""
+    out = tmp_path / "out"
+    assert cli.main(riemann_argv(out, rho_l, "0", rho_r, "0")) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert re.search(rf"middle state: \|v\| must be < 1 at interface 0 \(v={v_mid}\.0+e\+00\)", err)
+    assert not out.exists()
+
+
 def test_simulate_small_grid_exits_zero(tmp_path):
     argv = ["simulate", "--model", "frw1_tov", "--n", "128", "--duration", "0.02",
             "--outdir", str(tmp_path)]

@@ -54,6 +54,34 @@ def test_slice_errors_vanish_on_the_sampled_initial_slice(variant, eos):
                                     keep=lambda r: r > 7.5) == zero
 
 
+@pytest.mark.parametrize("variant, t_start, r_min, r_max, ns", [
+    ("frw1", 15.0, 3.0, 7.0, (64, 128, 256, 512)),
+    ("frw2", 15.0, 3.0, 7.0, (64, 128, 256, 512)),
+    ("tov", None, 3.0, 7.0, (64, 128, 256, 512)),
+    # reversed: the chart ends at r = |t|; its 64 -> 128 v rate is 0.91
+    ("frw1", -5.5, 0.1, 2.5, (128, 256, 512)),
+])
+def test_pure_models_converge_at_first_order(variant, t_start, r_min, r_max, ns, eos):
+    """The paper's first claim: against the closed form, every error of rho,
+    v, A and B halves per doubling of n (each rate in [0.9, 1.2])."""
+    result = experiments.ladder(lambda: models.make_model(variant, eos, t_start=t_start),
+                                ns, eos, r_min, r_max, 0.5, reference="model")
+    for name in experiments.FIELDS:
+        rates = result["rates"][name]
+        assert all(0.9 <= rate <= 1.2 for rate in rates), (name, rates)
+
+
+def test_reversed_collapse_raises_the_black_hole_number(eos):
+    """The backward claim's direction: run back to its boundary hit, the
+    collapse raises max 2M/r from its start value (3/7) past 0.8, and it
+    stays below 1 (no horizon).  Its converged value is still open."""
+    arts = experiments.reversed_collapse_run(128, eos)
+    assert arts.log.stop_reason == "boundary_hit"
+    mu = [row[1] for row in arts.mu.history]
+    assert mu[0] == pytest.approx(3.0 / 7.0, abs=1e-3)
+    assert 0.8 < max(mu) < 1.0
+
+
 def test_run_log_dates_the_first_boundary_hit(eos):
     """A reversed run of the benchmark's size (n = 256 on [0.1, 20]) records
     the end of the step that first reached the boundary, before the chops

@@ -173,9 +173,9 @@ def test_fluid_refusals_name_the_same_entry(case):
     assert outcome(fluid.check_fluid, rho[old[2]], v[old[2]])[:2] == \
         outcome(ref.check_fluid, rho[old[2]], v[old[2]])[:2]
     # the same entries in a row of cells, after and before a good cell: the
-    # row solve names the interface and sides the per-interface guard names
+    # row solve refuses the row as check_fluid does, naming the same cell
     for row in ((np.r_[1.0, rho], np.r_[0.0, v]), (np.r_[rho, 1.0], np.r_[v, 0.0])):
-        old = outcome(ref.check_interfaces, row[0][:-1], row[1][:-1], row[0][1:], row[1][1:])
+        old = outcome(ref.check_fluid, *row)
         assert old[0] is NonPhysicalState
         assert outcome(riemann.solve_interfaces, *row, EosParams()) == old
 

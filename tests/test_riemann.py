@@ -593,11 +593,45 @@ def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
     assert called == [], called
 
 
-def test_nonphysical_input_names_first_bad_interface(eos):
-    with pytest.raises(NonPhysicalState, match=r"rho must be positive at index 0 .*rho_r=nan"):
+def test_nonphysical_input_names_first_bad_cell(eos):
+    """The row passes fluid.check_fluid, which names the cell."""
+    with pytest.raises(NonPhysicalState, match=r"rho must be positive at index 1 \(rho=nan\)"):
         solve_interfaces([1, np.nan, 1], [0.1, 0.1, 0.2], eos)
-    with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at index 1 "):
+    with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at index 2 \(v=nan\)"):
         solve_interfaces([1, 2, 1], [0.1, 0.1, np.nan], eos)
+
+
+@pytest.mark.parametrize("ratio", [1e36, 1e40])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_a_middle_state_at_light_speed_names_its_interface(ratio, mirror, eos):
+    """A density jump this large at rest rounds the middle velocity to +1
+    (dense side left, region I) or, mirrored, to -1 (region III); the solve
+    refuses it at that interface with both sides instead of returning it."""
+    pair, v_mid, region = ([1.0, ratio], -1.0, REGION_III) if mirror else \
+        ([ratio, 1.0], 1.0, REGION_I)
+    with pytest.raises(NonPhysicalState) as info:
+        solve_interfaces(np.repeat(pair, 2), np.zeros(4), eos)
+    assert info.value.index == 1
+    assert str(info.value) == (
+        f"Riemann middle state: |v| must be < 1 at interface 1 (v={v_mid:.6e}), "
+        f"left (rho, v) = ({pair[0]:.6e}, {0.0:.6e}), "
+        f"right (rho, v) = ({pair[1]:.6e}, {0.0:.6e})")
+    # a jump of 1e30 still resolves |v| < 1, in the same region
+    sol = solve_interfaces(np.array(pair) ** (30.0 / np.log10(ratio)), [0.0, 0.0], eos)
+    assert sol.region[0] == region and 0.0 < v_mid * sol.v_mid[0] < 1.0
+
+
+def test_a_smooth_row_refuses_a_middle_state_outside_the_physical_region(eos):
+    """The smooth-row exit is guarded too: two rarefactions into vacuum
+    underflow the middle density to 0, and a uniform row at the largest
+    speed below 1 rounds the middle velocity to 1."""
+    v = np.nextafter(1.0, 0.0)
+    with pytest.raises(NonPhysicalState, match=r"^Riemann middle state: rho must be "
+                       r"positive at interface 0 \(rho=0\.0+e\+00\), left"):
+        solve_interfaces([1e-307, 1e-307], [-v, v], eos)
+    with pytest.raises(NonPhysicalState, match=r"^Riemann middle state: \|v\| must be "
+                       r"< 1 at interface 0 \(v=1\.0+e\+00\), left"):
+        solve_interfaces([1.0, 1.0], [v, v], eos)
 
 
 def test_newton_failure_names_interface_and_states(eos, monkeypatch):

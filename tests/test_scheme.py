@@ -187,9 +187,9 @@ def test_advance_inverts_conserved_pairs_three_times(monkeypatch):
 def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
     """A step samples its Riemann fans at xi = 0 only, which needs no
     rarefaction edge speed; the boundary stage evaluates one model once per
-    step: a pure model for both ghosts and the mass/metric boundary data, a
-    matched model's FRW interior for the left ghost and anchors, never the
-    composite."""
+    boundary point, at a float radius: a pure model at both ghosts and both
+    end edges (the left ones after a chop), a matched model's FRW interior
+    at the left ghost and edge, never the composite."""
     edge_reads = []
     edge_speeds = riemann.edge_speeds
 
@@ -202,15 +202,22 @@ def test_advance_reads_no_edge_speed_and_evaluates_the_model_once(monkeypatch):
         evaluations = []
         boundary_model = getattr(state.model, "inner", state.model)
         for model in {state.model, boundary_model}:
-            def spied_evaluate(*args, model=model, evaluate=model.evaluate):
-                evaluations.append(model)
-                return evaluate(*args)
+            def spied_evaluate(t, r, model=model, evaluate=model.evaluate):
+                evaluations.append((model, type(r), r))
+                return evaluate(t, r)
             monkeypatch.setattr(model, "evaluate", spied_evaluate)
         regions = set()
         for _ in range(5):
             regions.update(advance(state).regions.tolist())
-        assert evaluations == [boundary_model] * 5, variant
+        left = [state.x[0], state.xe[0]]
+        points = left if variant == "frw1_tov" else left + [state.x[-1], state.xe[-1]]
+        assert evaluations == [(boundary_model, float, r) for r in points] * 5, variant
         assert edge_reads == [], variant
+        if variant == "frw1":
+            assert chop_right(state, 8)
+            evaluations.clear()
+            advance(state)
+            assert evaluations == [(boundary_model, float, r) for r in left]
     assert regions >= {riemann.REGION_I, riemann.REGION_IV}   # the matched run
 
     composed = []
@@ -341,9 +348,16 @@ def test_advance_rejects_the_state_it_makes(monkeypatch):
 
 
 def test_advance_names_the_cells_of_a_bad_interface():
+    """A bad cell of the Riemann row is named as that cell; a bad middle
+    state at interface k names cells k and k + 1."""
     state, _ = make_state("frw1", n=64, t_start=15.0)
     state.v[5] = np.nan
-    with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at cells 4 and 5, t=15 "):
+    with pytest.raises(NonPhysicalState, match=r"\|v\| must be < 1 at cell 5, t=15 "):
+        advance(state)
+    state, _ = make_state("frw1", n=64, t_start=15.0)
+    state.rho[5] *= 1e40      # its middle states reach |v| = 1 on both sides
+    with pytest.raises(NonPhysicalState, match=r"^Riemann middle state: \|v\| must be < 1 "
+                       r"at cells 4 and 5, t=15 \(v=-1\.0+e\+00\), left \(rho, v\)"):
         advance(state)
 
 
@@ -466,6 +480,18 @@ def test_init_refuses_a_matched_model_whose_r0_is_not_above_r_min(r_min):
                                 duration=0.01)
 
 
+@pytest.mark.parametrize("r_max", [5.0, 4.0])
+def test_init_refuses_a_matched_model_whose_r0_is_not_below_r_max(r_max, eos):
+    """Else the static exterior's A would be forced onto the last edge, next
+    to the FRW interior's."""
+    with pytest.raises(ValueError, match=f"r0 = 5.0 must lie below r_max = {r_max}"):
+        make_state("frw1_tov", n=64, r_min=3.0, r_max=r_max, r0=5.0)
+    with pytest.raises(ValueError, match="must lie below r_max = 7.0"):
+        experiments.matched_run("frw1", 64, eos, r0=8.0, duration=0.01)
+    with pytest.raises(ValueError, match="must lie below r_max = 20.0"):
+        experiments.reversed_collapse_run(64, eos, r0=25.0)
+
+
 def test_rematch_drifts_smoothly_on_forward_run():
     state, eos = make_state("frw1_tov", n=256, r0=5.0)
     bts = [state.bt]
@@ -553,7 +579,7 @@ def test_report_regions():
 
 def test_newton_failure_in_a_step_names_its_cells_and_time(monkeypatch):
     """A Riemann Newton failure inside a matched step names the two cells
-    of its interface and the time, as the guard failures of a step do."""
+    of its interface and the time, as a bad middle state does."""
     state, eos = make_state("frw1_tov", n=64, r0=5.0)
     monkeypatch.setattr(riemann, "_MAX_NEWTON", 1)
     with pytest.raises(RelshockError) as info:
