@@ -146,9 +146,10 @@ def cmd_emit_model(args) -> int:
 
 
 def _manifest_payload(cfg: RunConfig, arts) -> dict:
-    # a key only other models read is left out; t_start is the start the run used
+    # a key only other models read is left out; t_start is the run's own start
     config = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)
               if f.name == "t_start" or cfg.model in _MODEL_KEYS.get(f.name, (cfg.model,))}
+    config["t_start"] = arts.state.model.t_start
     payload = {
         "config": config,
         "steps": arts.log.steps,
@@ -182,7 +183,6 @@ def _manifest_payload(cfg: RunConfig, arts) -> dict:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     model, eos = _make_model(cfg)
-    cfg.t_start = model.t_start   # tov and the matched models fix their own
     grid = scheme.SimGrid(cfg.r_min, cfg.r_max, cfg.n)
     _start_slice(cfg, model, model.t_start, grid.centers_with_ghosts())
     cones = diagnostics.ConeTracker(model.r0) if cfg.track_cones else None
@@ -248,7 +248,7 @@ def cmd_reverse(args) -> int:
         continue_chop=args.continue_chop, min_cells=cfg.min_cells, eps=cfg.eps,
     )
     # it marches until its boundary stop: record the span it covered
-    cfg.t_start, cfg.duration = model.t_start, arts.state.t - model.t_start
+    cfg.duration = arts.state.t - model.t_start
     output.emit_plotdata(experiments.ProfileSlice.from_state(arts.state),
                          os.path.join(cfg.outdir, "final.csv"))
     output.emit_manifest(_manifest_payload(cfg, arts),

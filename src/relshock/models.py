@@ -9,6 +9,10 @@ own time coordinate to comoving time plus the integrating factor psi that
 diagonalizes it (psi = 1 in FRW-1).  A MatchedModel is an FrwModel inside
 r0, named by its psi0 (None for FRW-1), and the static sphere outside.
 
+A chart kernel is one formula for a scalar time and a radius that is a
+float (its guards and fields are then scalars, no 0-d array) or a float
+array; at a float it equals, bit for bit, its value in a 1-element array.
+
 Conventions: G = c = 1, kappa = 8*pi.  Radii, times and masses are all in
 the same (mass) unit.
 """
@@ -48,6 +52,11 @@ def tov_exponent(eos: EosParams) -> float:
     return 4.0 * eos.sigma / (1.0 + eos.sigma)
 
 
+def _radius(r_bar):
+    """r_bar itself when it is a float, else as a float array."""
+    return r_bar if isinstance(r_bar, float) else np.asarray(r_bar, dtype=float)
+
+
 def _frw_fields(t, r, psi):
     """(rho, v, A, B, M) of the expanding universe at comoving time t and
     radius r under the integrating factor psi (1 in FRW-1)."""
@@ -65,9 +74,9 @@ def frw1_state(t_bar, r_bar):
     """
     if t_bar == 0.0:
         raise NonPhysicalState("the FRW-1 chart has no slice at t = 0")
-    r = np.asarray(r_bar, dtype=float)
+    r = _radius(r_bar)
     xi = r / t_bar
-    if np.count_nonzero(np.abs(xi) >= 1.0):
+    if np.count_nonzero(abs(xi) >= 1.0):
         raise NonPhysicalState(f"|r/t| >= 1 on the requested slice (t={t_bar})")
     return _frw_fields(t_bar * (1.0 + np.sqrt(1.0 - xi * xi)) / 2.0, r, 1.0)
 
@@ -77,8 +86,9 @@ def frw2_frw_time(t_bar, r_bar, psi0: float):
     which cover only t_bar > 0."""
     if t_bar <= 0.0:
         raise NonPhysicalState(f"the FRW-2 chart has no slice at t = {t_bar:g}")
-    t4 = np.asarray(t_bar, dtype=float) ** 4
-    disc = t4 - np.asarray(r_bar, dtype=float) ** 2 * psi0**4
+    r = _radius(r_bar)
+    # a ufunc power rounds as on an array; a float's ** may round differently
+    disc = np.power(t_bar, 4.0) - r * r * psi0**4
     if np.count_nonzero(disc < 0.0):
         raise NonPhysicalState("t_bar^4 < r_bar^2 psi0^4: outside the FRW-2 chart")
     return (t_bar**2 + np.sqrt(disc)) / (2.0 * psi0**2)
@@ -87,24 +97,21 @@ def frw2_frw_time(t_bar, r_bar, psi0: float):
 def frw2_state(t_bar, r_bar, psi0: float):
     """Expanding universe under the dynamical integrating factor."""
     t = frw2_frw_time(t_bar, r_bar, psi0)
-    r = np.asarray(r_bar, dtype=float)
-    if np.count_nonzero(np.abs(r / (2.0 * t)) >= 1.0):
+    r = _radius(r_bar)
+    if np.count_nonzero(abs(r / (2.0 * t)) >= 1.0):
         raise NonPhysicalState("fluid speed >= 1 on the requested slice")
     return _frw_fields(t, r, psi0 * np.sqrt(t / (4.0 * t * t + r * r)))
 
 
 def tov_state(r_bar, b0: float, eos: EosParams):
     """Static isothermal sphere: rho = gamma/r^2, constant A, B = b0*r^q."""
-    r = np.asarray(r_bar, dtype=float)
+    r = _radius(r_bar)
     if np.count_nonzero(r <= 0.0) or b0 <= 0.0:
         raise NonPhysicalState("tov_state needs r > 0 and b0 > 0")
     g = gamma(eos)
-    rho = g / (r * r)
-    v = np.zeros_like(r)
-    A = np.full_like(r, 1.0 - KAPPA * g)
-    B = b0 * r ** tov_exponent(eos)
-    M = 4.0 * np.pi * g * r
-    return rho, v, A, B, M
+    v = 0.0 * r                # r > 0: zeros and a constant A of r's shape
+    B = b0 * np.power(r, tov_exponent(eos))
+    return g / (r * r), v, (1.0 - KAPPA * g) + v, B, 4.0 * np.pi * g * r
 
 
 class FrwModel:

@@ -18,6 +18,12 @@ This module is the stepper only: the grid, the state, the stage kernels,
 :func:`init`, :func:`advance` and :func:`chop_right`.  How a run is
 marched, stopped and recorded belongs to :func:`relshock.experiments.simulate_model`.
 
+A kernel's error about one entry (a RelshockError with an `index`) is
+restated by :func:`advance` in the step's cells and time: a Riemann-row
+cell at the old time, an ODE-stage cell or an update midpoint's two cells
+at the new time, an interface as its two cells.  Errors of the boundary
+stage pass through as raised.
+
 The stage kernels keep the contract of :mod:`relshock.fluid`: they
 allocate their outputs, finish each formula in them bit for bit, and never
 write into an input (the stepper passes views of its state).  The update
@@ -27,7 +33,6 @@ they were.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,23 +227,6 @@ def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
     return g0, g1
 
 
-@contextmanager
-def _naming_cells(t: float, first: int | None):
-    """Restate a kernel's error at entry k (any RelshockError with an
-    `index`) as one at cell first + k, ghosts counted, and time t; one at
-    interface k, or with first=None (midpoints), at cells k and k + 1."""
-    try:
-        yield
-    except RelshockError as err:
-        if err.index is None:
-            raise
-        k, when = err.index, f", t={t:.9g}"
-        pair = f"at cells {k} and {k + 1}{when}"
-        at = pair if first is None else f"at cell {first + k}{when}"
-        raise type(err)(
-            str(err).replace(f"at index {k}", at).replace(f"at interface {k}", pair)) from err
-
-
 def _refresh_boundaries(state: SimState, t_new: float):
     """Boundary stage: set both ghost cells and return the boundary data of
     the update, left = the model's (A, B, M) at xe_0 and right = the last
@@ -256,7 +244,7 @@ def _refresh_boundaries(state: SimState, t_new: float):
         right = model.evaluate(t_new, float(state.xe[-1]))[2:4]
     for end in (0, -1):
         state.u0[end], state.u1[end] = fluid.conserved_arrays(
-            state.rho[end], state.v[end], state.eos)
+            state.rho.item(end), state.v.item(end), state.eos)
     return left, right
 
 
@@ -329,41 +317,54 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
         dt = min(dt, dt_cap)
     t_new = state.t + dt
 
-    # Riemann step: one exact solution per interface, frozen cell metric;
-    # the Godunov step needs only the flux of its zero-speed state.
-    with _naming_cells(state.t, 0):
+    # where = (time, first cell) of the running stage: an error at entry k
+    # names cell first + k, ghosts counted, and one at interface k or with
+    # first None (midpoints) cells k and k + 1; None passes errors through
+    where = (state.t, 0)
+    try:
+        # Riemann step: one exact solution per interface, frozen cell
+        # metric; the Godunov step needs only the flux of its zero-speed state.
         sol = riemann.solve_interfaces(state.rho, state.v, eos, state.eps)
-    rho_star, v_star = riemann.sample_solution(sol, 0.0)
-    t01_star = fluid.conserved_arrays(rho_star, v_star, eos)[1]
-    f_star = (t01_star, fluid.t11_arrays(t01_star, rho_star, v_star, eos))
-    regions = sol.region
-    del sol, rho_star, v_star   # free them before the later stages allocate
+        rho_star, v_star = riemann.sample_solution(sol, 0.0)
+        t01_star = fluid.conserved_arrays(rho_star, v_star, eos)[1]
+        f_star = (t01_star, fluid.t11_arrays(t01_star, rho_star, v_star, eos))
+        regions = sol.region
+        del sol, rho_star, v_star   # free them before the later stages allocate
 
-    # Godunov step over interior cells.
-    u1_c = state.u1[1:-1]
-    ubar0, ubar1 = godunov_cell_update(
-        (state.u0[1:-1], u1_c),
-        (u1_c, fluid.t11_arrays(u1_c, state.rho[1:-1], state.v[1:-1], eos)),
-        f_star, alpha, dt, state.dx,
-    )
+        # Godunov step over interior cells.
+        u1_c = state.u1[1:-1]
+        ubar0, ubar1 = godunov_cell_update(
+            (state.u0[1:-1], u1_c),
+            (u1_c, fluid.t11_arrays(u1_c, state.rho[1:-1], state.v[1:-1], eos)),
+            f_star, alpha, dt, state.dx,
+        )
 
-    # ODE step with the neighbor-averaged metric, checked before it is stored.
-    a_avg = state.A[:-1] + state.A[1:]       # 0.5*(...) each
-    a_avg *= 0.5
-    b_avg = state.B[:-1] + state.B[1:]
-    b_avg *= 0.5
-    with _naming_cells(t_new, 1):
+        # ODE step with the neighbor-averaged metric, checked before it is stored.
+        a_avg = state.A[:-1] + state.A[1:]       # 0.5*(...) each
+        a_avg *= 0.5
+        b_avg = state.B[:-1] + state.B[1:]
+        b_avg *= 0.5
+        where = (t_new, 1)
         u0_new, u1_new = ode_step(ubar0, ubar1, a_avg, b_avg, state.x[1:-1], dt, eos)
         rho_new, v_new = fluid.fluid_arrays(u0_new, u1_new, eos)
         fluid.check_fluid(rho_new, v_new)
-    state.u0[1:-1], state.u1[1:-1] = u0_new, u1_new
-    state.rho[1:-1], state.v[1:-1] = rho_new, v_new
+        state.u0[1:-1], state.u1[1:-1] = u0_new, u1_new
+        state.rho[1:-1], state.v[1:-1] = rho_new, v_new
 
-    left, right = _refresh_boundaries(state, t_new)
+        where = None
+        left, right = _refresh_boundaries(state, t_new)
 
-    # Update step: mass and metric by integration from the left anchor.
-    with _naming_cells(t_new, None):   # midpoint k lies between cells k, k+1
+        # Update step: mass and metric by integration from the left anchor.
+        where = (t_new, None)   # midpoint k lies between cells k, k+1
         update_mass_metric(state, t_new, left, right)
+    except RelshockError as err:
+        if where is None or err.index is None:
+            raise
+        (t, first), k = where, err.index
+        pair = f"at cells {k} and {k + 1}, t={t:.9g}"
+        at = pair if first is None else f"at cell {first + k}, t={t:.9g}"
+        raise type(err)(str(err).replace(f"at index {k}", at)
+                        .replace(f"at interface {k}", pair)) from err
 
     state.t = t_new
     boundary_hit = False

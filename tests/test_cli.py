@@ -310,6 +310,22 @@ def test_reverse_manifest_records_the_span_it_marched(tmp_path):
                                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("reversed_time", [False, True], ids=["forward", "reversed"])
+def test_manifest_records_the_start_of_the_run(reversed_time):
+    """A matched run's manifest records the run's own start, whatever the
+    config's t_start (which only the pure FRW models read) says."""
+    eos = EosParams()
+    if reversed_time:
+        model = models.make_model("frw1_tov", eos, r0=5.0, reversed_time=True)
+        arts = experiments.simulate_model(model, scheme.SimGrid(0.1, 20.0, 32), eos, 0.05)
+    else:
+        arts = experiments.matched_run("frw1", 32, eos, duration=0.01).arts
+    start = arts.state.model.t_start
+    assert (start < 0.0) == reversed_time and start != RunConfig().t_start
+    payload = cli._manifest_payload(RunConfig(model="frw1_tov"), arts)
+    assert payload["config"]["t_start"] == start
+
+
 RIEMANN_FLAGS = ["--rho-l", "1", "--v-l", "0", "--rho-r", "2", "--v-r", "0"]
 
 

@@ -1,10 +1,13 @@
 """Closed-form spacetime models and matching constants."""
 
+import re
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relshock import scheme
 from relshock.errors import NonPhysicalState
@@ -431,3 +434,99 @@ def test_matched_model_refuses_a_non_positive_r0_and_an_unknown_variant(eos):
             MatchedModel("frw1", r0, eos)
     with pytest.raises(ValueError, match="variant must be 'frw1' or 'frw2', got 'frw3'"):
         MatchedModel("frw3", 5.0, eos)
+
+
+# --- a float radius: the boundary stage's one-point evaluations -----------
+
+
+def assert_float_matches_array(call, r):
+    """call at the float radius r gives scalars (no 0-d array; a matched
+    model's np.where selection excepted) equal, bit for bit, to its values
+    in a 1-element array, or refuses with the array's message."""
+    try:
+        want = call(np.array([r]))
+    except NonPhysicalState as err:
+        with pytest.raises(NonPhysicalState, match=f"^{re.escape(str(err))}$"):
+            call(r)
+        return
+    got = call(r)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a, dtype=float).tobytes() == b.tobytes()
+
+
+def assert_scalars(fields):
+    assert all(np.ndim(a) == 0 and not isinstance(a, np.ndarray) for a in fields)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(t=st.floats(min_value=1e-3, max_value=1e3), sign=st.sampled_from([1.0, -1.0]),
+       frac=unit)
+@settings(max_examples=300, deadline=None)
+def test_frw1_state_at_a_float_radius_is_its_array_value(t, sign, frac):
+    """Over the FRW-1 chart |r/t| < 1, forward and time reversed."""
+    r = frac * t
+    assert_float_matches_array(lambda rr: frw1_state(sign * t, rr), r)
+    if r < t:
+        assert_scalars(frw1_state(sign * t, r))
+
+
+@given(t_bar=st.floats(min_value=1e-2, max_value=1e2),
+       psi0=st.floats(min_value=0.1, max_value=10.0), frac=unit)
+@settings(max_examples=300, deadline=None)
+def test_frw2_kernels_at_a_float_radius_are_their_array_values(t_bar, psi0, frac):
+    """Over the FRW-2 chart r <= t_bar^2/psi0^2 (its edge included, where
+    disc = 0 and the speed reaches 1), for the comoving time and the fields."""
+    r = frac * t_bar**2 / psi0**2
+    assert_float_matches_array(lambda rr: (frw2_frw_time(t_bar, rr, psi0),), r)
+    assert_float_matches_array(lambda rr: frw2_state(t_bar, rr, psi0), r)
+    assume(frac < 0.99)
+    assert_scalars((frw2_frw_time(t_bar, r, psi0), *frw2_state(t_bar, r, psi0)))
+
+
+@given(r=st.floats(min_value=1e-6, max_value=1e6), b0=st.floats(min_value=1e-3, max_value=1e3),
+       sigma=st.floats(min_value=0.01, max_value=0.99))
+@settings(max_examples=300, deadline=None)
+def test_tov_state_at_a_float_radius_is_its_array_value(r, b0, sigma):
+    """Over the static sphere's domain r > 0, at any equation of state: the
+    power r^q rounds as on an array."""
+    eos = EosParams(sigma)
+    assert_float_matches_array(lambda rr: tov_state(rr, b0, eos), r)
+    assert_scalars(tov_state(r, b0, eos))
+
+
+@given(frac=unit, after=st.floats(min_value=0.0, max_value=0.5))
+@settings(max_examples=100, deadline=None)
+def test_model_evaluate_at_a_float_radius_is_its_array_value(frac, after):
+    """Every model's evaluate, over the radii of a step's boundary points:
+    a pure model's run domain, a matched model's on both sides of r0."""
+    eos = EosParams()
+    for model, (lo, hi) in (
+            (make_model("frw1", eos, t_start=15.0), (3.0, 7.0)),
+            (make_model("frw1", eos, t_start=-15.0), (3.0, 7.0)),
+            (make_model("frw2", eos, t_start=15.0), (3.0, 7.0)),
+            (make_model("tov", eos), (3.0, 7.0)),
+            (make_model("frw1_tov", eos, r0=5.0), (3.0, 7.0)),
+            (make_model("frw1_tov", eos, r0=5.0, reversed_time=True), (0.1, 20.0)),
+            (make_model("frw2_tov", eos, r0=5.0), (3.0, 7.0))):
+        t = model.t_start + (-after if model.t_start < 0.0 else after)
+        assert_float_matches_array(lambda rr: model.evaluate(t, rr), lo + frac * (hi - lo))
+
+
+@pytest.mark.parametrize("call, r, message", [
+    (lambda r: frw1_state(5.0, r), 6.0, r"\|r/t\| >= 1 on the requested slice \(t=5.0\)"),
+    (lambda r: frw1_state(-5.0, r), 5.0, r"\|r/t\| >= 1 on the requested slice \(t=-5.0\)"),
+    (lambda r: frw2_frw_time(5.0, r, np.sqrt(30.0)), 6.0,
+     r"t_bar\^4 < r_bar\^2 psi0\^4: outside the FRW-2 chart"),
+    (lambda r: frw2_state(5.0, r, np.sqrt(30.0)), 6.0,
+     r"t_bar\^4 < r_bar\^2 psi0\^4: outside the FRW-2 chart"),
+    (lambda r: frw2_state(2.0, r, 1.0), 4.0, "fluid speed >= 1 on the requested slice"),
+    (lambda r: tov_state(r, 1.0, EosParams()), 0.0, "tov_state needs r > 0 and b0 > 0"),
+    (lambda r: tov_state(r, 1.0, EosParams()), -1.0, "tov_state needs r > 0 and b0 > 0"),
+], ids=["frw1", "frw1-reversed", "frw2-time", "frw2", "frw2-speed", "tov-0", "tov-negative"])
+def test_a_float_radius_is_refused_as_its_array_is(call, r, message):
+    for radius in (r, np.array([r])):
+        with pytest.raises(NonPhysicalState, match=f"^{message}$"):
+            call(radius)

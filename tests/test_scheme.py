@@ -2,6 +2,7 @@
 sources, mass/metric integration, boundary handling and chopping."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -358,6 +359,35 @@ def test_advance_names_the_cells_of_a_bad_interface():
     state.rho[5] *= 1e40      # its middle states reach |v| = 1 on both sides
     with pytest.raises(NonPhysicalState, match=r"^Riemann middle state: \|v\| must be < 1 "
                        r"at cells 4 and 5, t=15 \(v=-1\.0+e\+00\), left \(rho, v\)"):
+        advance(state)
+
+
+def test_advance_names_the_cells_of_a_bad_midpoint(monkeypatch):
+    """An update error at midpoint k names cells k and k + 1 at the new
+    time; the step stores no new time."""
+    state, _ = make_state("frw1", n=64, t_start=15.0)
+
+    def fail(*args):
+        raise NonPhysicalState("u0 must be positive at index 7 (u0=-1.0e+00)", index=7)
+    monkeypatch.setattr(scheme, "update_mass_metric", fail)
+    t0 = state.t
+    t_new = t0 + cfl_dt(state.dx, state.light_speed().max())
+    with pytest.raises(NonPhysicalState, match=re.escape(
+            f"u0 must be positive at cells 7 and 8, t={t_new:.9g} (u0=-1.0e+00)")):
+        advance(state)
+    assert state.t == t0
+
+
+def test_advance_passes_a_boundary_stage_error_through(monkeypatch):
+    """An indexed error of the boundary stage keeps its own text: no cell
+    of the step's row is named after it."""
+    state, _ = make_state("frw1_tov", n=64, r0=5.0)
+    message = "rho must be positive at index 3 (rho=-1.0e+00)"
+
+    def fail(*args):
+        raise NonPhysicalState(message, index=3)
+    monkeypatch.setattr(scheme, "_refresh_boundaries", fail)
+    with pytest.raises(NonPhysicalState, match=f"^{re.escape(message)}$"):
         advance(state)
 
 
