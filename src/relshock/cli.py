@@ -146,10 +146,12 @@ def cmd_emit_model(args) -> int:
 
 
 def _manifest_payload(cfg: RunConfig, arts) -> dict:
-    # a key only other models read is left out; t_start is the run's own start
+    # a key only other models read is left out; t_start and reversed are the run's own
     config = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)
               if f.name == "t_start" or cfg.model in _MODEL_KEYS.get(f.name, (cfg.model,))}
     config["t_start"] = arts.state.model.t_start
+    if "reversed" in config:
+        config["reversed"] = arts.state.model.t_start < 0.0
     payload = {
         "config": config,
         "steps": arts.log.steps,
@@ -161,11 +163,8 @@ def _manifest_payload(cfg: RunConfig, arts) -> dict:
         "boundary_hit_step": arts.log.boundary_hit_step,
     }
     if arts.cones is not None:
-        payload["cones"] = [
-            {"t": t, "light": [c.light_left, c.light_right],
-             "sound": [c.sound_left, c.sound_right]}
-            for t, c in arts.cones.trajectory
-        ]
+        payload["cones"] = [{"t": t, "light": f[:2].tolist(), "sound": f[2:].tolist()}
+                            for t, f in arts.cones.trajectory]
     if arts.mu is not None:
         payload["mu_history"] = [list(row) for row in arts.mu.history]
     if arts.tv is not None:

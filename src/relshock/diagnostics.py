@@ -4,15 +4,14 @@ detection, error norms, convergence rates, and the weak-form residual.
 Everything here is read-only over the stepper's state: functions take the
 state (or plain arrays) and never mutate it.  The per-step hooks
 (ConeTracker, TVMonitor, MuMonitor, WeakResidualMonitor) keep small
-summaries or, for the residual, one copy of the previous step's state, so
-their memory does not grow with the grid times the step count.  A hook
-records the start and each step with one body (`on_start = __call__`),
-except ConeTracker (no advance at the start) and WeakResidualMonitor (set-up).
+summaries (ConeTracker one array of its four front radii per step) or, for
+the residual, one copy of the previous step's state, so their memory does
+not grow with the grid times the step count.  A hook records the start and
+each step with one body (`on_start = __call__`), except ConeTracker (no
+advance at the start) and WeakResidualMonitor (set-up).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import RelshockError
 from .models import KAPPA
 
 __all__ = [
-    "ConeState",
     "ConeTracker",
     "three_point_derivative",
     "detect_frw_border",
@@ -43,49 +41,31 @@ TOV_BORDER_THRESHOLD = 0.01
 TV_ALARM_FACTOR = 50.0
 
 
-@dataclass(frozen=True)
-class ConeState:
-    """Radii of the four information fronts emanating from the initial
-    discontinuity; the sound pair is always inside the light pair."""
-
-    light_left: float
-    light_right: float
-    sound_left: float
-    sound_right: float
-
-
 class ConeTracker:
-    """Per-step hook that carries a ConeState along a run: each step moves
-    every front by its local coordinate speed times dt, light at +/- sqrt(AB)
-    and sound at sqrt(AB) times the relativistic composition of the fluid
-    velocity with +/- the sound speed.  Metric and fluid values are linearly
-    interpolated at the current front positions; fronts are clamped at the
-    grid."""
+    """Per-step hook that carries the four information fronts emanating
+    from the initial discontinuity along a run, as one array `fronts`
+    (light left, light right, sound left, sound right), all starting at r0.
+    Each step moves every front by sqrt(AB) times the relativistic
+    composition of the fluid velocity with -1, +1, -a and +a (a the sound
+    speed), times dt; a light front composes to exactly -1 or +1.  Metric
+    and fluid values are linearly interpolated at the current fronts, and
+    the fronts are clamped at the grid's first and last centres.  Each step
+    makes a new array, so a recorded one is never written to."""
 
     def __init__(self, r0: float):
-        self.cones = ConeState(r0, r0, r0, r0)
+        self.fronts = np.full(4, float(r0))
         self.trajectory = []
 
     def on_start(self, state):   # the first record does not advance
-        self.trajectory.append((state.t, self.cones))
+        self.trajectory.append((state.t, self.fronts))
 
     def __call__(self, state, report):
-        a, dt, c = float(state.eos.sound_speed), report.dt, self.cones
-        lo, hi = float(state.x[1]), float(state.x[-2])
-        r = [c.light_left, c.light_right, c.sound_left, c.sound_right]
-        alpha = np.sqrt(np.interp(r, state.xe, state.A) * np.interp(r, state.xe, state.B)).tolist()
-        v = np.interp(r[2:], state.x, state.v).tolist()
-
-        def light(k, sign):
-            return r[k] + sign * alpha[k] * dt
-
-        def sound(k, sign):
-            w = v[k - 2]
-            return r[k] + alpha[k] * (w + sign * a) / (1.0 + sign * w * a) * dt
-
-        new = [light(0, -1.0), light(1, 1.0), sound(2, -1.0), sound(3, 1.0)]
-        self.cones = ConeState(*(min(max(x, lo), hi) for x in new))
-        self.trajectory.append((state.t, self.cones))
+        f, a = self.fronts, float(state.eos.sound_speed)
+        alpha = np.sqrt(np.interp(f, state.xe, state.A) * np.interp(f, state.xe, state.B))
+        v = np.interp(f, state.x, state.v)
+        speed = fluid.lorentz_compose(v, np.array((-1.0, 1.0, -a, a)))
+        self.fronts = np.minimum(np.maximum(f + alpha * speed * report.dt, state.x[1]), state.x[-2])
+        self.trajectory.append((state.t, self.fronts))
 
 
 def three_point_derivative(values, dx: float):

@@ -276,7 +276,7 @@ def matched_run(variant: str, n: int, eos: EosParams, r_min: float = 3.0,
     return MatchedRunResult(
         arts=arts,
         frw_border=frw_border, tov_border=tov_border,
-        sound_left=tracker.cones.sound_left, sound_right=tracker.cones.sound_right,
+        sound_left=float(tracker.fronts[2]), sound_right=float(tracker.fronts[3]),
         side_errors=side_errors,
     )
 

@@ -57,6 +57,13 @@ def _radius(r_bar):
     return r_bar if isinstance(r_bar, float) else np.asarray(r_bar, dtype=float)
 
 
+def _fails(ok) -> bool:
+    """Whether the check `ok`, a bool at a float radius or a bool array,
+    is false anywhere.  Each check is written as `value in range`, so a
+    NaN fails it."""
+    return np.count_nonzero(ok) != getattr(ok, "size", 1)
+
+
 def _frw_fields(t, r, psi):
     """(rho, v, A, B, M) of the expanding universe at comoving time t and
     radius r under the integrating factor psi (1 in FRW-1)."""
@@ -76,7 +83,7 @@ def frw1_state(t_bar, r_bar):
         raise NonPhysicalState("the FRW-1 chart has no slice at t = 0")
     r = _radius(r_bar)
     xi = r / t_bar
-    if np.count_nonzero(abs(xi) >= 1.0):
+    if _fails(abs(xi) < 1.0):
         raise NonPhysicalState(f"|r/t| >= 1 on the requested slice (t={t_bar})")
     return _frw_fields(t_bar * (1.0 + np.sqrt(1.0 - xi * xi)) / 2.0, r, 1.0)
 
@@ -89,7 +96,7 @@ def frw2_frw_time(t_bar, r_bar, psi0: float):
     r = _radius(r_bar)
     # a ufunc power rounds as on an array; a float's ** may round differently
     disc = np.power(t_bar, 4.0) - r * r * psi0**4
-    if np.count_nonzero(disc < 0.0):
+    if _fails(disc >= 0.0):
         raise NonPhysicalState("t_bar^4 < r_bar^2 psi0^4: outside the FRW-2 chart")
     return (t_bar**2 + np.sqrt(disc)) / (2.0 * psi0**2)
 
@@ -106,7 +113,7 @@ def frw2_state(t_bar, r_bar, psi0: float):
 def tov_state(r_bar, b0: float, eos: EosParams):
     """Static isothermal sphere: rho = gamma/r^2, constant A, B = b0*r^q."""
     r = _radius(r_bar)
-    if np.count_nonzero(r <= 0.0) or b0 <= 0.0:
+    if _fails((r > 0.0) & (r < np.inf)) or b0 <= 0.0:
         raise NonPhysicalState("tov_state needs r > 0 and b0 > 0")
     g = gamma(eos)
     v = 0.0 * r                # r > 0: zeros and a constant A of r's shape

@@ -5,6 +5,9 @@ Each function is the plain numpy expression the kernel of the same name in
 own buffers: one fresh temporary per operation, in the same left-to-right
 order, and guards built from full-width masks.  The tests require the
 kernels to equal these bit for bit and to raise the same messages.
+`cone_step` is the exception: it moves `diagnostics.ConeTracker`'s fronts
+one at a time, with the sound speed composed inline, so it matches the
+light fronts bit for bit and the sound fronts to a few ulp.
 """
 
 from types import SimpleNamespace
@@ -251,3 +254,25 @@ def solve_interfaces(rho, v, eos, eps=1e-10):
     return SimpleNamespace(region=region, beta1=beta1, beta2=beta2, r_mid=r_mid,
                            s_mid=s_mid, rho_mid=rho_mid, v_mid=v_mid, shock1=on1,
                            shock_speed1=s1, shock2=on2, shock_speed2=s2)
+
+
+def cone_step(fronts, state, dt):
+    """The four fronts (light left, light right, sound left, sound right)
+    after one step, front by front: light at r -/+ alpha dt and sound at
+    r + alpha (w -/+ a)/(1 -/+ w a) dt, alpha = sqrt(AB) and w the fluid
+    velocity interpolated at r, each clamped to the first and last centres."""
+    a = float(state.eos.sound_speed)
+    lo, hi = float(state.x[1]), float(state.x[-2])
+    r = [float(f) for f in fronts]
+    alpha = np.sqrt(np.interp(r, state.xe, state.A) * np.interp(r, state.xe, state.B)).tolist()
+    v = np.interp(r[2:], state.x, state.v).tolist()
+
+    def light(k, sign):
+        return r[k] + sign * alpha[k] * dt
+
+    def sound(k, sign):
+        w = v[k - 2]
+        return r[k] + alpha[k] * (w + sign * a) / (1.0 + sign * w * a) * dt
+
+    new = [light(0, -1.0), light(1, 1.0), sound(2, -1.0), sound(3, 1.0)]
+    return [min(max(x, lo), hi) for x in new]

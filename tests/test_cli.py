@@ -312,8 +312,9 @@ def test_reverse_manifest_records_the_span_it_marched(tmp_path):
 
 @pytest.mark.parametrize("reversed_time", [False, True], ids=["forward", "reversed"])
 def test_manifest_records_the_start_of_the_run(reversed_time):
-    """A matched run's manifest records the run's own start, whatever the
-    config's t_start (which only the pure FRW models read) says."""
+    """A matched run's manifest records the run's own start and direction,
+    whatever the config's t_start (which only the pure FRW models read) and
+    reversed say."""
     eos = EosParams()
     if reversed_time:
         model = models.make_model("frw1_tov", eos, r0=5.0, reversed_time=True)
@@ -324,6 +325,7 @@ def test_manifest_records_the_start_of_the_run(reversed_time):
     assert (start < 0.0) == reversed_time and start != RunConfig().t_start
     payload = cli._manifest_payload(RunConfig(model="frw1_tov"), arts)
     assert payload["config"]["t_start"] == start
+    assert payload["config"]["reversed"] is reversed_time
 
 
 RIEMANN_FLAGS = ["--rho-l", "1", "--v-l", "0", "--rho-r", "2", "--v-r", "0"]

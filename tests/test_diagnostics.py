@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from relshock import diagnostics, experiments, fluid, models, scheme
 from relshock.errors import RelshockError
 from relshock.fluid import EosParams
@@ -245,3 +246,60 @@ def test_tv_monitor_never_alarms_on_its_first_record(bump):
     assert not tv.alarmed
     tv(tv_state(1.0, 1e-10))
     assert tv.alarmed == (bump == 0.0)
+
+
+class ConeWitness:
+    """Hook run right after a ConeTracker: carries the per-front reference
+    fronts from r0 next to it and keeps a copy of each of the tracker's
+    records, with the centres the fronts are clamped to at that record."""
+
+    def __init__(self, tracker):
+        self.tracker = tracker
+        self.fronts = tracker.fronts.tolist()
+        self.reference, self.copies, self.bounds = [], [], []
+
+    def on_start(self, state):
+        self._record(state)
+
+    def __call__(self, state, report):
+        self.fronts = ref.cone_step(self.fronts, state, report.dt)
+        self._record(state)
+
+    def _record(self, state):
+        self.reference.append(self.fronts)
+        self.copies.append(self.tracker.trajectory[-1][1].copy())
+        self.bounds.append((state.x[1], state.x[-2]))
+
+
+@pytest.mark.parametrize("reversed_time", [False, True], ids=["forward", "reversed-chopped"])
+def test_cone_tracker_follows_its_per_front_reference(reversed_time):
+    """On a forward matched run and on a reversed one chopped down to its
+    last cells: the light fronts equal the per-front reference bit for bit
+    and the sound fronts lie within 4 ulp of it (the array step composes
+    the speed before scaling it by sqrt(AB)); every record keeps the sound
+    pair inside the light pair, lies on the grid it was taken on, and is
+    not written to by later steps."""
+    eos = EosParams()
+    model = models.make_model("frw1_tov", eos, r0=5.0, reversed_time=reversed_time)
+    if reversed_time:
+        r_min = experiments.REVERSED_R_MIN
+        grid = scheme.SimGrid(r_min, experiments.REVERSED_R_MAX, 128)
+        duration, on_hit = abs(model.t_start) - 2.0 * r_min, "chop"
+    else:
+        grid, duration, on_hit = scheme.SimGrid(3.0, 7.0, 64), 1.0, "continue"
+    tracker = diagnostics.ConeTracker(model.r0)
+    witness = ConeWitness(tracker)
+    arts = experiments.simulate_model(model, grid, eos, duration,
+                                      extra_hooks=(tracker, witness), on_hit=on_hit)
+    assert (arts.log.chops > 0) == reversed_time
+    got = np.array([f for _, f in tracker.trajectory])
+    want = np.array(witness.reference)
+    assert len(got) == arts.log.steps + 1
+    assert got[:, :2].tobytes() == want[:, :2].tobytes()
+    assert np.all(np.abs(got[:, 2:] - want[:, 2:]) <= 4.0 * np.spacing(want[:, 2:]))
+    assert np.all((got[:, 0] <= got[:, 2]) & (got[:, 2] <= got[:, 3]) & (got[:, 3] <= got[:, 1]))
+    lo, hi = np.array(witness.bounds).T
+    assert np.all((lo[:, None] <= got) & (got <= hi[:, None]))
+    # the chops bring the right boundary down onto the outer fronts
+    assert np.any(got[:, 1] == hi) == reversed_time
+    assert np.array(witness.copies).tobytes() == got.tobytes()

@@ -515,6 +515,18 @@ def test_model_evaluate_at_a_float_radius_is_its_array_value(frac, after):
         assert_float_matches_array(lambda rr: model.evaluate(t, rr), lo + frac * (hi - lo))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+NON_FINITE_GUARDS = [
+    (lambda r: frw1_state(5.0, r), r"\|r/t\| >= 1 on the requested slice \(t=5.0\)"),
+    (lambda r: frw1_state(-5.0, r), r"\|r/t\| >= 1 on the requested slice \(t=-5.0\)"),
+    (lambda r: frw2_frw_time(5.0, r, np.sqrt(30.0)),
+     r"t_bar\^4 < r_bar\^2 psi0\^4: outside the FRW-2 chart"),
+    (lambda r: frw2_state(5.0, r, np.sqrt(30.0)),
+     r"t_bar\^4 < r_bar\^2 psi0\^4: outside the FRW-2 chart"),
+    (lambda r: tov_state(r, 1.0, EosParams()), "tov_state needs r > 0 and b0 > 0"),
+]
+
+
 @pytest.mark.parametrize("call, r, message", [
     (lambda r: frw1_state(5.0, r), 6.0, r"\|r/t\| >= 1 on the requested slice \(t=5.0\)"),
     (lambda r: frw1_state(-5.0, r), 5.0, r"\|r/t\| >= 1 on the requested slice \(t=-5.0\)"),
@@ -525,8 +537,18 @@ def test_model_evaluate_at_a_float_radius_is_its_array_value(frac, after):
     (lambda r: frw2_state(2.0, r, 1.0), 4.0, "fluid speed >= 1 on the requested slice"),
     (lambda r: tov_state(r, 1.0, EosParams()), 0.0, "tov_state needs r > 0 and b0 > 0"),
     (lambda r: tov_state(r, 1.0, EosParams()), -1.0, "tov_state needs r > 0 and b0 > 0"),
-], ids=["frw1", "frw1-reversed", "frw2-time", "frw2", "frw2-speed", "tov-0", "tov-negative"])
+    *[(call, r, message) for call, message in NON_FINITE_GUARDS for r in NON_FINITE],
+    (lambda r: frw1_state(5.0, r), np.array([4.0, np.nan]),
+     r"\|r/t\| >= 1 on the requested slice \(t=5.0\)"),
+    (lambda r: tov_state(r, 1.0, EosParams()), np.array([4.0, np.nan]),
+     "tov_state needs r > 0 and b0 > 0"),
+], ids=["frw1", "frw1-reversed", "frw2-time", "frw2", "frw2-speed", "tov-0", "tov-negative",
+        *[f"{name}-{r}" for name in ("frw1", "frw1-reversed", "frw2-time", "frw2", "tov")
+          for r in NON_FINITE],
+        "frw1-one-nan", "tov-one-nan"])
 def test_a_float_radius_is_refused_as_its_array_is(call, r, message):
+    """A NaN radius fails every guard and tov_state refuses +inf, at a float
+    and in an array, before any arithmetic could warn (warnings are errors)."""
     for radius in (r, np.array([r])):
         with pytest.raises(NonPhysicalState, match=f"^{message}$"):
             call(radius)
