@@ -7,7 +7,10 @@ flat-space energy and momentum densities, and the Riemann invariants
 is one exact closed-form kernel that accepts scalars or numpy arrays.  The
 momentum flux T11_M = u1*v + sigma*rho (:func:`t11_arrays`) takes the
 momentum density u1 = T01_M the caller already holds, so it costs no
-enthalpy evaluation.  The speed of light is fixed at c = 1.
+enthalpy evaluation.  :func:`t11_from_conserved` needs only (u0, u1): with
+rho = u0 - u1*v and the v of :func:`fluid_arrays`, T11_M = sigma*u0 +
+2*(1-sigma)*u1^2/((sigma+1)*u0 + sqrt(disc)), where no sum cancels (every
+term is >= 0), so it stays within a few ulp as |v| -> 1.  c = 1 throughout.
 
 Every kernel returns new arrays and never writes into an input.  The wide
 ones finish each formula in their outputs and a work array or two
@@ -35,6 +38,7 @@ __all__ = [
     "invariant_arrays",
     "fluid_from_invariant_arrays",
     "t11_arrays",
+    "t11_from_conserved",
     "check_fluid",
     "partial_density",
     "lorentz_compose",
@@ -125,16 +129,11 @@ def _require(ok, what: str, **values):
     raise NonPhysicalState(f"{what} at index {k} ({shown})", index=k)
 
 
-def fluid_arrays(u0, u1, eos: EosParams):
-    """(rho, v) as arrays, inverting :func:`conserved_arrays`.
-
-    The quadratic for v is evaluated in the rationalized form
-    v = 2*u1 / ((sigma+1)*u0 + sqrt(disc)), which selects the |v| < 1 root
-    and passes smoothly through u1 = 0.  A pair with disc < 0 or u0 <= 0,
-    or a NaN, raises NonPhysicalState naming the first bad index.
-    """
+def _denominator(u0, u1, eos: EosParams):
+    """(sigma+1)*u0 + sqrt(disc), disc = (sigma+1)^2*u0*u0 - 4*sigma*u1*u1, and
+    a spare buffer; disc < 0 or u0 <= 0, or a NaN, raises NonPhysicalState."""
     sig1 = eos.sigma + 1.0
-    disc = sig1 ** 2 * u0      # disc = (sig+1)^2*u0*u0 - 4*sig*u1*u1
+    disc = sig1 ** 2 * u0
     disc *= u0
     w = 4.0 * eos.sigma * u1
     w *= u1
@@ -144,14 +143,25 @@ def fluid_arrays(u0, u1, eos: EosParams):
                  u0=u0, u1=u1)
         _require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
     disc = np.sqrt(disc, out=_into(disc))
-    denom = np.multiply(sig1, u0, out=_into(w))
-    denom += disc
-    v = np.multiply(2.0, u1, out=_into(disc))
+    disc += np.multiply(sig1, u0, out=_into(w))
+    return disc, w
+
+
+def fluid_arrays(u0, u1, eos: EosParams):
+    """(rho, v) as arrays, inverting :func:`conserved_arrays`.
+
+    The quadratic for v is evaluated in the rationalized form
+    v = 2*u1 / ((sigma+1)*u0 + sqrt(disc)), which selects the |v| < 1 root
+    and passes smoothly through u1 = 0.  A pair with disc < 0 or u0 <= 0,
+    or a NaN, raises NonPhysicalState naming the first bad index.
+    """
+    denom, w = _denominator(u0, u1, eos)
+    v = np.multiply(2.0, u1, out=_into(w))
     v /= denom
     rho = 1.0 - v              # rho = (1-v)*(1+v)*denom/(2*(sig+1))
     rho *= 1.0 + v
     rho *= denom
-    rho /= 2.0 * sig1
+    rho /= 2.0 * (eos.sigma + 1.0)
     return rho, v
 
 
@@ -168,6 +178,18 @@ def t11_arrays(u1, rho, v, eos: EosParams):
     from the momentum density u1 = T01_M of the same state (u1 = h*v, so this
     is h*v^2 + sigma*rho with h = (sigma+1)*rho/(1-v^2))."""
     return u1 * v + eos.sigma * rho
+
+
+def t11_from_conserved(u0, u1, eos: EosParams):
+    """T11_M of the conserved pair (u0, u1) (see the module docstring), with
+    the guards of :func:`fluid_arrays`.  It is homogeneous of degree 1, bit
+    for bit under scaling by 2, so it takes neighbour sums as they are."""
+    denom, t = _denominator(u0, u1, eos)
+    t = np.multiply(u1, u1, out=_into(t))
+    t *= 2.0 * (1.0 - eos.sigma)
+    t /= denom
+    t += np.multiply(eos.sigma, u0, out=_into(denom))
+    return t
 
 
 def invariant_arrays(rho, v, eos: EosParams):

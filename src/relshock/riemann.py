@@ -243,17 +243,18 @@ def solve_interfaces(rho, v, eos: EosParams, eps: float = 1e-10):
     r, s = fluid.invariant_arrays(rho, v, eos)
     rL, sL, rR, sR = r[:-1], s[:-1], r[1:], s[1:]
     dr, ds = rR - rL, sR - sL
-    sol.region = region = _QUADRANTS[2 * (dr < 0) + (ds < 0)]
     sol.r_right, sol.s_left = rR, sL
-    if not np.count_nonzero(region != REGION_IV):
-        # a smooth row: no shock legs, and each middle state carries r from
-        # the right and s from the left
+    if fluid._least(dr) >= 0.0 and fluid._least(ds) >= 0.0:
+        # a smooth row, every interface in IV: no shock legs, and each middle
+        # state carries r from the right and s from the left
+        sol.region = np.full(dr.shape, REGION_IV, dtype=np.int8)
         sol.w1 = sol.w2 = np.zeros(0, dtype=np.intp)
         sol.leg_speed = sol.leg_beta = np.zeros(0)
         sol.r_mid, sol.s_mid = rR, sL
         sol.rho_mid, sol.v_mid = fluid.fluid_from_invariant_arrays(rR, sL, eos)
         return _checked_middle(sol)
 
+    sol.region = region = _QUADRANTS[2 * (dr < 0) + (ds < 0)]
     # The (-,-) quadrant is a superset of the two-shock region: the slivers
     # between each shock curve and the axes belong to regions I and III.  A
     # point is a genuine two-shock state iff the two-shock function is

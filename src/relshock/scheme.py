@@ -24,6 +24,10 @@ cell at the old time, an ODE-stage cell or an update midpoint's two cells
 at the new time, an interface as its two cells.  Errors of the boundary
 stage pass through as raised.
 
+The grid-only factors of the update and source (GridFactors) are computed
+once by :func:`init`, held by the state and sliced by :func:`chop_right`
+with x and xe; the update takes neighbour sums, the 1/2 in its factors.
+
 The stage kernels keep the contract of :mod:`relshock.fluid`: they
 allocate their outputs, finish each formula in them bit for bit, and never
 write into an input (the stepper passes views of its state).  The update
@@ -33,12 +37,13 @@ they were.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, fluid, models, riemann
-from .errors import HorizonEncountered, RelshockError
+from .errors import HorizonEncountered, NonPhysicalState, RelshockError
 from .fluid import EosParams, _into
 from .models import KAPPA
 
@@ -76,14 +81,20 @@ class SimGrid:
         return self.r_min + (np.arange(self.n + 1) - 0.5) * self.dx
 
 
+# the update's at xe[:-1] (0.25*KAPPA*dx*xe**2, 2/xe at every edge, 0.5*KAPPA*dx*xe,
+# dx/xe), then the source's at the interior centres x (-0.5*(1+sigma)/x, KAPPA*x**2)
+GridFactors = namedtuple("GridFactors", "mass two_over_xe t11 dx_over_xe src_pref src_kx2")
+
+
 @dataclass
 class SimState:
     """Mutable state owned by a single stepper.
 
     Cell arrays have length n+2 (ghosts at both ends); edge arrays have
-    length n+1.  `bt` is the time scale of a matched model's static
-    exterior, and None exactly for a pure model; `right_frozen` marks a
-    chopped boundary whose ghost values no longer track any model.
+    length n+1; `geo` holds the GridFactors of the grid and eos.  `bt` is
+    the time scale of a matched model's static exterior, and None exactly
+    for a pure model; `right_frozen` marks a chopped boundary whose ghost
+    values no longer track any model.
     """
 
     model: object
@@ -99,6 +110,7 @@ class SimState:
     A: np.ndarray
     B: np.ndarray
     M: np.ndarray
+    geo: GridFactors
     bt: float | None = None
     right_frozen: bool = False
     eps: float = 1e-10
@@ -138,13 +150,16 @@ def init(model, grid: SimGrid, eos: EosParams, eps: float = 1e-10) -> SimState:
     v = np.asarray(v, dtype=float).copy()
     u0, u1 = fluid.conserved_arrays(rho, v, eos)
     bt = model.b0 if matched else None
+    xm, xc, dx = xe[:-1], x[1:-1], grid.dx
+    geo = GridFactors(0.25 * KAPPA * dx * xm ** 2, 2.0 / xe, 0.5 * KAPPA * dx * xm, dx / xm,
+                      -0.5 * (1.0 + eos.sigma) / xc, KAPPA * xc ** 2)
     return SimState(
-        model=model, eos=eos, dx=grid.dx, t=t0, x=x, xe=xe,
+        model=model, eos=eos, dx=dx, t=t0, x=x, xe=xe,
         rho=rho, v=v, u0=u0, u1=u1,
         A=np.asarray(A, dtype=float).copy(),
         B=np.asarray(B, dtype=float).copy(),
         M=np.asarray(M, dtype=float).copy(),
-        bt=bt, eps=eps,
+        geo=geo, bt=bt, eps=eps,
     )
 
 
@@ -158,41 +173,36 @@ def godunov_cell_update(u_c, f_c, f_star, alpha, dt, dx):
     """Flux average of each cell (u_c = (u0, u1), flux f_c = (T01, T11)) from
     the zero-speed fluxes f_star of its two bounding interfaces; each half
     cell carries its interface's frozen metric factor alpha = sqrt(AB)."""
-    al, ar, r = alpha[:-1], alpha[1:], dt / dx
-    out, w, z = [], None, None
+    ra = alpha * (dt / dx)
+    al, ar = ra[:-1], ra[1:]
+    out = []
     for u, f, fs in zip(u_c, f_c, f_star):
-        d = al * f             # u - r*((al*f - al*fs[:-1]) + (ar*fs[1:] - ar*f))
-        w = np.multiply(al, fs[:-1], out=w)
-        d -= w
-        w = np.multiply(ar, fs[1:], out=w)
-        z = np.multiply(ar, f, out=z)
-        w -= z
+        d = f - fs[:-1]        # u - (al*(f - fs[:-1]) + ar*(fs[1:] - f))
+        d *= al
+        w = fs[1:] - f
+        w *= ar
         d += w
-        d *= r
         out.append(np.subtract(u, d, out=d))
     return tuple(out)
 
 
-def source_G(A, B, rho, v, x, eos: EosParams):
+def source_G(A, B, rho, v, src_pref, src_kx2, eos: EosParams):
     """Source of the ODE stage: undifferentiated geometric terms plus the
-    flux correction for the metric jump at the cell center."""
-    # pref = -0.5*sqrt(A*B)*(1+sig)/(1-vv)*rho/x and kx2 = KAPPA/A*rho*x*x;
+    flux correction for the metric jump at the cell center, with the grid
+    factors src_pref = -0.5*(1+sigma)/x and src_kx2 = KAPPA*x**2."""
+    # pref = sqrt(A*B)*src_pref*rho/(1-vv) and kx2 = src_kx2*rho/A;
     # g0 = pref*v*(2*(1/A + 1) - kx2*(1-sig));
     # g1 = pref*(4*vv + (1/A - 1)*(1 + vv) + kx2*(sig - vv))
     sig = eos.sigma
     pref = A * B
     pref = np.sqrt(pref, out=_into(pref))
-    pref *= -0.5
-    pref *= 1.0 + sig
+    pref *= src_pref
+    pref *= rho
     vv = v * v
     w = 1.0 - vv
     pref /= w
-    pref *= rho
-    pref /= x
-    kx2 = np.divide(KAPPA, A, out=_into(w))
-    kx2 *= rho
-    kx2 *= x
-    kx2 *= x
+    kx2 = np.multiply(src_kx2, rho, out=_into(w))
+    kx2 /= A
     inv_a = 1.0 / A
     g0 = inv_a + 1.0
     g0 *= 2.0
@@ -212,14 +222,14 @@ def source_G(A, B, rho, v, x, eos: EosParams):
     return g0, g1
 
 
-def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos: EosParams):
+def ode_step(ubar0, ubar1, A_avg, B_avg, src_pref, src_kx2, dt, eos: EosParams):
     """One forward-Euler increment of the source with the neighbor-averaged
     metric, as the update formula writes it.  A Godunov average outside the
     physical region (NaN included) raises NonPhysicalState naming the first
     bad entry."""
     rho, v = fluid.fluid_arrays(ubar0, ubar1, eos)
     fluid.check_fluid(rho, v)
-    g0, g1 = source_G(A_avg, B_avg, rho, v, x, eos)
+    g0, g1 = source_G(A_avg, B_avg, rho, v, src_pref, src_kx2, eos)
     g0 *= dt                   # ubar + g*dt, in g's buffer
     g0 += ubar0
     g1 *= dt
@@ -253,40 +263,30 @@ def update_mass_metric(state: SimState, t_new: float, left, right):
     left = (A, B, M) at xe[0] and t_new, using midpoint values of the
     freshly updated conserved field; the last edge then takes the boundary
     values right = (A, B)."""
-    eos = state.eos
-    xe = state.xe
+    geo = state.geo
     a0, b0, m0 = left
-    u0mid = state.u0[:-2] + state.u0[1:-1]   # 0.5*(...), at xe[0..n-1]
-    u0mid *= 0.5
-    u1mid = state.u1[:-2] + state.u1[1:-1]
-    u1mid *= 0.5
-    terms = 0.5 * KAPPA * u0mid                # 0.5*KAPPA*u0mid*xe[:-1]**2*dx
-    terms *= xe[:-1] ** 2
-    terms *= state.dx
-    M = np.empty(xe.size)                      # m0 + [0, cumsum(terms)]
+    u0sum = state.u0[:-2] + state.u0[1:-1]     # twice the midpoint, at xe[0..n-1]
+    u1sum = state.u1[:-2] + state.u1[1:-1]
+    M = np.empty(u0sum.size + 1)               # m0 + [0, cumsum(0.5*KAPPA*u0mid*xe**2*dx)]
     M[0] = 0.0
-    np.cumsum(terms, out=M[1:])
+    np.cumsum(u0sum * geo.mass, out=M[1:])
     M += m0
-    A = 2.0 * M                                # 1 - 2*M/xe
-    A /= xe
+    A = M * geo.two_over_xe                    # 1 - 2*M/xe
     np.subtract(1.0, A, out=A)
     A[0] = a0
     if np.count_nonzero(A <= HORIZON_FLOOR):
-        raise HorizonEncountered(
-            f"radial metric component reached {A.min():.3e} at t={t_new:.6f}"
-        )
-    rho_mid, v_mid = fluid.fluid_arrays(u0mid, u1mid, eos)
-    t11_mid = fluid.t11_arrays(u1mid, rho_mid, v_mid, eos)
-    # ((1/A - 1)/xe + KAPPA*xe/A*t11)*dx at xe[:-1]
-    np.divide(1.0, A[:-1], out=terms)
-    terms -= 1.0
-    terms /= xe[:-1]
-    w = KAPPA * xe[:-1]
-    w /= A[:-1]
-    w *= t11_mid
-    terms += w
-    terms *= state.dx
-    B = np.empty(xe.size)                      # b0*exp([0, cumsum(terms)])
+        raise HorizonEncountered(f"radial metric component reached {A.min():.3e} at t={t_new:.6f}")
+    try:
+        terms = fluid.t11_from_conserved(u0sum, u1sum, state.eos)   # twice T11 at the midpoints
+    except NonPhysicalState:   # name the midpoint values (it is homogeneous of degree 1)
+        fluid.t11_from_conserved(0.5 * u0sum, 0.5 * u1sum, state.eos)
+        raise
+    # ((1/A - 1)/xe + KAPPA*xe/A*t11mid)*dx = (2*t11mid*geo.t11 + dx/xe)/A - dx/xe
+    terms *= geo.t11
+    terms += geo.dx_over_xe
+    terms /= A[:-1]
+    terms -= geo.dx_over_xe
+    B = np.empty(M.size)                       # b0*exp([0, cumsum(terms)])
     B[0] = 0.0
     np.cumsum(terms, out=B[1:])
     np.exp(B, out=B)
@@ -345,7 +345,8 @@ def advance(state: SimState, dt_cap: float | None = None) -> StepReport:
         b_avg = state.B[:-1] + state.B[1:]
         b_avg *= 0.5
         where = (t_new, 1)
-        u0_new, u1_new = ode_step(ubar0, ubar1, a_avg, b_avg, state.x[1:-1], dt, eos)
+        u0_new, u1_new = ode_step(ubar0, ubar1, a_avg, b_avg, state.geo.src_pref,
+                                  state.geo.src_kx2, dt, eos)
         rho_new, v_new = fluid.fluid_arrays(u0_new, u1_new, eos)
         fluid.check_fluid(rho_new, v_new)
         state.u0[1:-1], state.u1[1:-1] = u0_new, u1_new
@@ -387,5 +388,6 @@ def chop_right(state: SimState, min_cells: int) -> bool:
         return False
     for name in ("x", "rho", "v", "u0", "u1", "xe", "A", "B", "M"):
         setattr(state, name, getattr(state, name)[:-1].copy())
+    state.geo = GridFactors(*(a[:-1].copy() for a in state.geo))
     state.right_frozen = True
     return True

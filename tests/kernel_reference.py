@@ -36,7 +36,8 @@ def invariant_arrays(rho, v, eos):
     return phi - lr, phi + lr
 
 
-def fluid_arrays(u0, u1, eos):
+def _denominator(u0, u1, eos):
+    """(sigma+1)*u0 + sqrt(disc) of a pair that passes the guards."""
     sig = eos.sigma
     disc = (sig + 1.0) ** 2 * u0 * u0 - 4.0 * sig * u1 * u1
     ok = (disc >= 0.0) & (u0 > 0.0)
@@ -44,10 +45,21 @@ def fluid_arrays(u0, u1, eos):
         fluid._require(disc >= 0.0, "conserved pair outside the physical region (disc < 0)",
                        u0=u0, u1=u1)
         fluid._require(u0 > 0.0, "u0 must be positive", u0=u0, u1=u1)
-    denom = (sig + 1.0) * u0 + np.sqrt(disc)
+    return (sig + 1.0) * u0 + np.sqrt(disc)
+
+
+def fluid_arrays(u0, u1, eos):
+    sig = eos.sigma
+    denom = _denominator(u0, u1, eos)
     v = 2.0 * u1 / denom
     rho = (1.0 - v) * (1.0 + v) * denom / (2.0 * (sig + 1.0))
     return rho, v
+
+
+def t11_from_conserved(u0, u1, eos):
+    sig = eos.sigma
+    denom = _denominator(u0, u1, eos)
+    return sig * u0 + u1 * u1 * (2.0 * (1.0 - sig)) / denom
 
 
 def check_fluid(rho, v):
@@ -63,47 +75,58 @@ def light_speed(A, B):
 
 
 def godunov_cell_update(u_c, f_c, f_star, alpha, dt, dx):
-    al, ar, r = alpha[:-1], alpha[1:], dt / dx
-    return tuple(u - r * ((al * f - al * fs[:-1]) + (ar * fs[1:] - ar * f))
+    ra = alpha * (dt / dx)
+    al, ar = ra[:-1], ra[1:]
+    return tuple(u - (al * (f - fs[:-1]) + ar * (fs[1:] - f))
                  for u, f, fs in zip(u_c, f_c, f_star))
 
 
-def source_G(A, B, rho, v, x, eos):
+def source_factors(x, eos):
+    """The source's grid factors at centres x."""
+    return -0.5 * (1.0 + eos.sigma) / x, KAPPA * x ** 2
+
+
+def grid_factors(x, xe, dx, eos):
+    """The GridFactors of `scheme.init`: the update's factors at xe[:-1]
+    (2/xe at every edge), then the source's at the interior centres."""
+    return (0.25 * KAPPA * dx * xe[:-1] ** 2, 2.0 / xe, 0.5 * KAPPA * dx * xe[:-1],
+            dx / xe[:-1], *source_factors(x[1:-1], eos))
+
+
+def source_G(A, B, rho, v, src_pref, src_kx2, eos):
     sig = eos.sigma
-    alpha = np.sqrt(A * B)
     vv = v * v
     inv_a = 1.0 / A
-    pref = -0.5 * alpha * (1.0 + sig) / (1.0 - vv) * rho / x
-    kx2 = KAPPA / A * rho * x * x
+    pref = np.sqrt(A * B) * src_pref * rho / (1.0 - vv)
+    kx2 = src_kx2 * rho / A
     g0 = pref * v * (2.0 * (inv_a + 1.0) - kx2 * (1.0 - sig))
     g1 = pref * (4.0 * vv + (inv_a - 1.0) * (1.0 + vv) + kx2 * (sig - vv))
     return g0, g1
 
 
-def ode_step(ubar0, ubar1, A_avg, B_avg, x, dt, eos):
+def ode_step(ubar0, ubar1, A_avg, B_avg, src_pref, src_kx2, dt, eos):
     rho, v = fluid_arrays(ubar0, ubar1, eos)
     check_fluid(rho, v)
-    g0, g1 = source_G(A_avg, B_avg, rho, v, x, eos)
+    g0, g1 = source_G(A_avg, B_avg, rho, v, src_pref, src_kx2, eos)
     return ubar0 + g0 * dt, ubar1 + g1 * dt
 
 
 def update_mass_metric(state, t_new, left, right, horizon_floor):
-    """(M, A, B) the update stores; the state is not touched."""
-    eos = state.eos
-    xe = state.xe
+    """(M, A, B) the update stores; the state is not touched.  It works
+    from neighbour sums, twice the midpoint values, with the grid factors
+    computed here from x and xe."""
+    mass, two_over_xe, f_t11, dx_over_xe, _, _ = grid_factors(state.x, state.xe,
+                                                              state.dx, state.eos)
     a0, b0, m0 = left
-    u0mid = 0.5 * (state.u0[:-2] + state.u0[1:-1])
-    u1mid = 0.5 * (state.u1[:-2] + state.u1[1:-1])
-    terms_m = 0.5 * KAPPA * u0mid * xe[:-1] ** 2 * state.dx
-    M = m0 + np.concatenate(([0.0], np.cumsum(terms_m)))
-    A = 1.0 - 2.0 * M / xe
+    u0sum = state.u0[:-2] + state.u0[1:-1]
+    u1sum = state.u1[:-2] + state.u1[1:-1]
+    M = m0 + np.concatenate(([0.0], np.cumsum(u0sum * mass)))
+    A = 1.0 - M * two_over_xe
     A[0] = a0
     if np.count_nonzero(A <= horizon_floor):
         raise HorizonEncountered(f"radial metric component reached {A.min():.3e}")
-    rho_mid, v_mid = fluid_arrays(u0mid, u1mid, eos)
-    t11_mid = fluid.t11_arrays(u1mid, rho_mid, v_mid, eos)
-    terms_b = ((1.0 / A[:-1] - 1.0) / xe[:-1]
-               + KAPPA * xe[:-1] / A[:-1] * t11_mid) * state.dx
+    t11_sum = t11_from_conserved(u0sum, u1sum, state.eos)
+    terms_b = (t11_sum * f_t11 + dx_over_xe) / A[:-1] - dx_over_xe
     B = b0 * np.exp(np.concatenate(([0.0], np.cumsum(terms_b))))
     A[-1], B[-1] = right
     return M, A, B

@@ -23,12 +23,15 @@ def test_frw_images_agree_after_b_remap(eos):
 
 
 def test_matched_run_side_errors_fall_and_cones_lie_between_borders(eos):
-    """The headline matched FRW/TOV run: outside the interaction region the
-    solution converges to the exact FRW and TOV sides (every side error
-    falls per doubling), and the tracked sound cone lies between the two
-    detected borders at every resolution."""
-    runs = [experiments.matched_run("frw1", n, eos, duration=0.5)
-            for n in (64, 128, 256, 512)]
+    """The paper's matched-model claim, on [3, 7] to duration 0.5: outside
+    the interaction region the solution converges to the exact FRW and TOV
+    sides, and the tracked sound cone lies between the two detected borders
+    at every resolution.  Every side L1 error falls per doubling; from
+    n = 128 its log2 rate lies in [0.65, 1.25] (measured 0.74-1.15; the
+    64 -> 128 rates, down to 0.35 for the TOV side's B, are not yet
+    asymptotic)."""
+    ns = (64, 128, 256, 512)
+    runs = [experiments.matched_run("frw1", n, eos, duration=0.5) for n in ns]
     for run in runs:
         assert set(run.side_errors) == {"frw", "tov"}
         assert run.frw_border <= run.sound_left <= run.sound_right <= run.tov_border
@@ -36,6 +39,8 @@ def test_matched_run_side_errors_fall_and_cones_lie_between_borders(eos):
         for name in experiments.FIELDS:
             errors = [run.side_errors[side][name] for run in runs]
             assert all(a > b for a, b in zip(errors, errors[1:])), (side, name, errors)
+            rates = np.log2(np.divide(errors[1:-1], errors[2:]))
+            assert all(0.65 <= rate <= 1.25 for rate in rates), (side, name, rates)
 
 
 @pytest.mark.parametrize("variant", ["frw1", "frw2", "tov"])

@@ -58,6 +58,8 @@ def test_fluid_kernels_equal_expression_forms(states, sigma):
     assert same(fluid.rapidity(v), ref.rapidity(v))
     assert same(fluid.invariant_arrays(rho, v, eos), ref.invariant_arrays(rho, v, eos))
     assert same(outcome(fluid.fluid_arrays, u0, u1, eos), outcome(ref.fluid_arrays, u0, u1, eos))
+    assert same(outcome(fluid.t11_from_conserved, u0, u1, eos),
+                outcome(ref.t11_from_conserved, u0, u1, eos))
     assert fluid.check_fluid(rho, v) is None
 
 
@@ -67,12 +69,12 @@ def test_stage_kernels_equal_expression_forms(data, states, sigma):
     rho, v = states
     n, eos, draw = rho.size, EosParams(sigma), data.draw
     A, B = uniform_array(draw, n, 0.05, 1.0), uniform_array(draw, n, 0.1, 10.0)
-    x = uniform_array(draw, n, 0.1, 20.0)
+    geo = ref.source_factors(uniform_array(draw, n, 0.1, 20.0), eos)
     dt = draw(st.floats(0.0, 0.1))
-    assert same(scheme.source_G(A, B, rho, v, x, eos), ref.source_G(A, B, rho, v, x, eos))
+    assert same(scheme.source_G(A, B, rho, v, *geo, eos), ref.source_G(A, B, rho, v, *geo, eos))
     u0, u1 = ref.conserved_arrays(rho, v, eos)
-    assert same(outcome(scheme.ode_step, u0, u1, A, B, x, dt, eos),
-                outcome(ref.ode_step, u0, u1, A, B, x, dt, eos))
+    assert same(outcome(scheme.ode_step, u0, u1, A, B, *geo, dt, eos),
+                outcome(ref.ode_step, u0, u1, A, B, *geo, dt, eos))
 
     rho_s, v_s = draw(fluid_states(min_size=n + 1, max_size=n + 1))
     t01_s = ref.conserved_arrays(rho_s, v_s, eos)[1]
@@ -105,6 +107,22 @@ def test_update_mass_metric_equals_expression_form(data, sigma, n):
         assert new is None and same((state.M, state.A, state.B), old)
 
 
+@pytest.mark.parametrize("sigma", [0.1, 1.0 / 3.0, 0.9])
+def test_t11_from_conserved_is_the_flux_of_the_inverted_state(sigma):
+    """Within 5 ulp (measured: 5) of u1*v + sigma*rho after the inversion,
+    for |v| up to 1 - 1e-9 and rho over 16 decades, and bit for bit
+    homogeneous of degree 1 under doubling, so the update may pass sums."""
+    eos = EosParams(sigma)
+    edge = 1.0 - np.logspace(-9, -1, 200)
+    rho, v = np.meshgrid(np.logspace(-8, 8, 65),
+                         np.concatenate((np.linspace(-0.9, 0.9, 1801), edge, -edge)))
+    u0, u1 = fluid.conserved_arrays(rho, v, eos)
+    t11 = fluid.t11_from_conserved(u0, u1, eos)
+    two_kernels = fluid.t11_arrays(u1, *fluid.fluid_arrays(u0, u1, eos), eos)
+    assert np.max(np.abs(t11 - two_kernels) / np.spacing(two_kernels)) <= 5.0
+    assert same(fluid.t11_from_conserved(2.0 * u0, 2.0 * u1, eos), 2.0 * t11)
+
+
 SCALAR_KINDS = [float, np.float64, np.array]
 
 
@@ -117,14 +135,17 @@ def test_kernels_take_scalars_zero_d_and_empty_arrays(kind, sigma):
         return np.array([], dtype=float) if kind == "empty" else kind(value)
 
     rho, v, u0, u1 = arg(1.7), arg(-0.6), arg(2.5), arg(1.1)
-    A, B, x, dt = arg(0.8), arg(1.3), arg(4.0), 0.01
+    A, B, dt = arg(0.8), arg(1.3), 0.01
+    geo = ref.source_factors(arg(4.0), eos)
     cases = [
         ("conserved_arrays", (rho, v, eos)), ("rapidity", (v,)),
         ("invariant_arrays", (rho, v, eos)), ("fluid_arrays", (u0, u1, eos)),
-        ("check_fluid", (rho, v)), ("source_G", (A, B, rho, v, x, eos)),
-        ("ode_step", (u0, u1, A, B, x, dt, eos)),
+        ("t11_from_conserved", (u0, u1, eos)),
+        ("check_fluid", (rho, v)), ("source_G", (A, B, rho, v, *geo, eos)),
+        ("ode_step", (u0, u1, A, B, *geo, dt, eos)),
         # scalar metric and radius with array fluid data, as the ODE tests pass
-        ("source_G", (0.9, 1.2, np.array([1.0, 2.0]), np.array([0.0, -0.3]), 5.0, eos)),
+        ("source_G", (0.9, 1.2, np.array([1.0, 2.0]), np.array([0.0, -0.3]),
+                      *ref.source_factors(5.0, eos), eos)),
     ]
     for name, args in cases:
         new = getattr(fluid, name, None) or getattr(scheme, name)
@@ -160,7 +181,8 @@ def test_conserved_pair_refusals_name_the_same_entry(case, scalar, eos):
     old = outcome(ref.fluid_arrays, u0, u1, eos)
     assert old[0] is NonPhysicalState and old[2] == (0 if scalar else k)
     assert outcome(fluid.fluid_arrays, u0, u1, eos) == old
-    args = (u0, u1, 0.9, 1.2, 5.0, 0.01, eos)
+    assert outcome(fluid.t11_from_conserved, u0, u1, eos) == old
+    args = (u0, u1, 0.9, 1.2, *ref.source_factors(5.0, eos), 0.01, eos)
     assert outcome(scheme.ode_step, *args) == outcome(ref.ode_step, *args) == old
 
 
@@ -188,17 +210,19 @@ def kernel_calls(state):
     rho_s, v_s = state.rho[:-1], state.v[:-1]
     t01_s = state.u1[:-1]
     f_star = (t01_s, fluid.t11_arrays(t01_s, rho_s, v_s, eos))
+    src = (state.geo.src_pref, state.geo.src_kx2)
     return [
         (fluid.conserved_arrays, (state.rho[1:], state.v[1:], eos)),
         (fluid.rapidity, (state.v[1:],)),
         (fluid.invariant_arrays, (state.rho, state.v, eos)),
         (fluid.fluid_arrays, (u0c, u1c, eos)),
+        (fluid.t11_from_conserved, (u0c, u1c, eos)),
         (fluid.check_fluid, (rhoc, vc)),
         (riemann.solve_interfaces, (state.rho, state.v, eos)),
         # its sides are views of the row: the sampler writes only its own arrays
         (riemann.sample_solution, (riemann.solve_interfaces(state.rho, state.v, eos), 0.0)),
-        (scheme.source_G, (state.A[:-1], state.B[1:], rhoc, vc, state.x[1:-1], eos)),
-        (scheme.ode_step, (u0c, u1c, state.A[:-1], state.B[1:], state.x[1:-1], dt, eos)),
+        (scheme.source_G, (state.A[:-1], state.B[1:], rhoc, vc, *src, eos)),
+        (scheme.ode_step, (u0c, u1c, state.A[:-1], state.B[1:], *src, dt, eos)),
         (scheme.godunov_cell_update, ((u0c, u1c), (u1c, state.u0[1:-1]), f_star,
                                       state.light_speed(), dt, dx)),
     ]
@@ -210,6 +234,7 @@ def test_kernels_never_write_into_their_inputs(variant, kw):
     state = scheme.init(models.make_model(variant, eos, **kw), scheme.SimGrid(3.0, 7.0, 48), eos)
     names = ("x", "xe", "rho", "v", "u0", "u1", "A", "B", "M")
     before = {name: getattr(state, name).copy() for name in names}
+    geo = [a.copy() for a in state.geo]
     for fn, args in kernel_calls(state):
         out = fn(*args)
         views = [a for a in args if isinstance(a, np.ndarray)]
@@ -227,6 +252,7 @@ def test_kernels_never_write_into_their_inputs(variant, kw):
         assert arr.tobytes() == before[name].tobytes(), name
     for name in ("x", "xe", "u0", "u1"):
         assert getattr(state, name).tobytes() == before[name].tobytes(), name
+    assert same(tuple(state.geo), tuple(geo))
 
 
 @pytest.mark.parametrize("variant, kw", [("frw1", {"t_start": 15.0}), ("frw1_tov", {"r0": 5.0}),

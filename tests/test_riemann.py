@@ -593,6 +593,29 @@ def test_rarefaction_batch_evaluates_no_shock_speed(eos, monkeypatch):
     assert called == [], called
 
 
+MIDDLE_FIELDS = ("region", "r_mid", "s_mid", "rho_mid", "v_mid")
+
+
+def test_a_smooth_row_matches_the_general_path(eos, monkeypatch):
+    """A row with every interface in region IV leaves before the quadrant
+    lookup with the region and middle states of the eager solver, which
+    sends every row through it.  A dr of -0.0 stays IV; a tiny negative dr
+    takes the leg path."""
+    def check(rho, v, legs):
+        sol, old = solve_interfaces(rho, v, eos), kernel_reference.solve_interfaces(rho, v, eos)
+        for name in MIDDLE_FIELDS:
+            assert getattr(sol, name).tobytes() == getattr(old, name).tobytes(), name
+        assert sol.w1.tolist() == legs
+        return sol.region
+
+    rho, v = np.array([2.0, 1.9, 1.9, 2.0, 2.1]), np.array([-0.2, -0.1, 0.0, 0.3, 0.5])
+    assert set(check(rho, v, [])) == {REGION_IV}
+    for r_mid_cell, region, legs in ((-0.0, REGION_IV, []), (-1e-300, REGION_III, [0])):
+        r, s = np.array([0.0, r_mid_cell, 0.1]), np.array([0.0, 0.1, 0.2])
+        monkeypatch.setattr(fluid, "invariant_arrays", lambda rho, v, eos: (r, s))
+        assert check(np.ones(3), np.zeros(3), legs).tolist() == [region, REGION_IV]
+
+
 def test_nonphysical_input_names_first_bad_cell(eos):
     """The row passes fluid.check_fluid, which names the cell."""
     with pytest.raises(NonPhysicalState, match=r"rho must be positive at index 1 \(rho=nan\)"):

@@ -14,6 +14,7 @@ from relshock.fluid import EosParams
 from relshock.scheme import SimGrid, advance, cfl_dt, chop_right, godunov_cell_update
 
 from conftest import solve_one
+from kernel_reference import grid_factors, source_factors
 
 
 def make_state(variant="frw1", n=64, r_min=3.0, r_max=7.0, **kw):
@@ -156,10 +157,10 @@ def test_godunov_constant_grid_exact(eos):
     assert out[0] == u[0] and out[1] == u[1]
 
 
-def test_advance_inverts_conserved_pairs_three_times(monkeypatch):
-    """One step inverts (u0, u1) for the ODE average, the new state and the
-    metric midpoints only; the flux-form Godunov stage calls no fluid
-    kernel."""
+def test_advance_inverts_conserved_pairs_twice_and_forms_one_midpoint_flux(monkeypatch):
+    """One step inverts (u0, u1) for the ODE average and the new state only,
+    and takes the metric midpoints' T11 straight from their conserved pairs;
+    the flux-form Godunov stage calls no fluid kernel."""
     state, _ = make_state("frw1_tov", n=64, r0=5.0)
     calls = []
 
@@ -181,7 +182,8 @@ def test_advance_inverts_conserved_pairs_three_times(monkeypatch):
         return out
     monkeypatch.setattr(scheme, "godunov_cell_update", watched)
     advance(state)
-    assert calls.count("fluid_arrays") == 3
+    assert calls.count("fluid_arrays") == 2
+    assert calls.count("t11_from_conserved") == 1
     assert in_godunov == []
 
 
@@ -294,38 +296,38 @@ def test_time_dilation_affine_relation(seed, eos):
 
 
 def test_source_vanishes_at_rest_energy_component(eos):
-    g0, g1 = scheme.source_G(0.8, 1.5, 2.0, 0.0, 4.0, eos)
+    g0, g1 = scheme.source_G(0.8, 1.5, 2.0, 0.0, *source_factors(4.0, eos), eos)
     assert g0 == 0.0
     assert g1 != 0.0
 
 
 def test_source_vanishes_in_empty_flat_space(eos):
-    g0, g1 = scheme.source_G(1.0, 1.0, 1e-30, 0.1, 4.0, eos)
+    g0, g1 = scheme.source_G(1.0, 1.0, 1e-30, 0.1, *source_factors(4.0, eos), eos)
     assert abs(g0) < 1e-29 and abs(g1) < 1e-29
 
 
 def test_ode_step_zero_dt_is_identity(eos):
     u = fluid.conserved_arrays(3.0, 0.2, eos)
-    out = scheme.ode_step(u[0], u[1], 0.9, 1.2, 5.0, 0.0, eos)
+    out = scheme.ode_step(u[0], u[1], 0.9, 1.2, *source_factors(5.0, eos), 0.0, eos)
     assert out[0] == u[0] and out[1] == u[1]
 
 
 def test_ode_step_rejects_unphysical(eos):
     with pytest.raises(NonPhysicalState, match="disc < 0"):
-        scheme.ode_step(1.0, 10.0, 0.9, 1.2, 5.0, 0.01, eos)
+        scheme.ode_step(1.0, 10.0, 0.9, 1.2, *source_factors(5.0, eos), 0.01, eos)
     # real inversion but superluminal root: caught by the state check
     with pytest.raises(NonPhysicalState, match="rho must be positive"):
-        scheme.ode_step(1.0, 1.1, 0.9, 1.2, 5.0, 0.01, eos)
+        scheme.ode_step(1.0, 1.1, 0.9, 1.2, *source_factors(5.0, eos), 0.01, eos)
 
 
 def test_ode_step_rejects_nan(eos):
     u0 = np.array([1.0, np.nan, 1.0])
     u1 = np.zeros(3)
     with pytest.raises(NonPhysicalState, match="at index 1"):
-        scheme.ode_step(u0, u1, 0.9, 1.2, 5.0, 0.01, eos)
+        scheme.ode_step(u0, u1, 0.9, 1.2, *source_factors(5.0, eos), 0.01, eos)
     with pytest.raises(NonPhysicalState, match="at index 2"):
-        scheme.ode_step(np.ones(3), np.array([0.0, 0.0, np.nan]), 0.9, 1.2, 5.0,
-                        0.01, eos)
+        scheme.ode_step(np.ones(3), np.array([0.0, 0.0, np.nan]), 0.9, 1.2,
+                        *source_factors(5.0, eos), 0.01, eos)
 
 
 def test_advance_rejects_the_state_it_makes(monkeypatch):
@@ -376,6 +378,25 @@ def test_advance_names_the_cells_of_a_bad_midpoint(monkeypatch):
             f"u0 must be positive at cells 7 and 8, t={t_new:.9g} (u0=-1.0e+00)")):
         advance(state)
     assert state.t == t0
+
+
+def test_a_refused_midpoint_is_named_with_its_own_values(monkeypatch):
+    """The update takes T11 from neighbour sums; a refused midpoint still
+    reads as cells k and k + 1 with the midpoint (not the summed) pair."""
+    state, _ = make_state("frw1", n=64, t_start=15.0)
+    refresh = scheme._refresh_boundaries
+
+    def bad_ghost(state, t_new):
+        out = refresh(state, t_new)
+        state.u0[0] = -1.0
+        return out
+    monkeypatch.setattr(scheme, "_refresh_boundaries", bad_ghost)
+    t_new = state.t + cfl_dt(state.dx, state.light_speed().max())
+    with pytest.raises(NonPhysicalState) as err:
+        advance(state)
+    u0_mid, u1_mid = 0.5 * (state.u0[0] + state.u0[1]), 0.5 * (state.u1[0] + state.u1[1])
+    assert str(err.value) == (f"u0 must be positive at cells 0 and 1, t={t_new:.9g} "
+                              f"(u0={u0_mid:.6e}, u1={u1_mid:.6e})")
 
 
 def test_advance_passes_a_boundary_stage_error_through(monkeypatch):
@@ -588,6 +609,21 @@ def test_chopped_boundary_stays_frozen():
             assert (state.rho[-1], state.v[-1]) == (rho, v), variant
             assert (state.u0[-1], state.u1[-1]) == (u0, u1), variant
             assert (state.A[-1], state.B[-1], state.bt) == (a, b, bt), variant
+
+
+def test_grid_factors_are_computed_once_and_chopped_with_the_grid():
+    """init computes the grid factors from x and xe; each chop slices them,
+    equal bit for bit to the factors of the chopped grid, and a step reads
+    them without writing."""
+    state, eos = make_state("frw1_tov", n=64, r0=5.0)
+    for _ in range(3):
+        for have, want in zip(state.geo, grid_factors(state.x, state.xe, state.dx, eos),
+                              strict=True):
+            assert have.tobytes() == want.tobytes()
+        kept = [a.copy() for a in state.geo]
+        advance(state)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.geo, kept))
+        chop_right(state, min_cells=16)
 
 
 def test_chop_right_exhausts():
